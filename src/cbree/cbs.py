@@ -136,21 +136,17 @@ def ess(g_values, points, s: float, beta: float) -> float:
     return ess_from_log_weights(log_target(np.asarray(g_values, float), points, s), beta)
 
 
-def solve_beta(
-    g_values,
-    points,
-    s: float,
-    target: float,
-    beta_cap: float = 1e8,
-) -> tuple[float, bool]:
+def solve_beta(log_target_values, target: float, beta_cap: float = 1e8) -> tuple[float, bool]:
     """Inverse temperature with ``ESS(beta) = target``, by bracketed bisection.
 
-    ESS is non-increasing in ``beta`` with ``ESS(0) = J``, so the bracket
-    ``[0, 1]`` is doubled until it straddles the target.  If even ``beta_cap``
-    leaves the weights too uniform (``ESS > target``, e.g. identical
-    log-weights) the cap is returned with ``capped=True``.
+    ``log_target_values`` holds the per-particle ``log(I(g, s) phi(x))`` (see
+    :func:`cbree.smoothing.log_target`); the weights are their ``beta``-th
+    powers.  ESS is non-increasing in ``beta`` with ``ESS(0) = J``, so the
+    bracket ``[0, 1]`` is doubled until it straddles the target.  If even
+    ``beta_cap`` leaves the weights too uniform (``ESS > target``, e.g.
+    identical log-weights) the cap is returned with ``capped=True``.
     """
-    lw = log_target(np.asarray(g_values, dtype=float), points, s)
+    lw = np.asarray(log_target_values, dtype=float)
     n = lw.shape[0]
     if not 1.0 < target < n:
         raise ValueError("target must lie strictly between 1 and J")

@@ -18,7 +18,13 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .cbs import Ensemble, cbs_step, ensemble_coefficients, ess_from_log_weights, solve_beta
+from .cbs import (
+    Ensemble,
+    cbs_step,
+    coefficients_from_log_weights,
+    ess_from_log_weights,
+    solve_beta,
+)
 from .densities import (
     gaussian_fit,
     model_logpdf,
@@ -34,6 +40,7 @@ from .stepctl import (
     StepControllerState,
     initial_stepsize,
     moments_of_ensemble,
+    pack_moments,
     stage_from_coefficients,
 )
 
@@ -211,12 +218,6 @@ def divergence_check(cv_history, n_obs: int) -> bool:
     return ls_slope(window) > 0.0
 
 
-def _fit_proposal(points, kind: str):
-    if kind == "vmfn":
-        return vmfn_fit(points)
-    return gaussian_fit(points)
-
-
 def _run(problem: ProblemSpec, config: CbreeConfig) -> RunRecord:
     config.validate()
     d = problem.dim
@@ -237,7 +238,7 @@ def _run(problem: ProblemSpec, config: CbreeConfig) -> RunRecord:
     s_cur = 0.0
 
     # provisional temperature at the initial smoothing level drives the probe
-    beta0, _ = solve_beta(ens.g_values, ens.points, s_cur, ess_target, config.beta_cap)
+    beta0, _ = solve_beta(log_target(ens.g_values, ens.points, s_cur), ess_target, config.beta_cap)
     h1, _probe, probe_cost = initial_stepsize(
         ens, s_cur, beta0, config.eps_target, root.substream(1), lsf
     )
@@ -301,14 +302,19 @@ def _run(problem: ProblemSpec, config: CbreeConfig) -> RunRecord:
         if n >= config.max_iter:
             return finish(pf, "max_iter", n, model)
 
-        theta_now = moments_of_ensemble(ens)
+        # the Gaussian proposal was fitted to this very ensemble, so its
+        # moments are the ensemble's; a vMFN ensemble was resampled after
+        # its fit
+        if resample:
+            theta_now = moments_of_ensemble(ens)
+        else:
+            theta_now = pack_moments(model.mean, model.covariance)
         h_next, err = ctrl.propose(theta_now, n)
         state = SmoothingState(s=s_cur, lip_s=config.lip_s, delta_target=config.delta_target)
         s_next = update_smoothing(ens.g_values, state, h_next)
-        beta, beta_capped = solve_beta(
-            ens.g_values, ens.points, s_next, ess_target, config.beta_cap
-        )
-        coeffs = ensemble_coefficients(ens, s_next, beta)
+        log_w = log_target(ens.g_values, ens.points, s_next)
+        beta, beta_capped = solve_beta(log_w, ess_target, config.beta_cap)
+        coeffs = coefficients_from_log_weights(ens.points, beta * log_w, beta)
         ctrl.record(theta_now, stage_from_coefficients(coeffs), h_next)
 
         row.s = s_next
@@ -316,7 +322,7 @@ def _run(problem: ProblemSpec, config: CbreeConfig) -> RunRecord:
         row.beta_capped = beta_capped
         row.h = h_next
         row.err = err if err is not None else math.nan
-        row.ess = ess_from_log_weights(log_target(ens.g_values, ens.points, s_next), beta)
+        row.ess = ess_from_log_weights(log_w, beta)
 
         ens = cbs_step(
             ens,

@@ -40,6 +40,9 @@ class CountedLsf:
     The counter increments once per evaluated point (batch calls add the
     batch size) under a lock, so repetitions may share a wrapper across
     threads; benchmark runs use one wrapper each for exact per-run cost.
+    The wrapped function must return one finite value per point; anything
+    else raises ``ValueError``, since a NaN would silently count as safe
+    under ``g <= 0``.
     """
 
     def __init__(self, fn):
@@ -53,7 +56,15 @@ class CountedLsf:
         pts = np.atleast_2d(x)
         with self._lock:
             self._count += pts.shape[0]
-        out = self._fn(pts)
+        out = np.asarray(self._fn(pts), dtype=float)
+        if out.shape != (pts.shape[0],):
+            raise ValueError(
+                f"limit-state function returned shape {out.shape} for "
+                f"{pts.shape[0]} points; expected ({pts.shape[0]},)"
+            )
+        if not np.all(np.isfinite(out)):
+            bad = int(np.count_nonzero(~np.isfinite(out)))
+            raise ValueError(f"limit-state function returned {bad} non-finite values")
         return float(out[0]) if single else out
 
     @property

@@ -3,8 +3,9 @@
 The indicator of the failure domain {g <= 0} is replaced by a transformed
 logistic function ``I(g, s) = 0.5 (1 - s g / sqrt(s^2 g^2 + 1))`` which tends
 to the sharp indicator pointwise as the smoothing parameter ``s`` grows.  The
-update drives the coefficient of variation of successive indicator ratios to
-a user target while capping the increment per time step.
+update takes the largest increment the per-step cap allows while the
+coefficient of variation of successive indicator ratios stays within a user
+target, and otherwise drives that coefficient to the target.
 """
 
 from __future__ import annotations
@@ -98,19 +99,27 @@ def delta_distance_sq(weights) -> float:
 def update_smoothing(g_values, state: SmoothingState, h: float) -> float:
     """Choose the next smoothing level on ``[s, s + lip_s * h]``.
 
-    Minimizes ``(cv(q) - delta_target)^2`` where ``q_j`` is the indicator
-    ratio ``I(g_j, s') / I(g_j, s)``; the input-density factor cancels in the
-    ratio and the CV is scale invariant, so no normalization constants enter.
-    Flat objectives (e.g. all ``g_j`` equal) resolve to the upper bound, which
-    guarantees progress.
+    The accuracy target is the coefficient of variation of the indicator
+    ratios ``q_j = I(g_j, s') / I(g_j, s)``; the input-density factor cancels
+    in the ratio and the CV is scale invariant, so no normalization
+    constants enter.  The largest allowed step ``hi = s + lip_s * h`` is
+    tried first and returned whenever ``cv(q) <= delta_target`` there.
+    Otherwise the level minimizes ``(cv(q) - delta_target)^2`` by
+    golden-section search on the interval; flat objectives (e.g. all ``g_j``
+    equal) resolve to the upper bound, which guarantees progress.  The
+    search's absolute tolerance of 1e-6 cannot be met once ``s`` exceeds
+    about 1e10, where it runs its full iteration budget.
     """
     g = np.asarray(g_values, dtype=float)
     s0 = state.s
     hi = s0 + state.lip_s * h
     log_i0 = log_smooth_indicator(g, s0)
 
-    def objective(s):
-        q = np.exp(log_smooth_indicator(g, s) - log_i0)
-        return (empirical_cv(q) - state.delta_target) ** 2
+    def cv_at(s):
+        return empirical_cv(np.exp(log_smooth_indicator(g, s) - log_i0))
 
-    return minimize_scalar_bounded(objective, (s0, hi), tol=1e-6)
+    if cv_at(hi) <= state.delta_target:
+        return hi
+    return minimize_scalar_bounded(
+        lambda s: (cv_at(s) - state.delta_target) ** 2, (s0, hi), tol=1e-6
+    )

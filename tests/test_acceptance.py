@@ -278,7 +278,7 @@ def test_c8_invariant_suite():
     # temperature solve self-consistency
     pts = RandomStream(3).standard_normal((400, 3))
     g_vals = 3.5 - pts.sum(axis=1) / math.sqrt(3.0)
-    beta, capped = solve_beta(g_vals, pts, 1.0, 200.0)
+    beta, capped = solve_beta(log_target(g_vals, pts, 1.0), 200.0)
     ess_val = ess_from_log_weights(log_target(g_vals, pts, 1.0), beta)
     checks.append(("beta-solve self-consistency", (not capped) and abs(ess_val - 200.0) <= 0.01))
 

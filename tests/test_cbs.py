@@ -164,7 +164,7 @@ class TestSolveBeta:
         pts = RandomStream(15).standard_normal((12, 2))
         norm = np.linalg.norm(pts, axis=1, keepdims=True)
         pts = pts / norm  # same radius
-        beta, capped = solve_beta(np.full(12, 1.0), pts, 0.0, 6.0)
+        beta, capped = solve_beta(log_target(np.full(12, 1.0), pts, 0.0), 6.0)
         assert capped
         assert beta == 1e8
 
@@ -190,15 +190,15 @@ class TestSolveBeta:
         for seed in range(5):
             ens = make_ensemble(seed + 20, 400, 3)
             target = 200.0
-            beta, capped = solve_beta(ens.g_values, ens.points, 1.3, target)
+            beta, capped = solve_beta(log_target(ens.g_values, ens.points, 1.3), target)
             assert not capped
             assert abs(ess(ens.g_values, ens.points, 1.3, beta) - target) <= 0.01
 
     def test_matches_dense_grid_oracle(self):
         ens = make_ensemble(30, 200, 2)
         target = 100.0
-        beta, _ = solve_beta(ens.g_values, ens.points, 0.8, target)
         lw = log_target(ens.g_values, ens.points, 0.8)
+        beta, _ = solve_beta(lw, target)
         grid = np.linspace(max(beta - 0.5, 0.0), beta + 0.5, 20001)
         vals = np.abs([ess_from_log_weights(lw, b) - target for b in grid])
         best = grid[int(np.argmin(vals))]
@@ -207,9 +207,9 @@ class TestSolveBeta:
     def test_invalid_target(self):
         ens = make_ensemble(31, 10, 2)
         with pytest.raises(ValueError):
-            solve_beta(ens.g_values, ens.points, 1.0, 0.5)
+            solve_beta(log_target(ens.g_values, ens.points, 1.0), 0.5)
         with pytest.raises(ValueError):
-            solve_beta(ens.g_values, ens.points, 1.0, 10.0)
+            solve_beta(log_target(ens.g_values, ens.points, 1.0), 10.0)
 
 
 class TestExport:

@@ -1,0 +1,112 @@
+"""Golden records: short seeded runs pinned to ``tests/golden_records.json``.
+
+Each cell runs one method on one problem with a fixed seed and a small
+budget.  Its JSON record (estimate, termination, iterations, cost, fitted
+proposal and the whole trace) must match the stored one: integers, flags and
+strings exactly, floats to 1e-12 relative.  Any refactor of the run loop has
+to keep these records; a change that alters the numerics on purpose
+regenerates the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and names the records that moved and why.
+"""
+
+import json
+import math
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from cbree.bench import default_config, run_method
+from cbree.problems import get_problem
+
+GOLDEN = Path(__file__).with_name("golden_records.json")
+REL_TOL = 1e-12
+
+# (name, method, problem, seed, config overrides)
+CELLS = (
+    ("cbree-linear", "cbree", "linear", 11, dict(n_particles=500, max_iter=30)),
+    ("cbree-convex", "cbree", "convex", 12, dict(n_particles=500, max_iter=30)),
+    ("cbree-oscillator", "cbree", "oscillator", 13, dict(n_particles=1000, max_iter=30)),
+    (
+        "cbree-linear50",
+        "cbree",
+        "linear-50",
+        14,
+        dict(n_particles=400, delta_target=2.0, eps_target=0.5, n_obs=0, max_iter=12),
+    ),
+    (
+        "cbree-vmfn-linear50",
+        "cbree-vmfn",
+        "linear-50",
+        15,
+        dict(n_particles=400, delta_target=4.0, eps_target=0.5, n_obs=0, max_iter=12),
+    ),
+    ("enkf-linear", "enkf", "linear", 16, dict(n_particles=500, max_iter=30)),
+    ("mc-linear", "mc", "linear", 17, dict(n_particles=50_000)),
+)
+
+
+def run_cell(method, problem_name, seed, overrides) -> dict:
+    problem = get_problem(problem_name)
+    config = replace(default_config(method), seed=seed, **overrides)
+    record = run_method(method, problem, config)
+    assert record.cost == problem.evaluations
+    return record.to_json_dict()
+
+
+def mismatches(expected, actual, path="") -> list[str]:
+    """Paths where ``actual`` departs from ``expected`` under the record rules."""
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        if expected.keys() != actual.keys():
+            return [f"{path}: keys {sorted(expected)} != {sorted(actual)}"]
+        return [m for k in expected for m in mismatches(expected[k], actual[k], f"{path}.{k}")]
+    if isinstance(expected, list) and isinstance(actual, list):
+        if len(expected) != len(actual):
+            return [f"{path}: length {len(expected)} != {len(actual)}"]
+        return [
+            m for i, (e, a) in enumerate(zip(expected, actual))
+            for m in mismatches(e, a, f"{path}[{i}]")
+        ]
+    if isinstance(expected, float) and isinstance(actual, float):
+        if math.isclose(expected, actual, rel_tol=REL_TOL, abs_tol=0.0):
+            return []
+        return [f"{path}: {expected!r} != {actual!r}"]
+    if type(expected) is not type(actual) or expected != actual:
+        return [f"{path}: {expected!r} != {actual!r}"]
+    return []
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_cells_cover_the_golden_file(golden):
+    assert sorted(golden) == sorted(name for name, *_ in CELLS)
+
+
+@pytest.mark.parametrize("name,method,problem,seed,overrides", CELLS, ids=[c[0] for c in CELLS])
+def test_record_matches_golden(golden, name, method, problem, seed, overrides):
+    # JSON turns every float of the record into a Python float, so compare
+    # the round-tripped record with the stored one
+    actual = json.loads(json.dumps(run_cell(method, problem, seed, overrides)))
+    found = mismatches(golden[name], actual)
+    assert not found, f"{name}: {len(found)} fields moved, first: {found[:5]}"
+
+
+def test_mismatches_rules():
+    assert mismatches({"a": 1.0, "b": [2, "x"]}, {"a": 1.0 + 1e-15, "b": [2, "x"]}) == []
+    assert mismatches({"a": 1.0}, {"a": 1.0 + 1e-9}) != []
+    assert mismatches({"cost": 10}, {"cost": 11}) != []
+    assert mismatches({"t": "converged"}, {"t": "max_iter"}) != []
+    assert mismatches({"x": None}, {"x": 0.0}) != []
+    assert mismatches([1.0, 2.0], [1.0]) != []
+
+
+if __name__ == "__main__":
+    records = {name: run_cell(*cell) for name, *cell in CELLS}
+    GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(records)} records to {GOLDEN}")

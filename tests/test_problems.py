@@ -191,6 +191,27 @@ class TestCountedWrapper:
         lsf = counted(lambda x: np.atleast_2d(x).sum(axis=1))
         assert isinstance(lsf(np.ones(2)), float)
 
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda x: np.atleast_2d(x).sum(axis=1, keepdims=True),  # (n, 1)
+            lambda x: np.atleast_2d(x).sum(axis=1)[:-1],            # one short
+            lambda x: np.atleast_2d(x).sum(),                       # scalar
+        ],
+        ids=["column", "short", "scalar"],
+    )
+    def test_wrong_shape_raises(self, fn):
+        with pytest.raises(ValueError, match="shape"):
+            counted(fn)(np.ones((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, bad):
+        lsf = counted(lambda x: np.where(np.arange(len(x)) == 1, bad, 1.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            lsf(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="non-finite"):
+            counted(lambda x: np.full(len(x), bad))(np.ones(2))
+
 
 class TestRegistry:
     def test_listing(self):

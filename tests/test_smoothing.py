@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import cbree.driver
+import cbree.smoothing
 from cbree.densities import std_normal_logpdf
+from cbree.driver import CbreeConfig, run_cbree
+from cbree.numkit import minimize_scalar_bounded
+from cbree.problems import get_problem
 from cbree.smoothing import (
     SmoothingState,
     delta_distance_sq,
@@ -169,3 +174,89 @@ class TestUpdateSmoothing:
         g = np.array([-1.0, -0.5, 0.5, 1.0])
         state = SmoothingState(s=0.0, lip_s=1.0, delta_target=0.5)
         assert update_smoothing(g, state, 10.0) == pytest.approx(0.7685488214, abs=1e-3)
+
+
+def ratio_cv(g, s0, s):
+    """CV of the indicator ratios ``I(g, s) / I(g, s0)``."""
+    return empirical_cv(np.exp(log_smooth_indicator(g, s) - log_smooth_indicator(g, s0)))
+
+
+def search_only(g, state, h):
+    """The golden-section search over the whole interval, without the cap test."""
+    return minimize_scalar_bounded(
+        lambda s: (ratio_cv(g, state.s, s) - state.delta_target) ** 2,
+        (state.s, state.s + state.lip_s * h),
+        tol=1e-6,
+    )
+
+
+def captured_updates(monkeypatch, problem, **config):
+    """The ``(g, state, h)`` of every smoothing update in one seeded run."""
+    calls = []
+    inner = cbree.driver.update_smoothing
+
+    def capture(g, state, h):
+        calls.append((np.array(g), state, h))
+        return inner(g, state, h)
+
+    monkeypatch.setattr(cbree.driver, "update_smoothing", capture)
+    run_cbree(get_problem(problem), CbreeConfig(**config))
+    return calls
+
+
+class TestCapFirstRule:
+    def test_non_unimodal_case_takes_the_cap(self):
+        # both particles fail, so both ratios tend to 2 as s grows: cv(q)
+        # rises from 0 and falls again, and the search alone stops at the
+        # interior peak, the point of the interval closest to delta
+        g = np.array([-4.0, -1.0])
+        state = SmoothingState(s=0.0, lip_s=1.0, delta_target=4.0)
+        assert update_smoothing(g, state, 1.0) == 1.0
+        assert ratio_cv(g, 0.0, 1.0) <= 4.0
+        assert 0.2 < search_only(g, state, 1.0) < 0.35
+
+    @pytest.mark.parametrize(
+        "problem,config",
+        [
+            ("oscillator", dict(n_particles=1000, seed=13, max_iter=30)),
+            ("linear", dict(n_particles=500, seed=11, max_iter=30)),
+            (
+                "linear-50",
+                dict(n_particles=400, seed=14, delta_target=2.0, eps_target=0.5,
+                     n_obs=0, max_iter=12),
+            ),
+        ],
+        ids=["oscillator", "linear", "linear-50"],
+    )
+    def test_replay_matches_search(self, monkeypatch, problem, config):
+        calls = captured_updates(monkeypatch, problem, **config)
+        capped = 0
+        for g, state, h in calls:
+            hi = state.s + state.lip_s * h
+            capped += ratio_cv(g, state.s, hi) <= state.delta_target
+            assert update_smoothing(g, state, h) == search_only(g, state, h)
+        assert capped > 0
+
+    def test_log_indicator_calls_per_update(self, monkeypatch):
+        depth = [0]
+        counts = {"updates": 0, "indicator": 0}
+        indicator = cbree.smoothing.log_smooth_indicator
+        update = cbree.driver.update_smoothing
+
+        def counted_indicator(g, s):
+            counts["indicator"] += depth[0] > 0
+            return indicator(g, s)
+
+        def counted_update(g, state, h):
+            counts["updates"] += 1
+            depth[0] += 1
+            try:
+                return update(g, state, h)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(cbree.smoothing, "log_smooth_indicator", counted_indicator)
+        monkeypatch.setattr(cbree.driver, "update_smoothing", counted_update)
+        run_cbree(get_problem("oscillator"), CbreeConfig(n_particles=1000, seed=13, max_iter=30))
+        assert counts["updates"] > 5
+        assert counts["indicator"] <= 3 * counts["updates"]
