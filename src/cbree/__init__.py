@@ -7,23 +7,9 @@ repeated seeded comparisons against crude Monte Carlo.
 """
 
 from .bench import BenchmarkResult, McConfig, rel_eff, run_benchmark, run_mc
-from .cbs import Ensemble, cbs_step, ensemble_coefficients, ess, solve_beta
-from .densities import (
-    GaussianModel,
-    VmfnModel,
-    gaussian_fit,
-    gaussian_logpdf,
-    gaussian_sample,
-    std_normal_logpdf,
-    vmfn_fit,
-    vmfn_logpdf,
-    vmfn_sample,
-)
 from .driver import CbreeConfig, RunRecord, run_cbree, run_cbree_vmfn
-from .enkf import EnkfConfig, enkf_step, run_enkf
-from .numkit import RandomStream
-from .problems import ProblemSpec, get_problem, list_problems
-from .smoothing import empirical_cv, smooth_indicator, update_smoothing
+from .enkf import EnkfConfig, run_enkf
+from .problems import get_problem, list_problems
 
 __version__ = "0.1.0"
 
@@ -31,20 +17,8 @@ __all__ = [
     "BenchmarkResult",
     "CbreeConfig",
     "EnkfConfig",
-    "Ensemble",
-    "GaussianModel",
     "McConfig",
-    "ProblemSpec",
-    "RandomStream",
     "RunRecord",
-    "VmfnModel",
-    "cbs_step",
-    "empirical_cv",
-    "ensemble_coefficients",
-    "ess",
-    "gaussian_fit",
-    "gaussian_logpdf",
-    "gaussian_sample",
     "get_problem",
     "list_problems",
     "rel_eff",
@@ -53,13 +27,5 @@ __all__ = [
     "run_cbree_vmfn",
     "run_enkf",
     "run_mc",
-    "enkf_step",
-    "smooth_indicator",
-    "solve_beta",
-    "std_normal_logpdf",
-    "update_smoothing",
-    "vmfn_fit",
-    "vmfn_logpdf",
-    "vmfn_sample",
     "__version__",
 ]

@@ -19,8 +19,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .driver import CbreeConfig, IterationRecord, RunRecord, run_cbree
+from .driver import CbreeConfig, IterationRecord, RunRecord, run_cbree, run_cbree_vmfn
 from .enkf import EnkfConfig, run_enkf
+from .numkit import RandomStream
 from .problems import get_problem
 
 __all__ = [
@@ -28,15 +29,12 @@ __all__ = [
     "BenchmarkResult",
     "rel_eff",
     "run_mc",
-    "run_method",
     "run_benchmark",
     "write_runs_csv",
     "write_aggregate_json",
     "write_aggregate_csv",
     "METHODS",
 ]
-
-METHODS = ("cbree", "cbree-vmfn", "enkf", "mc")
 
 RUN_CSV_COLUMNS = ("rep", "seed", "estimate", "cost", "iterations", "termination")
 
@@ -105,8 +103,6 @@ def run_mc(problem, config: McConfig, batch: int = 200_000) -> RunRecord:
     fraction and the cost equals the sample size.
     """
     config.validate()
-    from .numkit import RandomStream
-
     stream = RandomStream(config.seed, (0,))
     n = config.n_particles
     fails = 0
@@ -119,11 +115,6 @@ def run_mc(problem, config: McConfig, batch: int = 200_000) -> RunRecord:
     estimate = fails / n
     row = IterationRecord(
         iter=0,
-        s=math.nan,
-        beta=math.nan,
-        beta_capped=False,
-        h=math.nan,
-        err=math.nan,
         cv=math.sqrt((1.0 - estimate) / (n * estimate)) if estimate > 0 else math.inf,
         pf_estimate=estimate,
         ess=float(n),
@@ -140,26 +131,13 @@ def run_mc(problem, config: McConfig, batch: int = 200_000) -> RunRecord:
     )
 
 
-def default_config(method: str):
-    if method in ("cbree", "cbree-vmfn"):
-        return CbreeConfig()
-    if method == "enkf":
-        return EnkfConfig()
-    if method == "mc":
-        return McConfig()
-    raise KeyError(f"unknown method: {method!r}")
-
-
-def run_method(method: str, problem, config) -> RunRecord:
-    if method == "cbree":
-        return run_cbree(problem, replace(config, proposal_kind="gaussian"))
-    if method == "cbree-vmfn":
-        return run_cbree(problem, replace(config, proposal_kind="vmfn"))
-    if method == "enkf":
-        return run_enkf(problem, config)
-    if method == "mc":
-        return run_mc(problem, config)
-    raise KeyError(f"unknown method: {method!r}")
+# method name -> (config class, runner); the name alone picks the proposal
+METHODS = {
+    "cbree": (CbreeConfig, run_cbree),
+    "cbree-vmfn": (CbreeConfig, run_cbree_vmfn),
+    "enkf": (EnkfConfig, run_enkf),
+    "mc": (McConfig, run_mc),
+}
 
 
 def rep_seed(master_seed: int, rep: int) -> int:
@@ -172,7 +150,7 @@ def _one_rep(args) -> tuple[int, int, RunRecord]:
     method, problem_name, config, master_seed, rep = args
     problem = get_problem(problem_name)
     seed = rep_seed(master_seed, rep)
-    record = run_method(method, problem, replace(config, seed=seed))
+    record = METHODS[method][1](problem, replace(config, seed=seed))
     if record.cost != problem.evaluations:
         raise RuntimeError(
             f"cost audit failed: recorded {record.cost}, counted {problem.evaluations}"

@@ -23,7 +23,6 @@ from .smoothing import log_target
 __all__ = [
     "Ensemble",
     "CbsCoefficients",
-    "log_ensemble_weights",
     "coefficients_from_log_weights",
     "ensemble_coefficients",
     "cbs_step",
@@ -55,11 +54,6 @@ class Ensemble:
         return self.points.shape[1]
 
 
-def evaluate_ensemble(points, lsf) -> Ensemble:
-    pts = np.asarray(points, dtype=float)
-    return Ensemble(points=pts, g_values=np.asarray(lsf(pts), dtype=float))
-
-
 @dataclass
 class CbsCoefficients:
     """Weighted mean, scaled weighted covariance and its Cholesky factor."""
@@ -67,11 +61,6 @@ class CbsCoefficients:
     m_beta: np.ndarray        # (d,)
     c_beta_sq: np.ndarray     # (d, d), symmetric
     c_beta_factor: np.ndarray # lower triangular
-
-
-def log_ensemble_weights(g_values, points, s: float, beta: float) -> np.ndarray:
-    """Per-particle log-weights ``beta * log(I(g, s) * phi(x))``."""
-    return beta * log_target(np.asarray(g_values, dtype=float), points, s)
 
 
 def coefficients_from_log_weights(points, log_weights, beta: float) -> CbsCoefficients:
@@ -89,7 +78,7 @@ def ensemble_coefficients(ens: Ensemble, s: float, beta: float) -> CbsCoefficien
     """
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    lw = log_ensemble_weights(ens.g_values, ens.points, s, beta)
+    lw = beta * log_target(np.asarray(ens.g_values, dtype=float), ens.points, s)
     return coefficients_from_log_weights(ens.points, lw, beta)
 
 

@@ -21,9 +21,7 @@ from pathlib import Path
 
 from .bench import (
     METHODS,
-    default_config,
     run_benchmark,
-    run_method,
     write_aggregate_csv,
     write_aggregate_json,
     write_runs_csv,
@@ -82,7 +80,9 @@ def _coerce(value: str, target_type, key: str):
 
 def build_config(method: str, entries: dict[str, str], seed: int | None = None):
     """Instantiate the method's config dataclass from flat key-value entries."""
-    config = default_config(method)
+    if method not in METHODS:
+        raise ConfigError(f"unknown method: {method!r}")
+    config = METHODS[method][0]()
     fields = {f.name: f.type for f in dataclasses.fields(config)}
     for key, value in entries.items():
         if key not in fields:
@@ -113,7 +113,7 @@ def _cmd_run(args) -> int:
     entries = parse_kv_file(args.config) if args.config else {}
     config = build_config(args.method, entries, seed=args.seed)
     problem = get_problem(args.problem)
-    record = run_method(args.method, problem, config)
+    record = METHODS[args.method][1](problem, config)
     if record.cost != problem.evaluations:
         raise RuntimeError("cost audit failed")
     if args.out:
@@ -140,8 +140,6 @@ def _cmd_bench(args) -> int:
     master_seed = int(entries.pop("seed", "0"))
     if method is None or problem is None:
         raise ConfigError("bench config must set 'method' and 'problem'")
-    if method not in METHODS:
-        raise ConfigError(f"unknown method: {method!r}")
     reps = args.reps if args.reps is not None else int(reps) if reps else 20
     config = build_config(method, entries)
     result, rows = run_benchmark(
@@ -165,7 +163,7 @@ def _cmd_export(args) -> int:
     entries = parse_kv_file(args.config) if args.config else {}
     config = build_config(args.method, entries, seed=args.seed)
     problem = get_problem(args.problem)
-    record = run_method(args.method, problem, config)
+    record = METHODS[args.method][1](problem, config)
     if record.final_ensemble is None:
         raise RuntimeError(f"method {args.method!r} does not keep a final ensemble")
     out = Path(args.out) if args.out else Path(f"{args.method}_{args.problem}_ensemble.csv")

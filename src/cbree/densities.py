@@ -25,11 +25,9 @@ __all__ = [
     "gaussian_logpdf",
     "gaussian_sample",
     "make_gaussian",
-    "std_gaussian",
     "vmfn_fit",
     "vmfn_logpdf",
     "vmfn_sample",
-    "model_to_json",
     "model_from_json",
 ]
 
@@ -60,6 +58,13 @@ class GaussianModel:
     def dim(self) -> int:
         return self.mean.shape[0]
 
+    def logpdf(self, x):
+        return gaussian_logpdf(self, x)
+
+    def to_json(self) -> dict:
+        """Serialize for run-record export (see :func:`model_from_json`)."""
+        return {"type": "gaussian", "mean": self.mean.tolist(), "cov": self.covariance.tolist()}
+
 
 def make_gaussian(mean, covariance, jitter: float = 0.0) -> GaussianModel:
     mean = np.asarray(mean, dtype=float)
@@ -68,10 +73,6 @@ def make_gaussian(mean, covariance, jitter: float = 0.0) -> GaussianModel:
     factor = factor_spd(cov, jitter)
     log_det = 2.0 * float(np.sum(np.log(np.diag(factor))))
     return GaussianModel(mean=mean, covariance=cov, factor=factor, log_det=log_det)
-
-
-def std_gaussian(d: int) -> GaussianModel:
-    return make_gaussian(np.zeros(d), np.eye(d))
 
 
 def gaussian_fit(sample, jitter: float = 1e-10) -> GaussianModel:
@@ -124,6 +125,19 @@ class VmfnModel:
     @property
     def dim(self) -> int:
         return self.mean_direction.shape[0]
+
+    def logpdf(self, x):
+        return vmfn_logpdf(self, x)
+
+    def to_json(self) -> dict:
+        """Serialize for run-record export (see :func:`model_from_json`)."""
+        return {
+            "type": "vmfn",
+            "mu": self.mean_direction.tolist(),
+            "kappa": self.kappa,
+            "m": self.nakagami_shape,
+            "omega": self.nakagami_spread,
+        }
 
 
 def vmfn_fit(sample) -> VmfnModel:
@@ -251,41 +265,6 @@ def vmfn_sample(model: VmfnModel, stream: RandomStream, n: int) -> np.ndarray:
     m, om = model.nakagami_shape, model.nakagami_spread
     r = np.sqrt(stream.gamma(m, om / m, size=n))
     return dirs * r[:, None]
-
-
-def model_logpdf(model, x):
-    if isinstance(model, GaussianModel):
-        return gaussian_logpdf(model, x)
-    if isinstance(model, VmfnModel):
-        return vmfn_logpdf(model, x)
-    raise TypeError(f"unknown model type: {type(model)!r}")
-
-
-def model_sample(model, stream: RandomStream, n: int) -> np.ndarray:
-    if isinstance(model, GaussianModel):
-        return gaussian_sample(model, stream, n)
-    if isinstance(model, VmfnModel):
-        return vmfn_sample(model, stream, n)
-    raise TypeError(f"unknown model type: {type(model)!r}")
-
-
-def model_to_json(model) -> dict:
-    """Serialize a proposal model for run-record export."""
-    if isinstance(model, GaussianModel):
-        return {
-            "type": "gaussian",
-            "mean": model.mean.tolist(),
-            "cov": model.covariance.tolist(),
-        }
-    if isinstance(model, VmfnModel):
-        return {
-            "type": "vmfn",
-            "mu": model.mean_direction.tolist(),
-            "kappa": model.kappa,
-            "m": model.nakagami_shape,
-            "omega": model.nakagami_spread,
-        }
-    raise TypeError(f"unknown model type: {type(model)!r}")
 
 
 def model_from_json(data: dict):

@@ -1,12 +1,13 @@
-"""Main adaptive importance-sampling loop and its two stopping checks.
+"""The adaptive importance-sampling loop shared by CBREE and the EnKF baseline.
 
 Each iteration fits a proposal density to the current particle ensemble,
 forms the importance-sampling estimate of the failure probability, and stops
 when the empirical CV of the weights meets the target (converged) or starts
-rising before ever meeting it (diverged).  Otherwise the smoothing level,
-inverse temperature and stepsize are updated and the ensemble advances by one
-consensus step.  The high-dimensional variant resamples every ensemble
-through a fitted vMFN model before estimating.
+rising before ever meeting it (diverged).  Otherwise a method-specific mover
+advances the ensemble.  CBREE's mover updates the smoothing level, inverse
+temperature and stepsize and takes one consensus step; its high-dimensional
+variant resamples every ensemble through a fitted vMFN model before
+estimating.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,14 +26,7 @@ from .cbs import (
     ess_from_log_weights,
     solve_beta,
 )
-from .densities import (
-    gaussian_fit,
-    model_logpdf,
-    model_to_json,
-    std_normal_logpdf,
-    vmfn_fit,
-    vmfn_sample,
-)
+from .densities import gaussian_fit, gaussian_sample, std_normal_logpdf, vmfn_fit, vmfn_sample
 from .numkit import RandomStream, ls_slope
 from .problems import ProblemSpec
 from .smoothing import SmoothingState, empirical_cv, log_target, update_smoothing
@@ -49,8 +43,8 @@ __all__ = [
     "RunRecord",
     "IterationRecord",
     "is_estimate",
-    "convergence_check",
     "divergence_check",
+    "run_loop",
     "run_cbree",
     "run_cbree_vmfn",
 ]
@@ -85,12 +79,10 @@ class CbreeConfig:
     n_obs: int = 2
     lip_s: float = 1.0
     max_iter: int = 100
-    proposal_kind: str = "gaussian"  # "gaussian" or "vmfn"
     beta_cap: float = 1e8
     step_factor_min: float = 0.2
     step_factor_max: float = 5.0
     clamp_steps: bool = True
-    literal_midpoint: bool = False
     seed: int = 0
 
     def validate(self) -> None:
@@ -102,8 +94,6 @@ class CbreeConfig:
             raise ValueError("n_obs must be 0 (disabled) or >= 2")
         if self.max_iter < 0:
             raise ValueError("max_iter must be non-negative")
-        if self.proposal_kind not in ("gaussian", "vmfn"):
-            raise ValueError("proposal_kind must be 'gaussian' or 'vmfn'")
         if not 0 < self.step_factor_min <= self.step_factor_max:
             raise ValueError("stepsize clamps must satisfy 0 < min <= max")
 
@@ -112,20 +102,21 @@ class CbreeConfig:
         return (self.step_factor_min, self.step_factor_max) if self.clamp_steps else None
 
 
-@dataclass
+@dataclass(kw_only=True)
 class IterationRecord:
     """One trace row: the estimate at iteration n plus the parameters of the
-    step taken from it (NaN on the terminal row, where no step follows)."""
+    step taken from it (NaN on the terminal row, where no step follows, and
+    wherever a method has no such parameter)."""
 
     iter: int
-    s: float
-    beta: float
-    beta_capped: bool
-    h: float
-    err: float
+    s: float = math.nan
+    beta: float = math.nan
+    beta_capped: bool = False
+    h: float = math.nan
+    err: float = math.nan
     cv: float
     pf_estimate: float
-    ess: float
+    ess: float = math.nan
     cost_cum: int
 
 
@@ -187,13 +178,8 @@ def is_estimate(ens: Ensemble, proposal) -> tuple[float, np.ndarray]:
     weights = np.zeros(ens.size)
     if np.any(fail):
         pts = ens.points[fail]
-        weights[fail] = np.exp(std_normal_logpdf(pts) - model_logpdf(proposal, pts))
+        weights[fail] = np.exp(std_normal_logpdf(pts) - proposal.logpdf(pts))
     return float(weights.mean()), weights
-
-
-def convergence_check(weights, delta_target: float) -> bool:
-    """Empirical CV of the importance weights at most the target."""
-    return empirical_cv(weights) <= delta_target
 
 
 def divergence_check(cv_history, n_obs: int) -> bool:
@@ -218,104 +204,141 @@ def divergence_check(cv_history, n_obs: int) -> bool:
     return ls_slope(window) > 0.0
 
 
-def _run(problem: ProblemSpec, config: CbreeConfig) -> RunRecord:
+def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
+    """Fit, estimate, check the stopping rules and move, until a rule fires.
+
+    ``config`` supplies ``n_particles``, ``seed``, ``delta_target`` and
+    ``max_iter``; the mover supplies everything that differs between methods:
+
+    - ``proposal``: ``"gaussian"`` or ``"vmfn"``, the fitted density;
+    - ``batch``: ``None`` to estimate on the ensemble itself, ``"replace"``
+      to draw J fresh points from the proposal each iteration and move those,
+      or ``"apart"`` to estimate on the fresh points and move the ensemble;
+    - ``n_obs``: the divergence window, 0 to disable it;
+    - ``start(ens, root, lsf)``: set-up on the initial ensemble, returning
+      the limit-state evaluations it spent;
+    - ``trace_fields()``: its values for a new trace row;
+    - ``move(ens, model, n, stream, lsf, row)``: the next ensemble, with the
+      step's parameters written into ``row``; ``lsf`` is ``None`` when the
+      next fresh batch replaces the points anyway.
+
+    The cost is counted here from the batch sizes evaluated: the initial
+    sweep, each fresh batch, one sweep per move that gets ``lsf``, plus the
+    mover's start-up evaluations.
+    """
     config.validate()
     d = problem.dim
     if d < 1:
         raise ValueError("problem dimension must be at least 1")
-    resample = config.proposal_kind == "vmfn"
-    if resample and d < 2:
-        raise ValueError("the vMFN variant requires dimension >= 2")
+    vmfn = mover.proposal == "vmfn"
+    if vmfn and d < 2:
+        raise ValueError("the vMFN proposal requires dimension >= 2")
 
     J = config.n_particles
     lsf = problem.lsf
     root = RandomStream(config.seed)
-    ess_target = J / 2.0
-
     points = root.substream(0).standard_normal((J, d))
     ens = Ensemble(points=points, g_values=np.asarray(lsf(points), dtype=float))
-    cost = J
-    s_cur = 0.0
-
-    # provisional temperature at the initial smoothing level drives the probe
-    beta0, _ = solve_beta(log_target(ens.g_values, ens.points, s_cur), ess_target, config.beta_cap)
-    h1, _probe, probe_cost = initial_stepsize(
-        ens, s_cur, beta0, config.eps_target, root.substream(1), lsf
-    )
-    cost += probe_cost
-
-    ctrl = StepControllerState(
-        h_current=h1,
-        eps_target=config.eps_target,
-        clamps=config.step_clamps,
-        literal_midpoint=config.literal_midpoint,
-    )
+    cost = J + mover.start(ens, root, lsf)
+    step_lsf = None if mover.batch == "replace" else lsf
     cv_history: list[float] = []
     pf_history: list[float] = []
     trace: list[IterationRecord] = []
 
-    def finish(estimate, termination, n, proposal):
-        return RunRecord(
-            estimate=float(estimate),
-            termination=termination,
-            iterations=n,
-            cost=cost,
-            trace=trace,
-            proposal=model_to_json(proposal),
-            seed=config.seed,
-            final_ensemble=ens,
-        )
-
     n = 0
     while True:
-        if resample:
-            model = vmfn_fit(ens.points)
-            new_pts = vmfn_sample(model, root.substream(2, n), J)
-            ens = Ensemble(points=new_pts, g_values=np.asarray(lsf(new_pts), dtype=float))
+        model = vmfn_fit(ens.points) if vmfn else gaussian_fit(ens.points)
+        sample = ens
+        if mover.batch is not None:
+            sampler = vmfn_sample if vmfn else gaussian_sample
+            new_pts = sampler(model, root.substream(2, n), J)
+            sample = Ensemble(points=new_pts, g_values=np.asarray(lsf(new_pts), dtype=float))
             cost += J
-        else:
-            model = gaussian_fit(ens.points)
+            if mover.batch == "replace":
+                ens = sample
 
-        pf, weights = is_estimate(ens, model)
+        pf, weights = is_estimate(sample, model)
         cv = empirical_cv(weights)
         cv_history.append(cv)
         pf_history.append(pf)
-        row = IterationRecord(
-            iter=n,
-            s=s_cur,
-            beta=math.nan,
-            beta_capped=False,
-            h=math.nan,
-            err=math.nan,
-            cv=cv,
-            pf_estimate=pf,
-            ess=math.nan,
-            cost_cum=cost,
-        )
+        row = IterationRecord(iter=n, cv=cv, pf_estimate=pf, cost_cum=cost, **mover.trace_fields())
         trace.append(row)
 
-        if convergence_check(weights, config.delta_target):
-            return finish(pf, "converged", n, model)
-        if config.n_obs > 0 and n >= config.n_obs and divergence_check(cv_history, config.n_obs):
-            estimate = float(np.mean(pf_history[-config.n_obs :]))
-            return finish(estimate, "diverged", n, model)
-        if n >= config.max_iter:
-            return finish(pf, "max_iter", n, model)
+        termination, estimate = None, pf
+        if cv <= config.delta_target:
+            termination = "converged"
+        elif mover.n_obs > 0 and n >= mover.n_obs and divergence_check(cv_history, mover.n_obs):
+            termination, estimate = "diverged", float(np.mean(pf_history[-mover.n_obs :]))
+        elif n >= config.max_iter:
+            termination = "max_iter"
+        if termination is not None:
+            return RunRecord(
+                estimate=float(estimate),
+                termination=termination,
+                iterations=n,
+                cost=cost,
+                trace=trace,
+                proposal=model.to_json(),
+                seed=config.seed,
+                final_ensemble=ens,
+            )
 
+        ens = mover.move(ens, model, n, root.substream(3, n), step_lsf, row)
+        if step_lsf is not None:
+            cost += J
+        row.cost_cum = cost
+        n += 1
+
+
+class CbreeMover:
+    """One consensus step per iteration, with adaptive smoothing, inverse
+    temperature and stepsize.
+
+    With the vMFN proposal every ensemble is resampled through the fitted
+    model, which doubles as the importance-sampling proposal; the particle
+    step then skips its evaluation sweep since the resampled ensemble is
+    evaluated instead (one sweep of J evaluations per iteration either way).
+    """
+
+    def __init__(self, config: CbreeConfig, proposal: str):
+        self.config = config
+        self.proposal = proposal
+        self.batch = "replace" if proposal == "vmfn" else None
+        self.n_obs = config.n_obs
+
+    def start(self, ens: Ensemble, root: RandomStream, lsf) -> int:
+        cfg = self.config
+        self.s = 0.0
+        self.ess_target = ens.size / 2.0
+        # provisional temperature at the initial smoothing level drives the probe
+        beta0, _ = solve_beta(log_target(ens.g_values, ens.points, self.s), self.ess_target, cfg.beta_cap)
+        h1, _probe, probe_cost = initial_stepsize(
+            ens, self.s, beta0, cfg.eps_target, root.substream(1), lsf
+        )
+        self.ctrl = StepControllerState(
+            h_current=h1, eps_target=cfg.eps_target, clamps=cfg.step_clamps
+        )
+        return probe_cost
+
+    def trace_fields(self) -> dict:
+        return {"s": self.s}
+
+    def move(self, ens: Ensemble, model, n: int, stream: RandomStream, lsf, row) -> Ensemble:
+        cfg = self.config
         # the Gaussian proposal was fitted to this very ensemble, so its
         # moments are the ensemble's; a vMFN ensemble was resampled after
         # its fit
-        if resample:
+        if self.proposal == "vmfn":
             theta_now = moments_of_ensemble(ens)
         else:
             theta_now = pack_moments(model.mean, model.covariance)
-        h_next, err = ctrl.propose(theta_now, n)
-        state = SmoothingState(s=s_cur, lip_s=config.lip_s, delta_target=config.delta_target)
+        h_next, err = self.ctrl.propose(theta_now, n)
+        state = SmoothingState(s=self.s, lip_s=cfg.lip_s, delta_target=cfg.delta_target)
         s_next = update_smoothing(ens.g_values, state, h_next)
         log_w = log_target(ens.g_values, ens.points, s_next)
-        beta, beta_capped = solve_beta(log_w, ess_target, config.beta_cap)
+        beta, beta_capped = solve_beta(log_w, self.ess_target, cfg.beta_cap)
         coeffs = coefficients_from_log_weights(ens.points, beta * log_w, beta)
-        ctrl.record(theta_now, stage_from_coefficients(coeffs), h_next)
+        self.ctrl.record(theta_now, stage_from_coefficients(coeffs), h_next)
 
         row.s = s_next
         row.beta = beta
@@ -323,33 +346,15 @@ def _run(problem: ProblemSpec, config: CbreeConfig) -> RunRecord:
         row.h = h_next
         row.err = err if err is not None else math.nan
         row.ess = ess_from_log_weights(log_w, beta)
-
-        ens = cbs_step(
-            ens,
-            s_next,
-            beta,
-            h_next,
-            root.substream(3, n),
-            None if resample else lsf,
-            coeffs=coeffs,
-        )
-        if not resample:
-            cost += J
-        row.cost_cum = cost
-        s_cur = s_next
-        n += 1
+        self.s = s_next
+        return cbs_step(ens, s_next, beta, h_next, stream, lsf, coeffs=coeffs)
 
 
 def run_cbree(problem: ProblemSpec, config: CbreeConfig) -> RunRecord:
     """Run the adaptive consensus loop with a fitted Gaussian proposal."""
-    return _run(problem, config)
+    return run_loop(problem, config, CbreeMover(config, "gaussian"))
 
 
 def run_cbree_vmfn(problem: ProblemSpec, config: CbreeConfig) -> RunRecord:
-    """High-dimensional variant: resample each ensemble through a vMFN fit.
-
-    The vMFN model doubles as the importance-sampling proposal; the particle
-    step itself skips its evaluation sweep since the resampled ensemble is
-    evaluated instead (one sweep of J evaluations per iteration either way).
-    """
-    return _run(problem, replace(config, proposal_kind="vmfn"))
+    """High-dimensional variant: resample each ensemble through a vMFN fit."""
+    return run_loop(problem, config, CbreeMover(config, "vmfn"))

@@ -21,11 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cbs import Ensemble
-from .densities import gaussian_fit, model_sample, model_to_json, vmfn_fit
-from .driver import IterationRecord, RunRecord, is_estimate
+from .driver import RunRecord, run_loop
 from .numkit import RandomStream
 from .problems import ProblemSpec
-from .smoothing import empirical_cv
 
 __all__ = ["EnkfConfig", "enkf_step", "run_enkf"]
 
@@ -79,6 +77,27 @@ def enkf_step(ens: Ensemble, h: float, stream: RandomStream, lsf) -> Ensemble:
     return Ensemble(points=new_pts, g_values=np.asarray(lsf(new_pts), dtype=float))
 
 
+class EnkfMover:
+    """One Kalman sweep per iteration; estimates use a fresh batch drawn from
+    the fitted proposal, kept apart from the ensemble."""
+
+    batch = "apart"
+    n_obs = 0
+
+    def __init__(self, config: EnkfConfig):
+        self.proposal = config.proposal_kind
+        self.h = config.h
+
+    def start(self, ens, root, lsf) -> int:
+        return 0
+
+    def trace_fields(self) -> dict:
+        return {"h": self.h}
+
+    def move(self, ens, model, n, stream, lsf, row) -> Ensemble:
+        return enkf_step(ens, self.h, stream, lsf)
+
+
 def run_enkf(problem: ProblemSpec, config: EnkfConfig) -> RunRecord:
     """Iterate Kalman sweeps with a fit-resample-estimate check after each.
 
@@ -87,61 +106,4 @@ def run_enkf(problem: ProblemSpec, config: EnkfConfig) -> RunRecord:
     recorded final ensemble is the internal one (the particles hugging the
     failure surface), not the resampled batch used for estimation.
     """
-    config.validate()
-    if config.proposal_kind == "vmfn" and problem.dim < 2:
-        raise ValueError("the vMFN proposal requires dimension >= 2")
-    J = config.n_particles
-    lsf = problem.lsf
-    root = RandomStream(config.seed)
-
-    points = root.substream(0).standard_normal((J, problem.dim))
-    ens = Ensemble(points=points, g_values=np.asarray(lsf(points), dtype=float))
-    cost = J
-    trace: list[IterationRecord] = []
-
-    n = 0
-    while True:
-        if config.proposal_kind == "vmfn":
-            model = vmfn_fit(ens.points)
-        else:
-            model = gaussian_fit(ens.points)
-        batch_pts = model_sample(model, root.substream(2, n), J)
-        batch = Ensemble(points=batch_pts, g_values=np.asarray(lsf(batch_pts), dtype=float))
-        cost += J
-        pf, weights = is_estimate(batch, model)
-        cv = empirical_cv(weights)
-        row = IterationRecord(
-            iter=n,
-            s=math.nan,
-            beta=math.nan,
-            beta_capped=False,
-            h=config.h,
-            err=math.nan,
-            cv=cv,
-            pf_estimate=pf,
-            ess=math.nan,
-            cost_cum=cost,
-        )
-        trace.append(row)
-
-        terminal = None
-        if cv <= config.delta_target:
-            terminal = "converged"
-        elif n >= config.max_iter:
-            terminal = "max_iter"
-        if terminal is not None:
-            return RunRecord(
-                estimate=pf,
-                termination=terminal,
-                iterations=n,
-                cost=cost,
-                trace=trace,
-                proposal=model_to_json(model),
-                seed=config.seed,
-                final_ensemble=ens,
-            )
-
-        ens = enkf_step(ens, config.h, root.substream(3, n), lsf)
-        cost += J
-        row.cost_cum = cost
-        n += 1
+    return run_loop(problem, config, EnkfMover(config))

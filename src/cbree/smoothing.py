@@ -23,7 +23,6 @@ __all__ = [
     "log_smooth_indicator",
     "log_target",
     "empirical_cv",
-    "delta_distance_sq",
     "update_smoothing",
 ]
 
@@ -88,12 +87,6 @@ def empirical_cv(weights) -> float:
         return 0.0
     sd = float(np.sqrt(np.mean((w - mean) ** 2)))
     return sd / mean
-
-
-def delta_distance_sq(weights) -> float:
-    """Squared empirical CV, the sample estimate of the chi-square divergence."""
-    cv = empirical_cv(weights)
-    return cv * cv
 
 
 def update_smoothing(g_values, state: SmoothingState, h: float) -> float:

@@ -150,41 +150,30 @@ def error_weights(reference, eps_abs: float, eps_rel: float) -> np.ndarray:
 
 def local_error(
     theta_prev2,
-    theta_prev1,
     theta_now,
     stage_prev2,
     stage_prev1,
     h: float,
     eps_target: float,
-    literal_midpoint: bool = False,
 ) -> float:
     """Weighted distance between two discretizations of the last double step.
 
-    ``theta_now`` comes from two exponential Euler steps of size ``h`` (the
-    first-order route); the comparator applies the second-order exponential
-    midpoint rule over ``hh = 2 h``, reusing the stored nonlinear-part
-    evaluations as its stage values (the exponential Euler half-step is
-    exactly the midpoint stage), so no new evaluations are needed.  Both
-    methods are exact on pure decay, giving a vanishing error there.  Both
-    tolerance parts equal ``eps_target``.
-
-    ``literal_midpoint=True`` switches the comparator to
-    ``hh (b1 theta_prev1 + b2 theta_now)``, i.e. quadrature weights applied
-    to the states themselves without the transport term.
+    ``theta_now`` comes from two exponential Euler steps of size ``h`` from
+    ``theta_prev2`` (the first-order route); the comparator applies the
+    second-order exponential midpoint rule over ``hh = 2 h``, reusing the
+    stored nonlinear-part evaluations as its stage values (the exponential
+    Euler half-step is exactly the midpoint stage), so no new evaluations are
+    needed.  Both methods are exact on pure decay, giving a vanishing error
+    there.  Both tolerance parts equal ``eps_target``.
     """
     theta_prev2 = np.asarray(theta_prev2, dtype=float)
-    theta_prev1 = np.asarray(theta_prev1, dtype=float)
     psi = np.asarray(theta_now, dtype=float)
     hh = 2.0 * h
     z = hh * decay_rates(moment_dim(psi))
     b1, b2 = bhat_coefficients(z)
-    if literal_midpoint:
-        comparator = hh * (b1 * theta_prev1 + b2 * psi)
-    else:
-        comparator = np.exp(-z) * theta_prev2 + hh * (
-            b1 * np.asarray(stage_prev2, dtype=float)
-            + b2 * np.asarray(stage_prev1, dtype=float)
-        )
+    comparator = np.exp(-z) * theta_prev2 + hh * (
+        b1 * np.asarray(stage_prev2, dtype=float) + b2 * np.asarray(stage_prev1, dtype=float)
+    )
     gamma = error_weights(np.maximum(np.abs(psi), np.abs(theta_prev2)), eps_target, eps_target)
     return weighted_error_norm(comparator - psi, gamma)
 
@@ -246,17 +235,16 @@ def initial_stepsize(
 class StepControllerState:
     """Bookkeeping for the every-second-step error control.
 
-    Holds the current stepsize, the last three moment vectors and the last
-    two cached stage values.  The controller fires at iteration 2 and every
-    even iteration after that, consuming the just-completed pair of equal-h
-    steps; odd iterations keep the stepsize.
+    Holds the current stepsize and the last two moment vectors and cached
+    stage values.  The controller fires at iteration 2 and every even
+    iteration after that, consuming the just-completed pair of equal-h steps;
+    odd iterations keep the stepsize.
     """
 
     h_current: float
     eps_target: float
     clamps: tuple[float, float] | None = (0.2, 5.0)
-    literal_midpoint: bool = False
-    thetas: deque = field(default_factory=lambda: deque(maxlen=3))
+    thetas: deque = field(default_factory=lambda: deque(maxlen=2))
     stages: deque = field(default_factory=lambda: deque(maxlen=2))
 
     def propose(self, theta_now, n: int) -> tuple[float, float | None]:
@@ -264,13 +252,11 @@ class StepControllerState:
         if n >= 2 and n % 2 == 0 and len(self.thetas) >= 2 and len(self.stages) >= 2:
             err = local_error(
                 self.thetas[-2],
-                self.thetas[-1],
                 theta_now,
                 self.stages[-2],
                 self.stages[-1],
                 self.h_current,
                 self.eps_target,
-                literal_midpoint=self.literal_midpoint,
             )
             return next_stepsize(err, self.h_current, self.clamps), err
         return self.h_current, None

@@ -10,7 +10,6 @@ from cbree.cbs import (
     ensemble_coefficients,
     ess,
     ess_from_log_weights,
-    evaluate_ensemble,
     solve_beta,
     write_ensemble_csv,
 )
@@ -25,7 +24,7 @@ def linear_g(x):
 
 def make_ensemble(seed=0, n=50, d=2):
     pts = RandomStream(seed).standard_normal((n, d))
-    return evaluate_ensemble(pts, linear_g)
+    return Ensemble(pts, linear_g(pts))
 
 
 class TestCoefficients:

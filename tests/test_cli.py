@@ -110,6 +110,15 @@ class TestCommands:
         code = main(["run", "--problem", "linear", "--method", "cbree", "--config", str(bad)])
         assert code == EXIT_CONFIG
 
+    def test_run_proposal_kind_key_is_config_error(self, tmp_path, capsys):
+        # the method name alone picks the proposal: a stale proposal_kind key
+        # must not be silently overridden
+        cfg = tmp_path / "vmfn.cfg"
+        cfg.write_text("n_particles = 300\nproposal_kind = vmfn\n")
+        code = main(["run", "--problem", "linear-4", "--method", "cbree", "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+        assert "proposal_kind" in capsys.readouterr().err
+
     def test_run_runtime_failure_exit_code(self, capsys):
         # vMFN resampling cannot work in one dimension -> runtime failure
         code = main(["run", "--problem", "linear-1", "--method", "cbree-vmfn"])

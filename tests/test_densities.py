@@ -13,8 +13,6 @@ from cbree.densities import (
     gaussian_sample,
     make_gaussian,
     model_from_json,
-    model_to_json,
-    std_gaussian,
     std_normal_logpdf,
     vmfn_fit,
     vmfn_logpdf,
@@ -60,7 +58,7 @@ class TestGaussian:
         assert np.max(np.abs(model.covariance - np.eye(3))) < 0.05
 
     def test_logpdf_matches_std_normal(self):
-        model = std_gaussian(3)
+        model = make_gaussian(np.zeros(3), np.eye(3))
         x = np.zeros(3)
         assert gaussian_logpdf(model, x) == pytest.approx(float(std_normal_logpdf(x)), abs=1e-12)
         y = np.array([0.3, -1.2, 0.7])
@@ -213,7 +211,7 @@ class TestModelContracts:
     def test_importance_identity_vmfn_vs_gaussian(self):
         d = 4
         q = VmfnModel(np.eye(d)[0], 0.5, d / 2.0, float(d) * 1.2)
-        p = std_gaussian(d)
+        p = make_gaussian(np.zeros(d), np.eye(d))
         x = vmfn_sample(q, RandomStream(13), 200_000)
         ratio = np.exp(gaussian_logpdf(p, x) - vmfn_logpdf(q, x))
         se = ratio.std() / np.sqrt(len(ratio))
@@ -227,7 +225,7 @@ class TestModelContracts:
 
     def test_json_round_trip_gaussian(self):
         model = make_gaussian([1.0, 2.0], [[2.0, 0.5], [0.5, 1.0]])
-        data = json.loads(json.dumps(model_to_json(model)))
+        data = json.loads(json.dumps(model.to_json()))
         assert data["type"] == "gaussian"
         back = model_from_json(data)
         assert np.allclose(back.mean, model.mean)
@@ -235,7 +233,7 @@ class TestModelContracts:
 
     def test_json_round_trip_vmfn(self):
         model = VmfnModel(np.array([0.6, 0.8]), 4.0, 2.0, 5.0)
-        data = json.loads(json.dumps(model_to_json(model)))
+        data = json.loads(json.dumps(model.to_json()))
         assert set(data) == {"type", "mu", "kappa", "m", "omega"}
         back = model_from_json(data)
         assert np.allclose(back.mean_direction, model.mean_direction)

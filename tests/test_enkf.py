@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cbree.bench import rep_seed
-from cbree.cbs import Ensemble, evaluate_ensemble
+from cbree.cbs import Ensemble
 from cbree.enkf import EnkfConfig, enkf_step, run_enkf
 from cbree.numkit import RandomStream
 from cbree.problems import get_problem
@@ -41,7 +41,8 @@ class TestEnkfStep:
     def test_drives_toward_failure_region(self):
         # mean clipped misfit decreases monotonically over five sweeps
         for seed in range(10):
-            ens = evaluate_ensemble(RandomStream(seed).standard_normal((2000, 2)), linear_g)
+            pts = RandomStream(seed).standard_normal((2000, 2))
+            ens = Ensemble(pts, linear_g(pts))
             stream = RandomStream(100 + seed)
             levels = [float(np.maximum(ens.g_values, 0.0).mean())]
             for k in range(5):
@@ -64,8 +65,9 @@ class TestEnkfStep:
             return g_orig((y - offset) @ inv.T)
 
         pts = RandomStream(5).standard_normal((100, 3))
-        ens = evaluate_ensemble(pts, g_orig)
-        ens_mapped = evaluate_ensemble(pts @ matrix.T + offset, g_mapped)
+        ens = Ensemble(pts, g_orig(pts))
+        mapped = pts @ matrix.T + offset
+        ens_mapped = Ensemble(mapped, g_mapped(mapped))
         stepped = enkf_step(ens, 2.0, RandomStream(6), g_orig)
         stepped_mapped = enkf_step(ens_mapped, 2.0, RandomStream(6), g_mapped)
         assert np.allclose(stepped_mapped.points, stepped.points @ matrix.T + offset, atol=1e-8)

@@ -14,12 +14,11 @@ and names the records that moved and why.
 
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from cbree.bench import default_config, run_method
+from cbree.bench import METHODS
 from cbree.problems import get_problem
 
 GOLDEN = Path(__file__).with_name("golden_records.json")
@@ -51,8 +50,8 @@ CELLS = (
 
 def run_cell(method, problem_name, seed, overrides) -> dict:
     problem = get_problem(problem_name)
-    config = replace(default_config(method), seed=seed, **overrides)
-    record = run_method(method, problem, config)
+    config_class, runner = METHODS[method]
+    record = runner(problem, config_class(seed=seed, **overrides))
     assert record.cost == problem.evaluations
     return record.to_json_dict()
 

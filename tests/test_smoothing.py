@@ -11,7 +11,6 @@ from cbree.numkit import minimize_scalar_bounded
 from cbree.problems import get_problem
 from cbree.smoothing import (
     SmoothingState,
-    delta_distance_sq,
     empirical_cv,
     log_smooth_indicator,
     log_target,
@@ -125,17 +124,18 @@ class TestEmpiricalCv:
 
 
 class TestDeltaDistance:
+    # the squared CV is the sample estimate of the chi-square divergence
     def test_constant_weights_zero(self):
-        assert delta_distance_sq(np.full(8, 2.0)) == pytest.approx(0.0, abs=1e-14)
+        assert empirical_cv(np.full(8, 2.0)) ** 2 == pytest.approx(0.0, abs=1e-14)
 
     def test_non_negative(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             q = rng.uniform(0.0, 2.0, size=10)
-            assert delta_distance_sq(q) >= 0.0
+            assert empirical_cv(q) >= 0.0
 
     def test_pair_value(self):
-        assert delta_distance_sq(np.array([1.0, 3.0])) == pytest.approx(0.25)
+        assert empirical_cv(np.array([1.0, 3.0])) ** 2 == pytest.approx(0.25)
 
 
 class TestUpdateSmoothing:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cbree.cbs import Ensemble, cbs_step, ensemble_coefficients, evaluate_ensemble
+from cbree.cbs import Ensemble, cbs_step, ensemble_coefficients
 from cbree.numkit import RandomStream
 from cbree.stepctl import (
     StepControllerState,
@@ -57,7 +57,8 @@ class TestMomentsRhs:
     def test_uniform_weights_vanish(self):
         # beta = 0: m_beta is the sample mean and c^2 the sample covariance,
         # so both blocks of the full rhs cancel exactly
-        ens = evaluate_ensemble(RandomStream(1).standard_normal((40, 2)), linear_g)
+        pts = RandomStream(1).standard_normal((40, 2))
+        ens = Ensemble(pts, linear_g(pts))
         rhs = moments_rhs(ens, s=1.0, beta=0.0)
         assert np.max(np.abs(rhs)) < 1e-12
 
@@ -72,7 +73,8 @@ class TestMomentsRhs:
         assert np.allclose(rhs, [0.0, 2.0])
 
     def test_stage_reads_coefficients(self):
-        ens = evaluate_ensemble(RandomStream(2).standard_normal((30, 2)), linear_g)
+        pts = RandomStream(2).standard_normal((30, 2))
+        ens = Ensemble(pts, linear_g(pts))
         coeffs = ensemble_coefficients(ens, 0.5, 2.0)
         stage = stage_from_coefficients(coeffs)
         mean, cov2 = unpack_moments(stage, 2)
@@ -131,7 +133,7 @@ class TestLocalError:
         rates = decay_rates(1)
         theta0 = np.array([1.0, 2.0])
         thetas, stages = exp_euler_trajectory(theta0, lambda t, x: np.zeros(2), 0.3, 2, rates)
-        err = local_error(thetas[0], thetas[1], thetas[2], stages[0], stages[1], 0.3, 1.0)
+        err = local_error(thetas[0], thetas[2], stages[0], stages[1], 0.3, 1.0)
         assert err < 1e-14
 
     def test_matches_from_scratch_oracle(self):
@@ -148,7 +150,7 @@ class TestLocalError:
                 return np.sin(t + x[:m] * 0.1) + 0.5
 
             thetas, stages = exp_euler_trajectory(rng.normal(size=m), stage_fn, h, 2, rates)
-            got = local_error(thetas[0], thetas[1], thetas[2], stages[0], stages[1], h, eps)
+            got = local_error(thetas[0], thetas[2], stages[0], stages[1], h, eps)
 
             hh = 2.0 * h
             z = hh * rates
@@ -170,7 +172,7 @@ class TestLocalError:
 
         h = 0.25
         thetas, stages = exp_euler_trajectory(np.array([0.5, 1.0]), stage_fn, h, 2, rates)
-        got = local_error(thetas[0], thetas[1], thetas[2], stages[0], stages[1], h, 1.0)
+        got = local_error(thetas[0], thetas[2], stages[0], stages[1], h, 1.0)
         hh, z = 2.0 * h, 2.0 * h * rates
         b2 = 2.0 * (np.exp(-z) + z - 1.0) / z**2
         b1 = (1.0 - np.exp(-z)) / z - b2
@@ -181,25 +183,11 @@ class TestLocalError:
 
     def test_eps_homogeneity(self):
         rng = np.random.default_rng(4)
-        t0, t1, t2 = rng.normal(size=(3, 6))
+        t0, _, t2 = rng.normal(size=(3, 6))
         s0, s1 = rng.normal(size=(2, 6))
-        base = local_error(t0, t1, t2, s0, s1, 0.4, 1.0)
-        double = local_error(t0, t1, t2, s0, s1, 0.4, 2.0)
+        base = local_error(t0, t2, s0, s1, 0.4, 1.0)
+        double = local_error(t0, t2, s0, s1, 0.4, 2.0)
         assert double == pytest.approx(base / math.sqrt(2.0), rel=1e-12)
-
-    def test_literal_midpoint_variant(self):
-        rng = np.random.default_rng(5)
-        t0, t1, t2 = rng.normal(size=(3, 2))
-        s0, s1 = rng.normal(size=(2, 2))
-        h = 0.3
-        got = local_error(t0, t1, t2, s0, s1, h, 1.0, literal_midpoint=True)
-        hh, z = 2.0 * h, 2.0 * h * decay_rates(1)
-        b2 = 2.0 * (np.exp(-z) + z - 1.0) / z**2
-        b1 = (1.0 - np.exp(-z)) / z - b2
-        comparator = hh * (b1 * t1 + b2 * t2)
-        gamma = 2.0 * (1.0 + np.maximum(np.abs(t2), np.abs(t0)))
-        expected = math.sqrt(float(np.sum((comparator - t2) ** 2 / gamma)))
-        assert got == pytest.approx(expected, abs=1e-12)
 
 
 class TestNextStepsize:
@@ -227,7 +215,8 @@ class TestExpEulerIdentity:
     def test_step_map_equals_exp_euler_on_frozen_coefficients(self):
         # moment recursion of the particle step: E' = a E + (1-a) m,
         # C' = a^2 C + (1-a^2) c^2 -- identical to one exponential Euler step
-        ens = evaluate_ensemble(RandomStream(6).standard_normal((500, 2)), linear_g)
+        pts = RandomStream(6).standard_normal((500, 2))
+        ens = Ensemble(pts, linear_g(pts))
         h = 0.37
         alpha = math.exp(-h)
         coeffs = ensemble_coefficients(ens, 1.2, 2.5)
@@ -248,7 +237,7 @@ class TestInitialStepsize:
         # the seeded noise stream with the implementation
         J, d, s, beta, eps = 200, 2, 0.8, 1.7, 0.9
         pts = RandomStream(7).standard_normal((J, d))
-        ens = evaluate_ensemble(pts, linear_g)
+        ens = Ensemble(pts, linear_g(pts))
         got_h, got_probe, got_cost = initial_stepsize(
             ens, s, beta, eps, RandomStream(8), linear_g
         )
@@ -299,7 +288,8 @@ class TestInitialStepsize:
 
     def test_stationary_guard(self):
         # beta = 0 makes the full rhs vanish identically -> guard path
-        ens = evaluate_ensemble(RandomStream(9).standard_normal((100, 2)), linear_g)
+        pts = RandomStream(9).standard_normal((100, 2))
+        ens = Ensemble(pts, linear_g(pts))
         h, probe, cost = initial_stepsize(ens, 0.0, 0.0, 1.0, RandomStream(10), linear_g)
         assert math.isfinite(h)
         assert h >= 100.0 * 1e-6
@@ -307,7 +297,8 @@ class TestInitialStepsize:
 
     def test_h_at_least_hundred_h0(self):
         for seed in range(4):
-            ens = evaluate_ensemble(RandomStream(seed).standard_normal((150, 3)), linear_g)
+            pts = RandomStream(seed).standard_normal((150, 3))
+            ens = Ensemble(pts, linear_g(pts))
             h, _, _ = initial_stepsize(ens, 1.0, 1.5, 1.0, RandomStream(seed + 40), linear_g)
             # reconstruct h0 from the formulas to bound the max rule
             theta0 = moments_of_ensemble(ens)
