@@ -166,14 +166,12 @@ def run_benchmark(
     reps: int,
     master_seed: int = 0,
     jobs: int = 1,
-    count_max_iter: bool = False,
 ) -> tuple[BenchmarkResult, list[dict]]:
     """K seeded repetitions of one (method, problem) cell plus aggregates.
 
     Runs that never triggered a stopping criterion (``max_iter``) count as
-    failures and are excluded from the error statistics unless
-    ``count_max_iter`` is set.  Output ordering is fixed by repetition index
-    regardless of worker scheduling.
+    failures and are excluded from the error statistics.  Output ordering is
+    fixed by repetition index regardless of worker scheduling.
     """
     if method not in METHODS:
         raise KeyError(f"unknown method: {method!r}")
@@ -200,8 +198,7 @@ def run_benchmark(
                 "termination": record.termination,
             }
         )
-        success = record.termination != "max_iter" or count_max_iter
-        if success:
+        if record.termination != "max_iter":
             good_estimates.append(record.estimate)
             good_costs.append(record.cost)
 

@@ -26,7 +26,6 @@ __all__ = [
     "coefficients_from_log_weights",
     "ensemble_coefficients",
     "cbs_step",
-    "ess",
     "ess_from_log_weights",
     "solve_beta",
     "write_ensemble_csv",
@@ -116,13 +115,6 @@ def ess_from_log_weights(log_w, beta: float) -> float:
     """Effective sample size ``(sum w^beta)^2 / sum w^(2 beta)`` in log form."""
     lw = np.asarray(log_w, dtype=float)
     return float(np.exp(2.0 * log_sum_exp(beta * lw) - log_sum_exp(2.0 * beta * lw)))
-
-
-def ess(g_values, points, s: float, beta: float) -> float:
-    """Effective sample size of the ensemble under the smoothed target weights."""
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    return ess_from_log_weights(log_target(np.asarray(g_values, float), points, s), beta)
 
 
 def solve_beta(log_target_values, target: float, beta_cap: float = 1e8) -> tuple[float, bool]:

@@ -62,13 +62,6 @@ def parse_kv_file(path) -> dict[str, str]:
 
 def _coerce(value: str, target_type, key: str):
     try:
-        if target_type is bool:
-            low = value.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(value)
         if target_type is int:
             return int(value)
         if target_type is float:

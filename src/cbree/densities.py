@@ -9,7 +9,7 @@ weights usable in high dimensions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -28,7 +28,6 @@ __all__ = [
     "vmfn_fit",
     "vmfn_logpdf",
     "vmfn_sample",
-    "model_from_json",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -62,7 +61,7 @@ class GaussianModel:
         return gaussian_logpdf(self, x)
 
     def to_json(self) -> dict:
-        """Serialize for run-record export (see :func:`model_from_json`)."""
+        """Serialize for run-record export."""
         return {"type": "gaussian", "mean": self.mean.tolist(), "cov": self.covariance.tolist()}
 
 
@@ -130,7 +129,7 @@ class VmfnModel:
         return vmfn_logpdf(self, x)
 
     def to_json(self) -> dict:
-        """Serialize for run-record export (see :func:`model_from_json`)."""
+        """Serialize for run-record export."""
         return {
             "type": "vmfn",
             "mu": self.mean_direction.tolist(),
@@ -266,18 +265,3 @@ def vmfn_sample(model: VmfnModel, stream: RandomStream, n: int) -> np.ndarray:
     r = np.sqrt(stream.gamma(m, om / m, size=n))
     return dirs * r[:, None]
 
-
-def model_from_json(data: dict):
-    kind = data.get("type")
-    if kind == "gaussian":
-        return make_gaussian(data["mean"], data["cov"])
-    if kind == "vmfn":
-        mu = np.asarray(data["mu"], dtype=float)
-        model = VmfnModel(
-            mean_direction=mu / np.linalg.norm(mu),
-            kappa=float(data["kappa"]),
-            nakagami_shape=float(data["m"]),
-            nakagami_spread=float(data["omega"]),
-        )
-        return replace(model, kappa_capped=model.kappa >= KAPPA_CAP)
-    raise ValueError(f"unknown model type tag: {kind!r}")

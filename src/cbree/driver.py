@@ -68,9 +68,7 @@ class CbreeConfig:
     """All tunables of one run.
 
     ``n_obs = 0`` disables the divergence check; when active it must be at
-    least 2 so a slope can be fitted.  Stepsize growth is clamped to
-    ``[step_factor_min, step_factor_max]`` unless ``clamp_steps`` is off,
-    which reproduces the raw update formula.
+    least 2 so a slope can be fitted.
     """
 
     n_particles: int = 2000
@@ -80,9 +78,6 @@ class CbreeConfig:
     lip_s: float = 1.0
     max_iter: int = 100
     beta_cap: float = 1e8
-    step_factor_min: float = 0.2
-    step_factor_max: float = 5.0
-    clamp_steps: bool = True
     seed: int = 0
 
     def validate(self) -> None:
@@ -94,12 +89,6 @@ class CbreeConfig:
             raise ValueError("n_obs must be 0 (disabled) or >= 2")
         if self.max_iter < 0:
             raise ValueError("max_iter must be non-negative")
-        if not 0 < self.step_factor_min <= self.step_factor_max:
-            raise ValueError("stepsize clamps must satisfy 0 < min <= max")
-
-    @property
-    def step_clamps(self) -> tuple[float, float] | None:
-        return (self.step_factor_min, self.step_factor_max) if self.clamp_steps else None
 
 
 @dataclass(kw_only=True)
@@ -315,9 +304,7 @@ class CbreeMover:
         h1, _probe, probe_cost = initial_stepsize(
             ens, self.s, beta0, cfg.eps_target, root.substream(1), lsf
         )
-        self.ctrl = StepControllerState(
-            h_current=h1, eps_target=cfg.eps_target, clamps=cfg.step_clamps
-        )
+        self.ctrl = StepControllerState(h_current=h1, eps_target=cfg.eps_target)
         return probe_cost
 
     def trace_fields(self) -> dict:

@@ -1,9 +1,9 @@
 """Small numerical kernel shared by all other modules.
 
 Stabilized log-domain weight arithmetic, robust SPD factorization, scalar
-solvers, a tridiagonal solver and the seeded random-stream contract.  All
-functions are pure; :class:`RandomStream` is the only stateful object and is
-single-owner by convention.
+solvers and the seeded random-stream contract.  All functions are pure;
+:class:`RandomStream` is the only stateful object and is single-owner by
+convention.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "solve_scalar_root",
     "minimize_scalar_bounded",
     "ls_slope",
-    "solve_tridiagonal",
 ]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -235,40 +234,3 @@ def ls_slope(values) -> float:
     kc = k - k.mean()
     return float(kc @ (v - v.mean()) / (kc @ kc))
 
-
-def solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
-    """Thomas-algorithm solve of a tridiagonal system.
-
-    ``diag`` and ``rhs`` have shape ``(..., n)``, ``sub`` and ``sup`` shape
-    ``(..., n-1)``; leading dimensions broadcast, so a batch of systems is
-    solved in one call.  Intended for diagonally dominant or SPD systems
-    (FEM stiffness matrices); a vanishing pivot raises.
-    """
-    b = np.asarray(diag, dtype=float)
-    a = np.asarray(sub, dtype=float)
-    c = np.asarray(sup, dtype=float)
-    y = np.asarray(rhs, dtype=float)
-    n = b.shape[-1]
-    if a.shape[-1] != n - 1 or c.shape[-1] != n - 1 or y.shape[-1] != n:
-        raise ValueError("inconsistent band lengths")
-    shape = np.broadcast_shapes(b.shape[:-1], a.shape[:-1], c.shape[:-1], y.shape[:-1])
-    cp = np.empty(shape + (n - 1,)) if n > 1 else np.empty(shape + (0,))
-    dp = np.empty(shape + (n,))
-    piv = np.broadcast_to(b[..., 0], shape).copy()
-    if np.any(piv == 0.0):
-        raise ValueError("zero pivot in tridiagonal solve")
-    dp[..., 0] = y[..., 0] / piv
-    if n > 1:
-        cp[..., 0] = c[..., 0] / piv
-    for i in range(1, n):
-        piv = b[..., i] - a[..., i - 1] * cp[..., i - 1]
-        if np.any(piv == 0.0):
-            raise ValueError("zero pivot in tridiagonal solve")
-        if i < n - 1:
-            cp[..., i] = c[..., i] / piv
-        dp[..., i] = (y[..., i] - a[..., i - 1] * dp[..., i - 1]) / piv
-    x = np.empty_like(dp)
-    x[..., n - 1] = dp[..., n - 1]
-    for i in range(n - 2, -1, -1):
-        x[..., i] = dp[..., i] - cp[..., i] * x[..., i + 1]
-    return x

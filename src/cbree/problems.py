@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import solve_scalar_root, solve_tridiagonal
+from .numkit import solve_scalar_root
 
 __all__ = [
     "CountedLsf",
@@ -72,10 +72,6 @@ class CountedLsf:
         with self._lock:
             return self._count
 
-    def reset(self) -> None:
-        with self._lock:
-            self._count = 0
-
 
 @dataclass
 class ProblemSpec:
@@ -94,9 +90,6 @@ class ProblemSpec:
     @property
     def evaluations(self) -> int:
         return self.lsf.evaluations
-
-    def reset_counter(self) -> None:
-        self.lsf.reset()
 
 
 def counted(fn) -> CountedLsf:
@@ -184,12 +177,6 @@ class KlField:
         )
         return self.signs[:, None] * vals
 
-    def log_field(self, y, x) -> np.ndarray:
-        """Field realizations at points ``y`` for coefficient rows ``x``."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        basis = np.sqrt(self.eigenvalues)[:, None] * self.eigenfunctions(y)
-        return self.mean_level + x @ basis
-
 
 def kl_eigenpairs(
     n_terms: int,
@@ -240,10 +227,14 @@ def kl_eigenpairs(
 def make_flowrate_lsf(n_terms: int = 10, mesh_exponent: int = 6):
     """Flux threshold exceedance for 1D diffusion with a lognormal coefficient.
 
-    Piecewise-linear finite elements on a uniform mesh of size ``2^-6`` with
-    boundary values u(0) = 1, u(1) = 0; the element coefficient is the field
-    exponential at the element midpoint and the end flux uses the field value
-    at the node y = 1.  Failure means the flux at y = 1 exceeds 1.7.
+    Piecewise-linear finite elements on a uniform mesh of size
+    ``2^-mesh_exponent`` with boundary values u(0) = 1, u(1) = 0; the element
+    coefficient is the field exponential at the element midpoint and the end
+    flux uses the field value at the node y = 1.  Failure means the flux at
+    y = 1 exceeds 1.7.  With no source term and one coefficient per element
+    the discrete flux ``q = a_e (u_{e-1} - u_e) / h`` is the same on every
+    element, so the FEM solution is ``q = 1 / (h sum_e 1/a_e)`` in closed form
+    and the last interior node value is ``q h / a_last``.
     """
     fld = kl_eigenpairs(n_terms)
     n_elem = 2**mesh_exponent
@@ -257,15 +248,9 @@ def make_flowrate_lsf(n_terms: int = 10, mesh_exponent: int = 6):
         if x.shape[1] != n_terms:
             raise ValueError(f"flowrate problem expects dimension {n_terms}")
         a_elem = np.exp(fld.mean_level + x @ basis_mid)     # (n, n_elem)
-        # tridiagonal stiffness for interior nodes (common 1/h factor cancelled)
-        diag = a_elem[:, :-1] + a_elem[:, 1:]               # (n, n_elem - 1)
-        off = -a_elem[:, 1:-1]
-        rhs = np.zeros_like(diag)
-        rhs[:, 0] = a_elem[:, 0]                            # Dirichlet u(0) = 1
-        u = solve_tridiagonal(off, diag, off, rhs)
-        du_end = (0.0 - u[:, -1]) / mesh_h
+        flux = 1.0 / (mesh_h * np.sum(1.0 / a_elem, axis=1))
         a_end = np.exp(fld.mean_level + x @ basis_end)
-        return 1.7 + a_end * du_end
+        return 1.7 - a_end * flux / a_elem[:, -1]
 
     return lsf, fld
 

@@ -98,10 +98,10 @@ def update_smoothing(g_values, state: SmoothingState, h: float) -> float:
     constants enter.  The largest allowed step ``hi = s + lip_s * h`` is
     tried first and returned whenever ``cv(q) <= delta_target`` there.
     Otherwise the level minimizes ``(cv(q) - delta_target)^2`` by
-    golden-section search on the interval; flat objectives (e.g. all ``g_j``
-    equal) resolve to the upper bound, which guarantees progress.  The
-    search's absolute tolerance of 1e-6 cannot be met once ``s`` exceeds
-    about 1e10, where it runs its full iteration budget.
+    golden-section search on the interval to the tolerance
+    ``1e-6 * max(1, s)``, which stays above the spacing of floats near ``s``
+    at any level; flat objectives (e.g. all ``g_j`` equal) resolve to the
+    upper bound, which guarantees progress.
     """
     g = np.asarray(g_values, dtype=float)
     s0 = state.s
@@ -114,5 +114,5 @@ def update_smoothing(g_values, state: SmoothingState, h: float) -> float:
     if cv_at(hi) <= state.delta_target:
         return hi
     return minimize_scalar_bounded(
-        lambda s: (cv_at(s) - state.delta_target) ** 2, (s0, hi), tol=1e-6
+        lambda s: (cv_at(s) - state.delta_target) ** 2, (s0, hi), tol=1e-6 * max(1.0, s0)
     )

@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _TAYLOR_CUT = 1e-5
+STEP_FACTOR_MIN = 0.2
+STEP_FACTOR_MAX = 5.0
 
 
 def pack_moments(mean, cov) -> np.ndarray:
@@ -178,20 +180,13 @@ def local_error(
     return weighted_error_norm(comparator - psi, gamma)
 
 
-def next_stepsize(err: float, h: float, clamps: tuple[float, float] | None = (0.2, 5.0)) -> float:
-    """``h' = (1 / err)^(1/2) h`` with the growth ratio clamped.
-
-    ``clamps=None`` disables clamping and applies the raw formula; a zero
-    error maps to the maximum growth factor either way.
-    """
+def next_stepsize(err: float, h: float) -> float:
+    """``h' = (1 / err)^(1/2) h`` with the growth ratio clamped to
+    ``[STEP_FACTOR_MIN, STEP_FACTOR_MAX]``; a zero error takes the maximum."""
     if h <= 0:
         raise ValueError("stepsize h must be positive")
-    fac_min, fac_max = clamps if clamps is not None else (0.0, np.inf)
-    ratio = (1.0 / err) ** 0.5 if err > 0 else np.inf
-    ratio = min(max(ratio, fac_min), fac_max)
-    if not np.isfinite(ratio):
-        ratio = fac_max if np.isfinite(fac_max) else 5.0
-    return h * ratio
+    ratio = (1.0 / err) ** 0.5 if err > 0 else STEP_FACTOR_MAX
+    return h * min(max(ratio, STEP_FACTOR_MIN), STEP_FACTOR_MAX)
 
 
 def initial_stepsize(
@@ -243,7 +238,6 @@ class StepControllerState:
 
     h_current: float
     eps_target: float
-    clamps: tuple[float, float] | None = (0.2, 5.0)
     thetas: deque = field(default_factory=lambda: deque(maxlen=2))
     stages: deque = field(default_factory=lambda: deque(maxlen=2))
 
@@ -258,7 +252,7 @@ class StepControllerState:
                 self.h_current,
                 self.eps_target,
             )
-            return next_stepsize(err, self.h_current, self.clamps), err
+            return next_stepsize(err, self.h_current), err
         return self.h_current, None
 
     def record(self, theta_now, stage_now, h_next: float) -> None:

@@ -8,7 +8,6 @@ from cbree.cbs import (
     cbs_step,
     coefficients_from_log_weights,
     ensemble_coefficients,
-    ess,
     ess_from_log_weights,
     solve_beta,
     write_ensemble_csv,
@@ -131,7 +130,8 @@ class TestCbsStep:
 class TestEss:
     def test_beta_zero_gives_J(self):
         ens = make_ensemble(13, 35, 2)
-        assert ess(ens.g_values, ens.points, 1.0, 0.0) == pytest.approx(35.0)
+        lw = log_target(ens.g_values, ens.points, 1.0)
+        assert ess_from_log_weights(lw, 0.0) == pytest.approx(35.0)
 
     def test_equal_weights_any_beta(self):
         lw = np.full(20, -3.7)
@@ -189,9 +189,10 @@ class TestSolveBeta:
         for seed in range(5):
             ens = make_ensemble(seed + 20, 400, 3)
             target = 200.0
-            beta, capped = solve_beta(log_target(ens.g_values, ens.points, 1.3), target)
+            lw = log_target(ens.g_values, ens.points, 1.3)
+            beta, capped = solve_beta(lw, target)
             assert not capped
-            assert abs(ess(ens.g_values, ens.points, 1.3, beta) - target) <= 0.01
+            assert abs(ess_from_log_weights(lw, beta) - target) <= 0.01
 
     def test_matches_dense_grid_oracle(self):
         ens = make_ensemble(30, 200, 2)

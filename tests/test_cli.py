@@ -41,12 +41,13 @@ class TestConfigParsing:
     def test_build_config_types(self):
         cfg = build_config(
             "cbree",
-            {"n_particles": "123", "delta_target": "2.5", "clamp_steps": "false"},
+            {"n_particles": "123", "delta_target": "2.5", "max_iter": "7"},
             seed=9,
         )
         assert cfg.n_particles == 123
         assert cfg.delta_target == 2.5
-        assert cfg.clamp_steps is False
+        assert cfg.max_iter == 7
+        assert isinstance(cfg.delta_target, float) and isinstance(cfg.max_iter, int)
         assert cfg.seed == 9
 
     def test_unknown_key_rejected(self):
@@ -110,14 +111,19 @@ class TestCommands:
         code = main(["run", "--problem", "linear", "--method", "cbree", "--config", str(bad)])
         assert code == EXIT_CONFIG
 
-    def test_run_proposal_kind_key_is_config_error(self, tmp_path, capsys):
-        # the method name alone picks the proposal: a stale proposal_kind key
-        # must not be silently overridden
-        cfg = tmp_path / "vmfn.cfg"
-        cfg.write_text("n_particles = 300\nproposal_kind = vmfn\n")
+    @pytest.mark.parametrize(
+        "stale",
+        ["proposal_kind = vmfn", "clamp_steps = false"],
+        ids=["proposal_kind", "clamp_steps"],
+    )
+    def test_run_proposal_kind_key_is_config_error(self, tmp_path, capsys, stale):
+        # keys of removed settings (the method name alone picks the proposal;
+        # the stepsize clamps are fixed) must fail, not be silently ignored
+        cfg = tmp_path / "stale.cfg"
+        cfg.write_text(f"n_particles = 300\n{stale}\n")
         code = main(["run", "--problem", "linear-4", "--method", "cbree", "--config", str(cfg)])
         assert code == EXIT_CONFIG
-        assert "proposal_kind" in capsys.readouterr().err
+        assert stale.split()[0] in capsys.readouterr().err
 
     def test_run_runtime_failure_exit_code(self, capsys):
         # vMFN resampling cannot work in one dimension -> runtime failure

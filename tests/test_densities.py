@@ -12,7 +12,6 @@ from cbree.densities import (
     gaussian_logpdf,
     gaussian_sample,
     make_gaussian,
-    model_from_json,
     std_normal_logpdf,
     vmfn_fit,
     vmfn_logpdf,
@@ -227,16 +226,15 @@ class TestModelContracts:
         model = make_gaussian([1.0, 2.0], [[2.0, 0.5], [0.5, 1.0]])
         data = json.loads(json.dumps(model.to_json()))
         assert data["type"] == "gaussian"
-        back = model_from_json(data)
-        assert np.allclose(back.mean, model.mean)
-        assert np.allclose(back.covariance, model.covariance)
+        assert np.array_equal(data["mean"], model.mean)
+        assert np.array_equal(data["cov"], model.covariance)
 
     def test_json_round_trip_vmfn(self):
         model = VmfnModel(np.array([0.6, 0.8]), 4.0, 2.0, 5.0)
         data = json.loads(json.dumps(model.to_json()))
         assert set(data) == {"type", "mu", "kappa", "m", "omega"}
-        back = model_from_json(data)
-        assert np.allclose(back.mean_direction, model.mean_direction)
-        assert back.kappa == model.kappa
-        assert back.nakagami_shape == model.nakagami_shape
-        assert back.nakagami_spread == model.nakagami_spread
+        assert data["type"] == "vmfn"
+        assert np.array_equal(data["mu"], model.mean_direction)
+        assert data["kappa"] == model.kappa
+        assert data["m"] == model.nakagami_shape
+        assert data["omega"] == model.nakagami_spread

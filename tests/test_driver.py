@@ -157,8 +157,6 @@ class TestRunCbree:
             CbreeConfig(n_obs=1).validate()
         with pytest.raises(ValueError):
             CbreeConfig(delta_target=0.0).validate()
-        with pytest.raises(ValueError):
-            CbreeConfig(step_factor_min=0.0).validate()
 
     def test_divergence_disabled_runs_to_convergence_or_cap(self):
         cfg = CbreeConfig(n_particles=400, n_obs=0, max_iter=30, seed=10)

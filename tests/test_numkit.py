@@ -8,7 +8,6 @@ from cbree.numkit import (
     ls_slope,
     minimize_scalar_bounded,
     solve_scalar_root,
-    solve_tridiagonal,
     weighted_moments,
 )
 
@@ -165,46 +164,6 @@ class TestLsSlope:
     def test_too_short(self):
         with pytest.raises(ValueError):
             ls_slope([1.0])
-
-
-class TestTridiagonal:
-    def test_identity(self):
-        rhs = np.array([1.0, 2.0, 3.0])
-        x = solve_tridiagonal(np.zeros(2), np.ones(3), np.zeros(2), rhs)
-        assert np.allclose(x, rhs)
-
-    def test_2x2_hand_solve(self):
-        # [[2,-1],[-1,2]] x = (1,1) -> x = (1,1)
-        x = solve_tridiagonal([-1.0], [2.0, 2.0], [-1.0], [1.0, 1.0])
-        assert np.allclose(x, [1.0, 1.0])
-
-    def test_against_dense_oracle(self):
-        rng = np.random.default_rng(5)
-        n = 64
-        sub = rng.uniform(-1.0, -0.1, size=n - 1)
-        sup = rng.uniform(-1.0, -0.1, size=n - 1)
-        diag = np.abs(sub).sum() * 0 + rng.uniform(2.5, 4.0, size=n)
-        rhs = rng.normal(size=n)
-        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-        expected = np.linalg.solve(dense, rhs)
-        x = solve_tridiagonal(sub, diag, sup, rhs)
-        assert np.max(np.abs(x - expected)) < 1e-9
-
-    def test_batched_matches_loop(self):
-        rng = np.random.default_rng(6)
-        n, b = 12, 7
-        sub = rng.uniform(-1.0, -0.1, size=(b, n - 1))
-        sup = rng.uniform(-1.0, -0.1, size=(b, n - 1))
-        diag = rng.uniform(3.0, 4.0, size=(b, n))
-        rhs = rng.normal(size=(b, n))
-        batched = solve_tridiagonal(sub, diag, sup, rhs)
-        for i in range(b):
-            single = solve_tridiagonal(sub[i], diag[i], sup[i], rhs[i])
-            assert np.allclose(batched[i], single)
-
-    def test_zero_pivot(self):
-        with pytest.raises(ValueError, match="pivot"):
-            solve_tridiagonal([0.0], [0.0, 1.0], [0.0], [1.0, 1.0])
 
 
 class TestRandomStream:

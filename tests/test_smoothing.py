@@ -7,7 +7,7 @@ import cbree.driver
 import cbree.smoothing
 from cbree.densities import std_normal_logpdf
 from cbree.driver import CbreeConfig, run_cbree
-from cbree.numkit import minimize_scalar_bounded
+from cbree.numkit import RandomStream, minimize_scalar_bounded
 from cbree.problems import get_problem
 from cbree.smoothing import (
     SmoothingState,
@@ -186,7 +186,7 @@ def search_only(g, state, h):
     return minimize_scalar_bounded(
         lambda s: (ratio_cv(g, state.s, s) - state.delta_target) ** 2,
         (state.s, state.s + state.lip_s * h),
-        tol=1e-6,
+        tol=1e-6 * max(1.0, state.s),
     )
 
 
@@ -236,6 +236,24 @@ class TestCapFirstRule:
             capped += ratio_cv(g, state.s, hi) <= state.delta_target
             assert update_smoothing(g, state, h) == search_only(g, state, h)
         assert capped > 0
+
+    def test_search_at_large_s_meets_its_tolerance(self, monkeypatch):
+        # near s = 1e12 floats are spaced wider than 1e-6, so only a
+        # tolerance relative to s lets the search stop inside its
+        # 100-iteration budget (about 35 indicator evaluations here)
+        g = RandomStream(3).standard_normal(1000)
+        state = SmoothingState(s=1e12, lip_s=1.0, delta_target=0.1)
+        calls = [0]
+        indicator = cbree.smoothing.log_smooth_indicator
+
+        def counted_indicator(g, s):
+            calls[0] += 1
+            return indicator(g, s)
+
+        monkeypatch.setattr(cbree.smoothing, "log_smooth_indicator", counted_indicator)
+        s_next = update_smoothing(g, state, 1e12)
+        assert calls[0] <= 40
+        assert abs(ratio_cv(g, state.s, s_next) - state.delta_target) <= 1e-6
 
     def test_log_indicator_calls_per_update(self, monkeypatch):
         depth = [0]

@@ -203,7 +203,6 @@ class TestNextStepsize:
     def test_clamps(self):
         assert next_stepsize(1e6, 1.0) == pytest.approx(0.2)
         assert next_stepsize(1e-6, 1.0) == pytest.approx(5.0)
-        assert next_stepsize(1e6, 1.0, clamps=None) == pytest.approx(1e-3)
 
     def test_monotone_in_err(self):
         errs = np.linspace(0.05, 30.0, 50)
