@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import RandomStream, factor_spd, log_sum_exp, spd_jitter, weighted_moments
+from .numkit import factor_spd, log_sum_exp, spd_jitter, weighted_moments
 from .smoothing import log_target
 
 __all__ = [
@@ -86,22 +86,25 @@ def cbs_step(
     s: float,
     beta: float,
     h: float,
-    stream: RandomStream,
+    noise: np.ndarray,
     lsf,
     coeffs: CbsCoefficients | None = None,
 ) -> Ensemble:
     """Advance every particle by one exponential Euler--Maruyama step.
 
-    Evaluates ``lsf`` once per particle to refresh the cached limit-state
-    values; with ``lsf=None`` the cache is left unset (used when the ensemble
-    is resampled immediately afterwards, saving one sweep of evaluations).
+    ``noise`` holds the step's standard-normal draws, one row per particle;
+    it is read, never kept.  Evaluates ``lsf`` once per particle to refresh
+    the cached limit-state values; with ``lsf=None`` the cache is left unset
+    (used when the ensemble is resampled immediately afterwards, saving one
+    sweep of evaluations).
     """
     if h <= 0:
         raise ValueError("stepsize h must be positive")
+    if noise.shape != ens.points.shape:
+        raise ValueError(f"noise has shape {noise.shape}, expected {ens.points.shape}")
     if coeffs is None:
         coeffs = ensemble_coefficients(ens, s, beta)
     alpha = np.exp(-h)
-    noise = stream.standard_normal((ens.size, ens.dim))
     new_pts = (
         alpha * ens.points
         + (1.0 - alpha) * coeffs.m_beta

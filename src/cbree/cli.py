@@ -129,11 +129,14 @@ def _cmd_bench(args) -> int:
     entries = parse_kv_file(args.config)
     method = entries.pop("method", None)
     problem = entries.pop("problem", None)
-    reps = entries.pop("reps", None)
-    master_seed = int(entries.pop("seed", "0"))
+    reps = _coerce(entries.pop("reps", "20"), int, "reps")
+    master_seed = _coerce(entries.pop("seed", "0"), int, "seed")
     if method is None or problem is None:
         raise ConfigError("bench config must set 'method' and 'problem'")
-    reps = args.reps if args.reps is not None else int(reps) if reps else 20
+    if args.reps is not None:
+        reps = args.reps
+    if reps < 1:
+        raise ConfigError(f"reps must be at least 1, got {reps}")
     config = build_config(method, entries)
     result, rows = run_benchmark(
         method, problem, config, reps=reps, master_seed=master_seed, jobs=args.jobs

@@ -255,7 +255,9 @@ def _sample_vmf_directions(mu, kappa: float, stream: RandomStream, n: int) -> np
     tangent = stream.standard_normal((n, d))
     tangent -= np.outer(tangent @ mu, mu)
     tangent /= np.linalg.norm(tangent, axis=1, keepdims=True)
-    return np.sqrt(np.clip(1.0 - w * w, 0.0, None))[:, None] * tangent + w[:, None] * mu
+    tangent *= np.sqrt(np.clip(1.0 - w * w, 0.0, None))[:, None]
+    tangent += w[:, None] * mu
+    return tangent
 
 
 def vmfn_sample(model: VmfnModel, stream: RandomStream, n: int) -> np.ndarray:
@@ -263,5 +265,6 @@ def vmfn_sample(model: VmfnModel, stream: RandomStream, n: int) -> np.ndarray:
     dirs = _sample_vmf_directions(model.mean_direction, model.kappa, stream, n)
     m, om = model.nakagami_shape, model.nakagami_spread
     r = np.sqrt(stream.gamma(m, om / m, size=n))
-    return dirs * r[:, None]
+    dirs *= r[:, None]
+    return dirs
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -207,9 +208,19 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
     - ``start(ens, root, lsf)``: set-up on the initial ensemble, returning
       the limit-state evaluations it spent;
     - ``trace_fields()``: its values for a new trace row;
-    - ``move(ens, model, n, stream, lsf, row)``: the next ensemble, with the
-      step's parameters written into ``row``; ``lsf`` is ``None`` when the
-      next fresh batch replaces the points anyway.
+    - ``noise_shape(J, d)``: the shape of one step's standard-normal noise;
+    - ``move(ens, model, n, noise, lsf, row)``: the next ensemble, with the
+      step's parameters written into ``row``; ``noise`` is a future whose
+      ``result()`` is the step's draw from ``substream(3, n)``, which must
+      not be kept past the call, since its buffer is refilled for the next
+      step; ``lsf`` is ``None`` when the next fresh batch replaces the points
+      anyway.
+
+    While the main thread works through iteration ``n`` up to the particle
+    step, one worker thread draws the noise of that step into a buffer
+    allocated once per run.  It only calls the random generator, and the
+    draws depend on nothing the iteration computes, so the records are the
+    same as with draws made in line.
 
     The cost is counted here from the batch sizes evaluated: the initial
     sweep, each fresh batch, one sweep per move that gets ``lsf``, plus the
@@ -226,57 +237,68 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
     J = config.n_particles
     lsf = problem.lsf
     root = RandomStream(config.seed)
-    points = root.substream(0).standard_normal((J, d))
-    ens = Ensemble(points=points, g_values=np.asarray(lsf(points), dtype=float))
-    cost = J + mover.start(ens, root, lsf)
-    step_lsf = None if mover.batch == "replace" else lsf
-    cv_history: list[float] = []
-    pf_history: list[float] = []
-    trace: list[IterationRecord] = []
+    noise = np.empty(mover.noise_shape(J, d))
 
-    n = 0
-    while True:
-        model = vmfn_fit(ens.points) if vmfn else gaussian_fit(ens.points)
-        sample = ens
-        if mover.batch is not None:
-            sampler = vmfn_sample if vmfn else gaussian_sample
-            new_pts = sampler(model, root.substream(2, n), J)
-            sample = Ensemble(points=new_pts, g_values=np.asarray(lsf(new_pts), dtype=float))
-            cost += J
-            if mover.batch == "replace":
-                ens = sample
+    def draw_noise(n: int) -> np.ndarray:
+        return root.substream(3, n).standard_normal(noise.shape, out=noise)
 
-        pf, weights = is_estimate(sample, model)
-        cv = empirical_cv(weights)
-        cv_history.append(cv)
-        pf_history.append(pf)
-        row = IterationRecord(iter=n, cv=cv, pf_estimate=pf, cost_cum=cost, **mover.trace_fields())
-        trace.append(row)
+    # leaving the block joins the worker on every exit path, errors included
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = worker.submit(draw_noise, 0)
+        points = root.substream(0).standard_normal((J, d))
+        ens = Ensemble(points=points, g_values=np.asarray(lsf(points), dtype=float))
+        cost = J + mover.start(ens, root, lsf)
+        step_lsf = None if mover.batch == "replace" else lsf
+        cv_history: list[float] = []
+        pf_history: list[float] = []
+        trace: list[IterationRecord] = []
 
-        termination, estimate = None, pf
-        if cv <= config.delta_target:
-            termination = "converged"
-        elif mover.n_obs > 0 and n >= mover.n_obs and divergence_check(cv_history, mover.n_obs):
-            termination, estimate = "diverged", float(np.mean(pf_history[-mover.n_obs :]))
-        elif n >= config.max_iter:
-            termination = "max_iter"
-        if termination is not None:
-            return RunRecord(
-                estimate=float(estimate),
-                termination=termination,
-                iterations=n,
-                cost=cost,
-                trace=trace,
-                proposal=model.to_json(),
-                seed=config.seed,
-                final_ensemble=ens,
-            )
+        n = 0
+        while True:
+            model = vmfn_fit(ens.points) if vmfn else gaussian_fit(ens.points)
+            sample = ens
+            if mover.batch is not None:
+                sampler = vmfn_sample if vmfn else gaussian_sample
+                new_pts = sampler(model, root.substream(2, n), J)
+                sample = Ensemble(points=new_pts, g_values=np.asarray(lsf(new_pts), dtype=float))
+                cost += J
+                if mover.batch == "replace":
+                    ens = sample
 
-        ens = mover.move(ens, model, n, root.substream(3, n), step_lsf, row)
-        if step_lsf is not None:
-            cost += J
-        row.cost_cum = cost
-        n += 1
+            pf, weights = is_estimate(sample, model)
+            cv = empirical_cv(weights)
+            cv_history.append(cv)
+            pf_history.append(pf)
+            row = IterationRecord(iter=n, cv=cv, pf_estimate=pf, cost_cum=cost, **mover.trace_fields())
+            trace.append(row)
+
+            termination, estimate = None, pf
+            if cv <= config.delta_target:
+                termination = "converged"
+            elif mover.n_obs > 0 and n >= mover.n_obs and divergence_check(cv_history, mover.n_obs):
+                termination, estimate = "diverged", float(np.mean(pf_history[-mover.n_obs :]))
+            elif n >= config.max_iter:
+                termination = "max_iter"
+            if termination is not None:
+                pending.result()  # unused, but a failed draw is not lost
+                return RunRecord(
+                    estimate=float(estimate),
+                    termination=termination,
+                    iterations=n,
+                    cost=cost,
+                    trace=trace,
+                    proposal=model.to_json(),
+                    seed=config.seed,
+                    final_ensemble=ens,
+                )
+
+            ens = mover.move(ens, model, n, pending, step_lsf, row)
+            # the move has consumed the buffer, so it may be refilled
+            pending = worker.submit(draw_noise, n + 1)
+            if step_lsf is not None:
+                cost += J
+            row.cost_cum = cost
+            n += 1
 
 
 class CbreeMover:
@@ -310,7 +332,10 @@ class CbreeMover:
     def trace_fields(self) -> dict:
         return {"s": self.s}
 
-    def move(self, ens: Ensemble, model, n: int, stream: RandomStream, lsf, row) -> Ensemble:
+    def noise_shape(self, J: int, d: int) -> tuple[int, ...]:
+        return (J, d)
+
+    def move(self, ens: Ensemble, model, n: int, noise: Future, lsf, row) -> Ensemble:
         cfg = self.config
         # the Gaussian proposal was fitted to this very ensemble, so its
         # moments are the ensemble's; a vMFN ensemble was resampled after
@@ -334,7 +359,7 @@ class CbreeMover:
         row.err = err if err is not None else math.nan
         row.ess = ess_from_log_weights(log_w, beta)
         self.s = s_next
-        return cbs_step(ens, s_next, beta, h_next, stream, lsf, coeffs=coeffs)
+        return cbs_step(ens, s_next, beta, h_next, noise.result(), lsf, coeffs=coeffs)
 
 
 def run_cbree(problem: ProblemSpec, config: CbreeConfig) -> RunRecord:

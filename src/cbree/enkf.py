@@ -22,7 +22,6 @@ import numpy as np
 
 from .cbs import Ensemble
 from .driver import RunRecord, run_loop
-from .numkit import RandomStream
 from .problems import ProblemSpec
 
 __all__ = ["EnkfConfig", "enkf_step", "run_enkf"]
@@ -53,10 +52,11 @@ class EnkfConfig:
             raise ValueError("proposal_kind must be 'gaussian' or 'vmfn'")
 
 
-def enkf_step(ens: Ensemble, h: float, stream: RandomStream, lsf) -> Ensemble:
+def enkf_step(ens: Ensemble, h: float, noise: np.ndarray, lsf) -> Ensemble:
     """One perturbed-observation Kalman update of the whole ensemble.
 
-    Observations are ``max(g, 0)`` plus N(0, 1/h) noise per particle; the
+    Observations are ``max(g, 0)`` plus ``noise / sqrt(h)`` per particle,
+    where ``noise`` holds one standard-normal draw per particle; the
     update subtracts ``C_xg (c_gg + eps)^-1`` times each particle's
     observation, with a relative floor on the scalar variance to guard
     against a collapsed observation spread.  Refreshes the cached limit-state
@@ -64,9 +64,10 @@ def enkf_step(ens: Ensemble, h: float, stream: RandomStream, lsf) -> Ensemble:
     """
     if ens.size < 2:
         raise ValueError("enkf_step needs at least two particles")
+    if noise.shape != (ens.size,):
+        raise ValueError(f"noise has shape {noise.shape}, expected {(ens.size,)}")
     g_plus = np.maximum(ens.g_values, 0.0)
-    noise = stream.standard_normal(ens.size) / math.sqrt(h)
-    g_tilde = g_plus + noise
+    g_tilde = g_plus + noise / math.sqrt(h)
     x_bar = ens.points.mean(axis=0)
     g_bar = g_tilde.mean()
     centered_g = g_tilde - g_bar
@@ -94,8 +95,11 @@ class EnkfMover:
     def trace_fields(self) -> dict:
         return {"h": self.h}
 
-    def move(self, ens, model, n, stream, lsf, row) -> Ensemble:
-        return enkf_step(ens, self.h, stream, lsf)
+    def noise_shape(self, J: int, d: int) -> tuple[int, ...]:
+        return (J,)
+
+    def move(self, ens, model, n, noise, lsf, row) -> Ensemble:
+        return enkf_step(ens, self.h, noise.result(), lsf)
 
 
 def run_enkf(problem: ProblemSpec, config: EnkfConfig) -> RunRecord:

@@ -44,8 +44,10 @@ class RandomStream:
         """Derive an independent stream addressed by ``path + index``."""
         return RandomStream(self.seed, self.path + tuple(index))
 
-    def standard_normal(self, size=None) -> np.ndarray:
-        return self.gen.standard_normal(size)
+    def standard_normal(self, size=None, out=None) -> np.ndarray:
+        """Draw standard normals, into ``out`` (float64) when it is given;
+        the values are the same as an allocating draw of the same shape."""
+        return self.gen.standard_normal(size, out=out)
 
     def uniform(self, size=None) -> np.ndarray:
         return self.gen.uniform(size=size)

@@ -216,7 +216,8 @@ def initial_stepsize(
         h0 = 1e-6
     else:
         h0 = 0.01 * norm_theta0 / norm_g0
-    probe = cbs_step(ens0, s1, beta1, h0, stream, lsf, coeffs=coeffs0)
+    noise = stream.standard_normal(ens0.points.shape)
+    probe = cbs_step(ens0, s1, beta1, h0, noise, lsf, coeffs=coeffs0)
     g1 = moments_rhs(probe, s1, beta1)
     denom = max(weighted_error_norm(g1 - g0, gamma) / h0, norm_g0)
     if denom < 1e-14:

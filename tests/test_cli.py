@@ -157,6 +157,25 @@ class TestCommands:
         cfg.write_text("n_particles = 100\n")
         assert main(["bench", "--config", str(cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "lines, argv",
+        [
+            ("reps = two\n", []),
+            ("seed = x\n", []),
+            ("reps = 0\n", []),
+            ("reps = -3\n", []),
+            ("", ["--reps", "0"]),
+        ],
+        ids=["reps-not-int", "seed-not-int", "reps-zero", "reps-negative", "cli-reps-zero"],
+    )
+    def test_bench_bad_reps_or_seed_is_config_error(self, tmp_path, capsys, lines, argv):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("method = mc\nproblem = linear\nn_particles = 1000\n" + lines)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(out), *argv]) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_export_ensemble(self, tmp_path, capsys):
         out = tmp_path / "final.csv"
         code = main(

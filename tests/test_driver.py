@@ -1,4 +1,6 @@
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ from cbree.driver import (
     run_cbree,
     run_cbree_vmfn,
 )
+from cbree.enkf import EnkfConfig, run_enkf
 from cbree.numkit import RandomStream
-from cbree.problems import get_problem
+from cbree.problems import ProblemSpec, counted, get_problem
 from cbree.smoothing import empirical_cv
 
 
@@ -207,3 +210,50 @@ class TestRunCbree:
         for row in record.trace:
             if not math.isnan(row.ess) and not row.beta_capped:
                 assert row.ess == pytest.approx(300.0, abs=0.02)
+
+
+class TestNoiseWorker:
+    # each run draws its step noise on one worker thread of its own
+    @pytest.mark.parametrize(
+        "runner, config",
+        [
+            (run_cbree, CbreeConfig(n_particles=300, seed=21)),
+            (run_cbree_vmfn, CbreeConfig(n_particles=300, delta_target=2.0, seed=22)),
+            (run_enkf, EnkfConfig(n_particles=300, seed=23)),
+        ],
+    )
+    def test_no_thread_outlives_a_run(self, runner, config):
+        before = threading.active_count()
+        runner(get_problem("linear-4"), config)
+        assert threading.active_count() == before
+
+    def test_worker_joined_when_the_limit_state_fails(self):
+        calls = []
+
+        def nan_on_third_sweep(x):
+            calls.append(len(x))
+            g = 3.5 - x.sum(axis=1) / 2.0
+            return np.full(len(x), np.nan) if len(calls) == 3 else g
+
+        problem = ProblemSpec(name="nan-on-third", dim=4, lsf=counted(nan_on_third_sweep))
+        before = threading.active_count()
+        # sweeps: initial ensemble, start-up probe, first particle step
+        with pytest.raises(ValueError, match="non-finite"):
+            run_cbree(problem, CbreeConfig(n_particles=300, seed=24))
+        assert len(calls) == 3
+        assert threading.active_count() == before
+
+    def test_runs_in_a_thread_pool_match_serial_runs(self):
+        cells = [("linear", seed) for seed in (31, 32, 33)] + [("linear-4", 34)]
+
+        def one(cell):
+            name, seed = cell
+            record = run_cbree(get_problem(name), CbreeConfig(n_particles=400, seed=seed))
+            return record.to_json_dict(), record.final_ensemble.points
+
+        serial = [one(cell) for cell in cells]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(one, cells))
+        for (rec_s, pts_s), (rec_t, pts_t) in zip(serial, threaded):
+            assert rec_t == rec_s
+            assert np.array_equal(pts_t, pts_s)

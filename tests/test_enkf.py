@@ -20,7 +20,7 @@ class TestEnkfStep:
         # max(g, 0) vanishes on failure points; with h = inf the noise is zero
         pts = RandomStream(0).standard_normal((50, 2)) + 5.0
         ens = Ensemble(pts, -np.ones(50))
-        stepped = enkf_step(ens, math.inf, RandomStream(1), lambda x: -np.ones(np.atleast_2d(x).shape[0]))
+        stepped = enkf_step(ens, math.inf, RandomStream(1).standard_normal(50), lambda x: -np.ones(np.atleast_2d(x).shape[0]))
         assert np.allclose(stepped.points, pts, atol=1e-12)
 
     def test_gain_is_regression_slope_in_1d(self):
@@ -29,7 +29,7 @@ class TestEnkfStep:
         pts = RandomStream(2).standard_normal((200, 1)) * 2.0
         g = 1.5 - pts[:, 0]
         ens = Ensemble(pts, g)
-        stepped = enkf_step(ens, 4.0, RandomStream(3), lambda x: 1.5 - np.atleast_2d(x)[:, 0])
+        stepped = enkf_step(ens, 4.0, RandomStream(3).standard_normal(200), lambda x: 1.5 - np.atleast_2d(x)[:, 0])
 
         g_tilde = np.maximum(g, 0.0) + RandomStream(3).standard_normal(200) / math.sqrt(4.0)
         xc = pts[:, 0] - pts[:, 0].mean()
@@ -46,7 +46,7 @@ class TestEnkfStep:
             stream = RandomStream(100 + seed)
             levels = [float(np.maximum(ens.g_values, 0.0).mean())]
             for k in range(5):
-                ens = enkf_step(ens, 100.0, stream.substream(k), linear_g)
+                ens = enkf_step(ens, 100.0, stream.substream(k).standard_normal(2000), linear_g)
                 levels.append(float(np.maximum(ens.g_values, 0.0).mean()))
             assert np.all(np.diff(levels) < 0.0)
 
@@ -68,13 +68,19 @@ class TestEnkfStep:
         ens = Ensemble(pts, g_orig(pts))
         mapped = pts @ matrix.T + offset
         ens_mapped = Ensemble(mapped, g_mapped(mapped))
-        stepped = enkf_step(ens, 2.0, RandomStream(6), g_orig)
-        stepped_mapped = enkf_step(ens_mapped, 2.0, RandomStream(6), g_mapped)
+        stepped = enkf_step(ens, 2.0, RandomStream(6).standard_normal(100), g_orig)
+        stepped_mapped = enkf_step(ens_mapped, 2.0, RandomStream(6).standard_normal(100), g_mapped)
         assert np.allclose(stepped_mapped.points, stepped.points @ matrix.T + offset, atol=1e-8)
 
     def test_needs_two_particles(self):
         with pytest.raises(ValueError):
-            enkf_step(Ensemble(np.ones((1, 2)), np.ones(1)), 1.0, RandomStream(0), linear_g)
+            enkf_step(Ensemble(np.ones((1, 2)), np.ones(1)), 1.0, np.zeros(1), linear_g)
+
+    @pytest.mark.parametrize("shape", [(49,), (50, 1), (50, 2)])
+    def test_wrong_noise_shape_rejected(self, shape):
+        pts = RandomStream(7).standard_normal((50, 2))
+        with pytest.raises(ValueError, match="noise has shape"):
+            enkf_step(Ensemble(pts, linear_g(pts)), 1.0, np.zeros(shape), linear_g)
 
 
 class TestRunEnkf:

@@ -191,3 +191,10 @@ class TestRandomStream:
             root.substream(2).substream(5).standard_normal(4),
             root.substream(2, 5).standard_normal(4),
         )
+
+    @pytest.mark.parametrize("shape", [(1000,), (400, 7)])
+    def test_draw_into_buffer_matches_allocating_draw(self, shape):
+        buf = np.full(shape, np.nan)
+        got = RandomStream(5).substream(3, 2).standard_normal(shape, out=buf)
+        assert got is buf
+        assert np.array_equal(buf, RandomStream(5).substream(3, 2).standard_normal(shape))
