@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .driver import CbreeConfig, IterationRecord, RunRecord, run_cbree, run_cbree_vmfn
-from .enkf import EnkfConfig, run_enkf
+from .enkf import EnkfConfig, run_enkf, run_enkf_vmfn
 from .numkit import RandomStream
 from .problems import get_problem
 
@@ -136,6 +136,7 @@ METHODS = {
     "cbree": (CbreeConfig, run_cbree),
     "cbree-vmfn": (CbreeConfig, run_cbree_vmfn),
     "enkf": (EnkfConfig, run_enkf),
+    "enkf-vmfn": (EnkfConfig, run_enkf_vmfn),
     "mc": (McConfig, run_mc),
 }
 

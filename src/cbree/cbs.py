@@ -18,18 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkit import factor_spd, log_sum_exp, spd_jitter, weighted_moments
-from .smoothing import log_target
 
 __all__ = [
     "Ensemble",
     "CbsCoefficients",
     "coefficients_from_log_weights",
-    "ensemble_coefficients",
     "cbs_step",
     "ess_from_log_weights",
     "solve_beta",
     "write_ensemble_csv",
 ]
+
+# largest inverse temperature the beta solve returns (reported as beta_capped)
+BETA_CAP = 1e8
 
 
 @dataclass
@@ -69,41 +70,20 @@ def coefficients_from_log_weights(points, log_weights, beta: float) -> CbsCoeffi
     return CbsCoefficients(m_beta=mean, c_beta_sq=c_sq, c_beta_factor=factor)
 
 
-def ensemble_coefficients(ens: Ensemble, s: float, beta: float) -> CbsCoefficients:
-    """Softmax-weighted mean and (1+beta)-scaled covariance of the ensemble.
-
-    All weight arithmetic happens in the log domain; in high dimensions the
-    input log-density alone spans hundreds of nats across the ensemble.
-    """
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    lw = beta * log_target(np.asarray(ens.g_values, dtype=float), ens.points, s)
-    return coefficients_from_log_weights(ens.points, lw, beta)
-
-
-def cbs_step(
-    ens: Ensemble,
-    s: float,
-    beta: float,
-    h: float,
-    noise: np.ndarray,
-    lsf,
-    coeffs: CbsCoefficients | None = None,
-) -> Ensemble:
+def cbs_step(ens: Ensemble, coeffs: CbsCoefficients, h: float, noise: np.ndarray, lsf) -> Ensemble:
     """Advance every particle by one exponential Euler--Maruyama step.
 
-    ``noise`` holds the step's standard-normal draws, one row per particle;
-    it is read, never kept.  Evaluates ``lsf`` once per particle to refresh
-    the cached limit-state values; with ``lsf=None`` the cache is left unset
-    (used when the ensemble is resampled immediately afterwards, saving one
-    sweep of evaluations).
+    ``coeffs`` are the weighted moments the step relaxes toward; ``noise``
+    holds the step's standard-normal draws, one row per particle; it is read,
+    never kept.  Evaluates ``lsf`` once per particle to refresh the cached
+    limit-state values; with ``lsf=None`` the cache is left unset (used when
+    the ensemble is resampled immediately afterwards, saving one sweep of
+    evaluations).
     """
     if h <= 0:
         raise ValueError("stepsize h must be positive")
     if noise.shape != ens.points.shape:
         raise ValueError(f"noise has shape {noise.shape}, expected {ens.points.shape}")
-    if coeffs is None:
-        coeffs = ensemble_coefficients(ens, s, beta)
     alpha = np.exp(-h)
     new_pts = (
         alpha * ens.points
@@ -120,32 +100,28 @@ def ess_from_log_weights(log_w, beta: float) -> float:
     return float(np.exp(2.0 * log_sum_exp(beta * lw) - log_sum_exp(2.0 * beta * lw)))
 
 
-def solve_beta(log_target_values, target: float, beta_cap: float = 1e8) -> tuple[float, bool]:
+def solve_beta(log_target_values, target: float) -> tuple[float, bool]:
     """Inverse temperature with ``ESS(beta) = target``, by bracketed bisection.
 
     ``log_target_values`` holds the per-particle ``log(I(g, s) phi(x))`` (see
     :func:`cbree.smoothing.log_target`); the weights are their ``beta``-th
     powers.  ESS is non-increasing in ``beta`` with ``ESS(0) = J``, so the
     bracket ``[0, 1]`` is doubled until it straddles the target.  If even
-    ``beta_cap`` leaves the weights too uniform (``ESS > target``, e.g.
+    :data:`BETA_CAP` leaves the weights too uniform (``ESS > target``, e.g.
     identical log-weights) the cap is returned with ``capped=True``.
     """
     lw = np.asarray(log_target_values, dtype=float)
     n = lw.shape[0]
     if not 1.0 < target < n:
         raise ValueError("target must lie strictly between 1 and J")
-
-    def ess_at(b):
-        return ess_from_log_weights(lw, b)
-
     lo, hi = 0.0, 1.0
-    while hi < beta_cap and ess_at(hi) > target:
-        lo, hi = hi, min(2.0 * hi, beta_cap)
-    if hi >= beta_cap and ess_at(beta_cap) > target:
-        return beta_cap, True
+    while hi < BETA_CAP and ess_from_log_weights(lw, hi) > target:
+        lo, hi = hi, min(2.0 * hi, BETA_CAP)
+    if hi >= BETA_CAP and ess_from_log_weights(lw, BETA_CAP) > target:
+        return BETA_CAP, True
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        val = ess_at(mid)
+        val = ess_from_log_weights(lw, mid)
         if abs(val - target) <= 0.01:
             return mid, False
         if val > target:

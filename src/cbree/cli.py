@@ -62,11 +62,7 @@ def parse_kv_file(path) -> dict[str, str]:
 
 def _coerce(value: str, target_type, key: str):
     try:
-        if target_type is int:
-            return int(value)
-        if target_type is float:
-            return float(value)
-        return value
+        return target_type(value)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: cannot parse {value!r} as {target_type.__name__}") from exc
 
@@ -76,7 +72,7 @@ def build_config(method: str, entries: dict[str, str], seed: int | None = None):
     if method not in METHODS:
         raise ConfigError(f"unknown method: {method!r}")
     config = METHODS[method][0]()
-    fields = {f.name: f.type for f in dataclasses.fields(config)}
+    fields = {f.name for f in dataclasses.fields(config)}
     for key, value in entries.items():
         if key not in fields:
             raise ConfigError(f"unknown config key for method {method!r}: {key!r}")
@@ -193,7 +189,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("export-ensemble", help="final ensemble as CSV")
     p_exp.add_argument("--problem", required=True)
-    p_exp.add_argument("--method", required=True, choices=("cbree", "cbree-vmfn", "enkf"))
+    p_exp.add_argument("--method", required=True, choices=("cbree", "cbree-vmfn", "enkf", "enkf-vmfn"))
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--config", help="flat key = value config file")
     p_exp.add_argument("--out")

@@ -78,7 +78,6 @@ class CbreeConfig:
     n_obs: int = 2
     lip_s: float = 1.0
     max_iter: int = 100
-    beta_cap: float = 1e8
     seed: int = 0
 
     def validate(self) -> None:
@@ -280,7 +279,7 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
             elif n >= config.max_iter:
                 termination = "max_iter"
             if termination is not None:
-                pending.result()  # unused, but a failed draw is not lost
+                pending.result()  # a failed draw is not lost
                 return RunRecord(
                     estimate=float(estimate),
                     termination=termination,
@@ -293,8 +292,10 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
                 )
 
             ens = mover.move(ens, model, n, pending, step_lsf, row)
-            # the move has consumed the buffer, so it may be refilled
-            pending = worker.submit(draw_noise, n + 1)
+            # the move has consumed the buffer, so it may be refilled; the
+            # run stops at max_iter without drawing for that step
+            if n + 1 < config.max_iter:
+                pending = worker.submit(draw_noise, n + 1)
             if step_lsf is not None:
                 cost += J
             row.cost_cum = cost
@@ -322,8 +323,8 @@ class CbreeMover:
         self.s = 0.0
         self.ess_target = ens.size / 2.0
         # provisional temperature at the initial smoothing level drives the probe
-        beta0, _ = solve_beta(log_target(ens.g_values, ens.points, self.s), self.ess_target, cfg.beta_cap)
-        h1, _probe, probe_cost = initial_stepsize(
+        beta0, _ = solve_beta(log_target(ens.g_values, ens.points, self.s), self.ess_target)
+        h1, probe_cost = initial_stepsize(
             ens, self.s, beta0, cfg.eps_target, root.substream(1), lsf
         )
         self.ctrl = StepControllerState(h_current=h1, eps_target=cfg.eps_target)
@@ -348,7 +349,7 @@ class CbreeMover:
         state = SmoothingState(s=self.s, lip_s=cfg.lip_s, delta_target=cfg.delta_target)
         s_next = update_smoothing(ens.g_values, state, h_next)
         log_w = log_target(ens.g_values, ens.points, s_next)
-        beta, beta_capped = solve_beta(log_w, self.ess_target, cfg.beta_cap)
+        beta, beta_capped = solve_beta(log_w, self.ess_target)
         coeffs = coefficients_from_log_weights(ens.points, beta * log_w, beta)
         self.ctrl.record(theta_now, stage_from_coefficients(coeffs), h_next)
 
@@ -359,7 +360,7 @@ class CbreeMover:
         row.err = err if err is not None else math.nan
         row.ess = ess_from_log_weights(log_w, beta)
         self.s = s_next
-        return cbs_step(ens, s_next, beta, h_next, noise.result(), lsf, coeffs=coeffs)
+        return cbs_step(ens, coeffs, h_next, noise.result(), lsf)
 
 
 def run_cbree(problem: ProblemSpec, config: CbreeConfig) -> RunRecord:

@@ -24,7 +24,7 @@ from .cbs import Ensemble
 from .driver import RunRecord, run_loop
 from .problems import ProblemSpec
 
-__all__ = ["EnkfConfig", "enkf_step", "run_enkf"]
+__all__ = ["EnkfConfig", "enkf_step", "run_enkf", "run_enkf_vmfn"]
 
 
 @dataclass
@@ -36,7 +36,6 @@ class EnkfConfig:
     h: float = 1.0
     delta_target: float = 1.0
     max_iter: int = 100
-    proposal_kind: str = "gaussian"
     seed: int = 0
 
     def validate(self) -> None:
@@ -48,8 +47,6 @@ class EnkfConfig:
             raise ValueError("delta_target must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be non-negative")
-        if self.proposal_kind not in ("gaussian", "vmfn"):
-            raise ValueError("proposal_kind must be 'gaussian' or 'vmfn'")
 
 
 def enkf_step(ens: Ensemble, h: float, noise: np.ndarray, lsf) -> Ensemble:
@@ -85,8 +82,8 @@ class EnkfMover:
     batch = "apart"
     n_obs = 0
 
-    def __init__(self, config: EnkfConfig):
-        self.proposal = config.proposal_kind
+    def __init__(self, config: EnkfConfig, proposal: str):
+        self.proposal = proposal
         self.h = config.h
 
     def start(self, ens, root, lsf) -> int:
@@ -110,4 +107,9 @@ def run_enkf(problem: ProblemSpec, config: EnkfConfig) -> RunRecord:
     recorded final ensemble is the internal one (the particles hugging the
     failure surface), not the resampled batch used for estimation.
     """
-    return run_loop(problem, config, EnkfMover(config))
+    return run_loop(problem, config, EnkfMover(config, "gaussian"))
+
+
+def run_enkf_vmfn(problem: ProblemSpec, config: EnkfConfig) -> RunRecord:
+    """The same Kalman sweeps with a vMFN proposal for high dimensions."""
+    return run_loop(problem, config, EnkfMover(config, "vmfn"))

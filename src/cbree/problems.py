@@ -26,7 +26,6 @@ __all__ = [
     "oscillator_lsf",
     "kl_eigenpairs",
     "make_flowrate_lsf",
-    "counted",
     "get_problem",
     "list_problems",
 ]
@@ -90,11 +89,6 @@ class ProblemSpec:
     @property
     def evaluations(self) -> int:
         return self.lsf.evaluations
-
-
-def counted(fn) -> CountedLsf:
-    """Decorate an evaluator with the evaluation counter."""
-    return CountedLsf(fn)
 
 
 # --- linear hyperplane problem ------------------------------------------------
@@ -260,7 +254,12 @@ def make_flowrate_lsf(n_terms: int = 10, mesh_exponent: int = 6):
 PF_LINEAR = 0.5 * math.erfc(3.5 / math.sqrt(2.0))  # Phi(-3.5)
 
 
-def _build(name: str) -> ProblemSpec:
+def get_problem(name: str) -> ProblemSpec:
+    """Fresh problem instance (own evaluation counter) by registry name.
+
+    Names: ``linear`` (d = 2), ``linear-<d>`` for other dimensions,
+    ``convex``, ``oscillator``, ``flowrate``.
+    """
     m = re.fullmatch(r"linear(?:-(\d+))?", name)
     if m:
         d = int(m.group(1)) if m.group(1) else 2
@@ -269,17 +268,17 @@ def _build(name: str) -> ProblemSpec:
         return ProblemSpec(
             name=name,
             dim=d,
-            lsf=counted(lambda x: linear_lsf(x, 3.5)),
+            lsf=CountedLsf(lambda x: linear_lsf(x, 3.5)),
             pf_ref=PF_LINEAR,
             pf_ref_source="analytic",
         )
     if name == "convex":
-        return ProblemSpec(name=name, dim=2, lsf=counted(convex_lsf))
+        return ProblemSpec(name=name, dim=2, lsf=CountedLsf(convex_lsf))
     if name == "oscillator":
         return ProblemSpec(
             name=name,
             dim=6,
-            lsf=counted(oscillator_lsf),
+            lsf=CountedLsf(oscillator_lsf),
             pf_ref=6.43e-6,
             pf_ref_source="reported MC 1e9",
         )
@@ -288,26 +287,17 @@ def _build(name: str) -> ProblemSpec:
         return ProblemSpec(
             name=name,
             dim=10,
-            lsf=counted(lsf),
+            lsf=CountedLsf(lsf),
             pf_ref=3.026e-4,
             pf_ref_source="reported MC 1e7",
         )
     raise KeyError(f"unknown problem: {name!r}")
 
 
-def get_problem(name: str) -> ProblemSpec:
-    """Fresh problem instance (own evaluation counter) by registry name.
-
-    Names: ``linear`` (d = 2), ``linear-<d>`` for other dimensions,
-    ``convex``, ``oscillator``, ``flowrate``.
-    """
-    return _build(name)
-
-
 def list_problems() -> list[dict]:
     rows = []
     for name in ("linear", "linear-50", "convex", "oscillator", "flowrate"):
-        spec = _build(name)
+        spec = get_problem(name)
         rows.append(
             {
                 "name": name,

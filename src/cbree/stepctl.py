@@ -21,13 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cbs import CbsCoefficients, Ensemble, cbs_step, ensemble_coefficients
+from .cbs import CbsCoefficients, Ensemble, cbs_step, coefficients_from_log_weights
 from .numkit import RandomStream
+from .smoothing import log_target
 
 __all__ = [
     "StepControllerState",
     "pack_moments",
-    "unpack_moments",
+    "ensemble_coefficients",
     "moments_of_ensemble",
     "moments_rhs",
     "decay_rates",
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 _TAYLOR_CUT = 1e-5
+_SQUARE_CUT = 1e150  # z * z overflows not far above
 STEP_FACTOR_MIN = 0.2
 STEP_FACTOR_MAX = 5.0
 
@@ -50,11 +52,6 @@ def pack_moments(mean, cov) -> np.ndarray:
     return np.concatenate([mean, cov.reshape(-1)])
 
 
-def unpack_moments(theta, d: int):
-    theta = np.asarray(theta, dtype=float)
-    return theta[:d], theta[d:].reshape(d, d)
-
-
 def moment_dim(theta) -> int:
     """Recover the state dimension d from a moment vector of length d + d^2."""
     m = np.asarray(theta).shape[-1]
@@ -62,6 +59,18 @@ def moment_dim(theta) -> int:
     if d + d * d != m:
         raise ValueError(f"moment vector length {m} is not of the form d + d^2")
     return d
+
+
+def ensemble_coefficients(ens: Ensemble, s: float, beta: float) -> CbsCoefficients:
+    """Softmax-weighted mean and (1+beta)-scaled covariance of the ensemble.
+
+    All weight arithmetic happens in the log domain; in high dimensions the
+    input log-density alone spans hundreds of nats across the ensemble.
+    """
+    if beta < 0:
+        raise ValueError("beta must be non-negative")
+    lw = beta * log_target(np.asarray(ens.g_values, dtype=float), ens.points, s)
+    return coefficients_from_log_weights(ens.points, lw, beta)
 
 
 def moments_of_ensemble(ens: Ensemble) -> np.ndarray:
@@ -75,25 +84,10 @@ def moments_of_ensemble(ens: Ensemble) -> np.ndarray:
     return pack_moments(mean, cov)
 
 
-def moments_rhs(
-    ens: Ensemble,
-    s: float,
-    beta: float,
-    coeffs: CbsCoefficients | None = None,
-    theta: np.ndarray | None = None,
-) -> np.ndarray:
-    """Full right-hand side of the moment ODE at the ensemble's empirical law.
-
-    The coefficients are byproducts of the particle update, so passing the
-    cached ``coeffs`` (and ``theta``) makes this evaluation free.
-    """
-    if coeffs is None:
-        coeffs = ensemble_coefficients(ens, s, beta)
-    if theta is None:
-        theta = moments_of_ensemble(ens)
-    d = ens.dim
-    mean, cov = unpack_moments(theta, d)
-    return pack_moments(-mean + coeffs.m_beta, -2.0 * cov + 2.0 * coeffs.c_beta_sq)
+def moments_rhs(theta, coeffs: CbsCoefficients) -> np.ndarray:
+    """Full right-hand side ``(m_beta - E, 2 c_beta^2 - 2 C)`` of the moment
+    ODE at the moments ``theta`` of an ensemble with coefficients ``coeffs``."""
+    return stage_from_coefficients(coeffs) - decay_rates(moment_dim(theta)) * theta
 
 
 def stage_from_coefficients(coeffs: CbsCoefficients) -> np.ndarray:
@@ -116,8 +110,9 @@ def phi_scalar(z):
     z = np.asarray(z, dtype=float)
     small = np.abs(z) < _TAYLOR_CUT
     zs = np.where(small, 1.0, z)
+    zt = np.where(small, z, 0.0)
     exact = (1.0 - np.exp(-zs)) / zs
-    taylor = 1.0 - z / 2.0 + z * z / 6.0
+    taylor = 1.0 - zt / 2.0 + zt * zt / 6.0
     return np.where(small, taylor, exact)
 
 
@@ -126,13 +121,18 @@ def bhat_coefficients(z):
 
     ``b2(z) = 2 (exp(-z) + z - 1) / z^2`` and ``b1 = phi(z) - b2``; both sum
     to ``phi(z)`` (consistency) and tend to the classical midpoint weights
-    (0, 1) as ``z -> 0``.
+    (0, 1) as ``z -> 0``.  Where ``z^2`` would overflow, ``b2`` is formed
+    without the square.
     """
     z = np.asarray(z, dtype=float)
     small = np.abs(z) < _TAYLOR_CUT
     zs = np.where(small, 1.0, z)
-    exact = 2.0 * (np.exp(-zs) + zs - 1.0) / (zs * zs)
-    taylor = 1.0 - z / 3.0 + z * z / 12.0
+    zt = np.where(small, z, 0.0)
+    huge = np.abs(zs) > _SQUARE_CUT
+    zq = np.where(huge, 1.0, zs)
+    tail = (2.0 / zs) * ((np.exp(-zs) + zs - 1.0) / zs)
+    exact = np.where(huge, tail, 2.0 * (np.exp(-zq) + zq - 1.0) / (zq * zq))
+    taylor = 1.0 - zt / 3.0 + zt * zt / 12.0
     b2 = np.where(small, taylor, exact)
     b1 = phi_scalar(z) - b2
     return b1, b2
@@ -144,10 +144,10 @@ def weighted_error_norm(x, gamma) -> float:
     return float(np.sqrt(np.sum(x * x / gamma)))
 
 
-def error_weights(reference, eps_abs: float, eps_rel: float) -> np.ndarray:
-    """Diagonal tolerance weights ``m (eps_abs + eps_rel |ref_i|)``."""
+def error_weights(reference, eps: float) -> np.ndarray:
+    """Diagonal tolerance weights ``m (eps + eps |ref_i|)``."""
     ref = np.abs(np.asarray(reference, dtype=float))
-    return ref.shape[-1] * (eps_abs + eps_rel * ref)
+    return ref.shape[-1] * (eps + eps * ref)
 
 
 def local_error(
@@ -166,7 +166,7 @@ def local_error(
     stored nonlinear-part evaluations as its stage values (the exponential
     Euler half-step is exactly the midpoint stage), so no new evaluations are
     needed.  Both methods are exact on pure decay, giving a vanishing error
-    there.  Both tolerance parts equal ``eps_target``.
+    there.
     """
     theta_prev2 = np.asarray(theta_prev2, dtype=float)
     psi = np.asarray(theta_now, dtype=float)
@@ -176,7 +176,7 @@ def local_error(
     comparator = np.exp(-z) * theta_prev2 + hh * (
         b1 * np.asarray(stage_prev2, dtype=float) + b2 * np.asarray(stage_prev1, dtype=float)
     )
-    gamma = error_weights(np.maximum(np.abs(psi), np.abs(theta_prev2)), eps_target, eps_target)
+    gamma = error_weights(np.maximum(np.abs(psi), np.abs(theta_prev2)), eps_target)
     return weighted_error_norm(comparator - psi, gamma)
 
 
@@ -203,13 +203,13 @@ def initial_stepsize(
     drives a probe particle step whose moments give a forward-difference
     estimate of the right-hand side's derivative; the second guess solves
     ``h1^2 max(|g1 - g0|_G / h0, |g0|_G) = 1/100`` and the final value is
-    ``max(100 h0, h1)``.  Returns the stepsize, the probe ensemble and the
-    number of limit-state evaluations spent (one per particle).
+    ``max(100 h0, h1)``.  Returns the stepsize and the number of limit-state
+    evaluations spent (one per particle).
     """
     theta0 = moments_of_ensemble(ens0)
     coeffs0 = ensemble_coefficients(ens0, s1, beta1)
-    g0 = moments_rhs(ens0, s1, beta1, coeffs=coeffs0, theta=theta0)
-    gamma = error_weights(theta0, eps_target, eps_target)
+    g0 = moments_rhs(theta0, coeffs0)
+    gamma = error_weights(theta0, eps_target)
     norm_theta0 = weighted_error_norm(theta0, gamma)
     norm_g0 = weighted_error_norm(g0, gamma)
     if norm_g0 < 1e-14:
@@ -217,14 +217,14 @@ def initial_stepsize(
     else:
         h0 = 0.01 * norm_theta0 / norm_g0
     noise = stream.standard_normal(ens0.points.shape)
-    probe = cbs_step(ens0, s1, beta1, h0, noise, lsf, coeffs=coeffs0)
-    g1 = moments_rhs(probe, s1, beta1)
+    probe = cbs_step(ens0, coeffs0, h0, noise, lsf)
+    g1 = moments_rhs(moments_of_ensemble(probe), ensemble_coefficients(probe, s1, beta1))
     denom = max(weighted_error_norm(g1 - g0, gamma) / h0, norm_g0)
     if denom < 1e-14:
         h1 = 100.0 * h0
     else:
         h1 = np.sqrt(0.01 / denom)
-    return max(100.0 * h0, h1), probe, ens0.size
+    return max(100.0 * h0, h1), ens0.size
 
 
 @dataclass

@@ -7,13 +7,13 @@ from cbree.cbs import (
     Ensemble,
     cbs_step,
     coefficients_from_log_weights,
-    ensemble_coefficients,
     ess_from_log_weights,
     solve_beta,
     write_ensemble_csv,
 )
 from cbree.numkit import RandomStream
 from cbree.smoothing import log_target
+from cbree.stepctl import ensemble_coefficients
 
 
 def linear_g(x):
@@ -87,13 +87,14 @@ class TestCbsStep:
         # displacement is dominated by the sqrt(1 - alpha^2) ~ sqrt(2h) noise
         ens = make_ensemble(4, 60, 2)
         for h in (1e-6, 1e-10):
-            stepped = cbs_step(ens, 1.0, 1.0, h, noise_for(ens, 5), linear_g)
+            coeffs = ensemble_coefficients(ens, 1.0, 1.0)
+            stepped = cbs_step(ens, coeffs, h, noise_for(ens, 5), linear_g)
             assert np.max(np.abs(stepped.points - ens.points)) < 8.0 * math.sqrt(2.0 * h)
 
     def test_huge_h_draws_iid_at_coefficients(self):
         ens = make_ensemble(6, 100_000, 2)
         coeffs = ensemble_coefficients(ens, 0.5, 2.0)
-        stepped = cbs_step(ens, 0.5, 2.0, 1e3, noise_for(ens, 7), linear_g)
+        stepped = cbs_step(ens, coeffs, 1e3, noise_for(ens, 7), linear_g)
         assert np.max(np.abs(stepped.points.mean(axis=0) - coeffs.m_beta)) < 0.02
         centered = stepped.points - stepped.points.mean(axis=0)
         cov = centered.T @ centered / stepped.size
@@ -105,7 +106,7 @@ class TestCbsStep:
         h = 0.35
         alpha = math.exp(-h)
         coeffs = ensemble_coefficients(ens, 1.0, 1.5)
-        stepped = cbs_step(ens, 1.0, 1.5, h, noise_for(ens, 9), linear_g, coeffs=coeffs)
+        stepped = cbs_step(ens, coeffs, h, noise_for(ens, 9), linear_g)
         expected = alpha * ens.points.mean(axis=0) + (1.0 - alpha) * coeffs.m_beta
         noise_cov = (1.0 - alpha**2) * coeffs.c_beta_sq
         se = np.sqrt(np.diag(noise_cov) / ens.size)
@@ -118,25 +119,27 @@ class TestCbsStep:
             x = np.atleast_2d(x)
             return 3.5 - x.sum(axis=1) / math.sqrt(3.0)
 
-        stepped = cbs_step(Ensemble(ens.points, g3(ens.points)), 0.7, 1.0, 0.5, noise_for(ens, 11), g3)
+        ens3 = Ensemble(ens.points, g3(ens.points))
+        coeffs = ensemble_coefficients(ens3, 0.7, 1.0)
+        stepped = cbs_step(ens3, coeffs, 0.5, noise_for(ens, 11), g3)
         idx = RandomStream(12).gen.integers(0, 200, size=5)
         assert np.array_equal(stepped.g_values[idx], g3(stepped.points[idx]))
 
     def test_non_positive_h_rejected(self):
         with pytest.raises(ValueError):
             ens = make_ensemble()
-            cbs_step(ens, 1.0, 1.0, 0.0, noise_for(ens, 0), linear_g)
+            cbs_step(ens, ensemble_coefficients(ens, 1.0, 1.0), 0.0, noise_for(ens, 0), linear_g)
 
     def test_skip_refresh_leaves_cache_unset(self):
         ens = make_ensemble()
-        stepped = cbs_step(ens, 1.0, 1.0, 0.5, noise_for(ens, 0), None)
+        stepped = cbs_step(ens, ensemble_coefficients(ens, 1.0, 1.0), 0.5, noise_for(ens, 0), None)
         assert stepped.g_values is None
 
     @pytest.mark.parametrize("shape", [(50,), (49, 2), (50, 3), (2, 50)])
     def test_wrong_noise_shape_rejected(self, shape):
         ens = make_ensemble()
         with pytest.raises(ValueError, match="noise has shape"):
-            cbs_step(ens, 1.0, 1.0, 0.5, np.zeros(shape), linear_g)
+            cbs_step(ens, ensemble_coefficients(ens, 1.0, 1.0), 0.5, np.zeros(shape), linear_g)
 
 
 class TestEss:

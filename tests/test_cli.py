@@ -112,16 +112,22 @@ class TestCommands:
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "stale",
-        ["proposal_kind = vmfn", "clamp_steps = false"],
-        ids=["proposal_kind", "clamp_steps"],
+        "method, stale",
+        [
+            ("cbree", "proposal_kind = vmfn"),
+            ("cbree", "clamp_steps = false"),
+            ("cbree", "beta_cap = 1e6"),
+            ("enkf", "proposal_kind = vmfn"),
+        ],
+        ids=["proposal_kind", "clamp_steps", "beta_cap", "enkf-proposal_kind"],
     )
-    def test_run_proposal_kind_key_is_config_error(self, tmp_path, capsys, stale):
+    def test_run_proposal_kind_key_is_config_error(self, tmp_path, capsys, method, stale):
         # keys of removed settings (the method name alone picks the proposal;
-        # the stepsize clamps are fixed) must fail, not be silently ignored
+        # the stepsize clamps and the beta cap are fixed) must fail, not be
+        # silently ignored
         cfg = tmp_path / "stale.cfg"
         cfg.write_text(f"n_particles = 300\n{stale}\n")
-        code = main(["run", "--problem", "linear-4", "--method", "cbree", "--config", str(cfg)])
+        code = main(["run", "--problem", "linear-4", "--method", method, "--config", str(cfg)])
         assert code == EXIT_CONFIG
         assert stale.split()[0] in capsys.readouterr().err
 
@@ -195,6 +201,17 @@ class TestCommands:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x1,x2,g"
         assert len(lines) == 2001  # default ensemble size + header
+
+    def test_enkf_vmfn_run_and_export(self, tmp_path, capsys):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("n_particles = 300\nmax_iter = 3\n")
+        common = ["--problem", "linear-4", "--method", "enkf-vmfn", "--config", str(cfg)]
+        out = tmp_path / "result"
+        assert main(["run", *common, "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.with_suffix(".json").read_text())["proposal"]["type"] == "vmfn"
+        csv_path = tmp_path / "final.csv"
+        assert main(["export-ensemble", *common, "--out", str(csv_path)]) == EXIT_OK
+        assert len(csv_path.read_text().strip().splitlines()) == 301
 
     def test_console_entry_point(self):
         proc = subprocess.run(

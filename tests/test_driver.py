@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import cbree.driver
 from cbree.cbs import Ensemble
 from cbree.densities import gaussian_sample, make_gaussian
 from cbree.driver import (
@@ -16,7 +17,7 @@ from cbree.driver import (
 )
 from cbree.enkf import EnkfConfig, run_enkf
 from cbree.numkit import RandomStream
-from cbree.problems import ProblemSpec, counted, get_problem
+from cbree.problems import CountedLsf, ProblemSpec, get_problem
 from cbree.smoothing import empirical_cv
 
 
@@ -235,13 +236,35 @@ class TestNoiseWorker:
             g = 3.5 - x.sum(axis=1) / 2.0
             return np.full(len(x), np.nan) if len(calls) == 3 else g
 
-        problem = ProblemSpec(name="nan-on-third", dim=4, lsf=counted(nan_on_third_sweep))
+        problem = ProblemSpec(name="nan-on-third", dim=4, lsf=CountedLsf(nan_on_third_sweep))
         before = threading.active_count()
         # sweeps: initial ensemble, start-up probe, first particle step
         with pytest.raises(ValueError, match="non-finite"):
             run_cbree(problem, CbreeConfig(n_particles=300, seed=24))
         assert len(calls) == 3
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "runner, config",
+        [
+            (run_cbree, CbreeConfig(n_particles=300, delta_target=0.01, n_obs=0, max_iter=3, seed=25)),
+            (run_enkf, EnkfConfig(n_particles=300, delta_target=0.01, max_iter=3, seed=26)),
+        ],
+    )
+    def test_no_draw_for_the_step_max_iter_never_takes(self, monkeypatch, runner, config):
+        # steps are taken at iterations 0, 1, 2; the run stops at 3 without one
+        draws = []
+
+        class CountingStream(RandomStream):
+            def substream(self, *index):
+                if index[0] == 3:
+                    draws.append(index)
+                return super().substream(*index)
+
+        monkeypatch.setattr(cbree.driver, "RandomStream", CountingStream)
+        record = runner(get_problem("linear-4"), config)
+        assert record.termination == "max_iter"
+        assert draws == [(3, 0), (3, 1), (3, 2)]
 
     def test_runs_in_a_thread_pool_match_serial_runs(self):
         cells = [("linear", seed) for seed in (31, 32, 33)] + [("linear-4", 34)]

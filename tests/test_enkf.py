@@ -5,7 +5,7 @@ import pytest
 
 from cbree.bench import rep_seed
 from cbree.cbs import Ensemble
-from cbree.enkf import EnkfConfig, enkf_step, run_enkf
+from cbree.enkf import EnkfConfig, enkf_step, run_enkf, run_enkf_vmfn
 from cbree.numkit import RandomStream
 from cbree.problems import get_problem
 
@@ -98,6 +98,7 @@ class TestRunEnkf:
     def test_high_dimension_needs_heavy_tails(self):
         # the vMFN proposal reaches the weight-cv threshold in ~15 sweeps on
         # the d = 50 hyperplane while the Gaussian needs 30+ or stalls
+        runners = {"gaussian": run_enkf, "vmfn": run_enkf_vmfn}
         terms = {"gaussian": [], "vmfn": []}
         estimates = {"gaussian": [], "vmfn": []}
         for kind in terms:
@@ -107,11 +108,10 @@ class TestRunEnkf:
                     n_particles=4000,
                     h=1.0,
                     delta_target=2.1,
-                    proposal_kind=kind,
                     max_iter=25,
                     seed=rep_seed(52, rep),
                 )
-                record = run_enkf(problem, cfg)
+                record = runners[kind](problem, cfg)
                 terms[kind].append(record.termination)
                 estimates[kind].append(record.estimate)
         gauss_failed = np.mean([t == "max_iter" for t in terms["gaussian"]])
@@ -159,4 +159,4 @@ class TestRunEnkf:
         with pytest.raises(ValueError):
             EnkfConfig(n_particles=1).validate()
         with pytest.raises(ValueError):
-            run_enkf(get_problem("linear-1"), EnkfConfig(proposal_kind="vmfn"))
+            run_enkf_vmfn(get_problem("linear-1"), EnkfConfig())

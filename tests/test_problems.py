@@ -8,8 +8,8 @@ from cbree.problems import (
     GUARD_VALUE,
     OSCILLATOR_MEAN,
     OSCILLATOR_STD,
+    CountedLsf,
     convex_lsf,
-    counted,
     get_problem,
     kl_eigenpairs,
     linear_lsf,
@@ -207,18 +207,18 @@ class TestFlowrate:
 
 class TestCountedWrapper:
     def test_counts_calls(self):
-        lsf = counted(lambda x: np.atleast_2d(x).sum(axis=1))
+        lsf = CountedLsf(lambda x: np.atleast_2d(x).sum(axis=1))
         for _ in range(3):
             lsf(np.ones(2))
         assert lsf.evaluations == 3
 
     def test_counts_batch_rows(self):
-        lsf = counted(lambda x: np.atleast_2d(x).sum(axis=1))
+        lsf = CountedLsf(lambda x: np.atleast_2d(x).sum(axis=1))
         lsf(np.ones((7, 2)))
         assert lsf.evaluations == 7
 
     def test_scalar_call_returns_float(self):
-        lsf = counted(lambda x: np.atleast_2d(x).sum(axis=1))
+        lsf = CountedLsf(lambda x: np.atleast_2d(x).sum(axis=1))
         assert isinstance(lsf(np.ones(2)), float)
 
     @pytest.mark.parametrize(
@@ -232,15 +232,15 @@ class TestCountedWrapper:
     )
     def test_wrong_shape_raises(self, fn):
         with pytest.raises(ValueError, match="shape"):
-            counted(fn)(np.ones((3, 2)))
+            CountedLsf(fn)(np.ones((3, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_raises(self, bad):
-        lsf = counted(lambda x: np.where(np.arange(len(x)) == 1, bad, 1.0))
+        lsf = CountedLsf(lambda x: np.where(np.arange(len(x)) == 1, bad, 1.0))
         with pytest.raises(ValueError, match="non-finite"):
             lsf(np.ones((3, 2)))
         with pytest.raises(ValueError, match="non-finite"):
-            counted(lambda x: np.full(len(x), bad))(np.ones(2))
+            CountedLsf(lambda x: np.full(len(x), bad))(np.ones(2))
 
 
 class TestRegistry:

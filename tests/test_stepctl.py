@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from cbree.cbs import Ensemble, cbs_step, ensemble_coefficients
+from cbree.cbs import Ensemble, coefficients_from_log_weights
 from cbree.numkit import RandomStream
 from cbree.stepctl import (
     StepControllerState,
     bhat_coefficients,
     decay_rates,
+    ensemble_coefficients,
     error_weights,
     initial_stepsize,
     local_error,
@@ -18,7 +20,6 @@ from cbree.stepctl import (
     pack_moments,
     phi_scalar,
     stage_from_coefficients,
-    unpack_moments,
     weighted_error_norm,
 )
 
@@ -26,6 +27,11 @@ from cbree.stepctl import (
 def linear_g(x):
     x = np.atleast_2d(x)
     return 3.5 - x.sum(axis=1) / math.sqrt(x.shape[1])
+
+
+def split(theta, d):
+    """Mean block and covariance block of a packed moment vector."""
+    return theta[:d], theta[d:].reshape(d, d)
 
 
 class TestMoments:
@@ -36,7 +42,7 @@ class TestMoments:
     def test_repeated_point(self):
         ens = Ensemble(np.full((5, 2), 1.5), np.zeros(5))
         theta = moments_of_ensemble(ens)
-        mean, cov = unpack_moments(theta, 2)
+        mean, cov = split(theta, 2)
         assert np.allclose(mean, 1.5)
         assert np.allclose(cov, 0.0)
 
@@ -48,7 +54,7 @@ class TestMoments:
     def test_pack_round_trip(self):
         mean = np.array([1.0, -2.0, 0.5])
         cov = np.arange(9.0).reshape(3, 3)
-        m, c = unpack_moments(pack_moments(mean, cov), 3)
+        m, c = split(pack_moments(mean, cov), 3)
         assert np.array_equal(m, mean)
         assert np.array_equal(c, cov)
 
@@ -59,17 +65,15 @@ class TestMomentsRhs:
         # so both blocks of the full rhs cancel exactly
         pts = RandomStream(1).standard_normal((40, 2))
         ens = Ensemble(pts, linear_g(pts))
-        rhs = moments_rhs(ens, s=1.0, beta=0.0)
+        rhs = moments_rhs(moments_of_ensemble(ens), ensemble_coefficients(ens, s=1.0, beta=0.0))
         assert np.max(np.abs(rhs)) < 1e-12
 
     def test_1d_hand_case(self):
         # points {0, 2}, explicitly equal weights, beta = 1:
         # m = 1, c^2 = 2 -> rhs = (-1 + 1, -2*1 + 2*2) = (0, 2)
-        from cbree.cbs import coefficients_from_log_weights
-
         ens = Ensemble(np.array([[0.0], [2.0]]), np.zeros(2))
         coeffs = coefficients_from_log_weights(ens.points, np.zeros(2), beta=1.0)
-        rhs = moments_rhs(ens, s=5.0, beta=1.0, coeffs=coeffs)
+        rhs = moments_rhs(moments_of_ensemble(ens), coeffs)
         assert np.allclose(rhs, [0.0, 2.0])
 
     def test_stage_reads_coefficients(self):
@@ -77,7 +81,7 @@ class TestMomentsRhs:
         ens = Ensemble(pts, linear_g(pts))
         coeffs = ensemble_coefficients(ens, 0.5, 2.0)
         stage = stage_from_coefficients(coeffs)
-        mean, cov2 = unpack_moments(stage, 2)
+        mean, cov2 = split(stage, 2)
         assert np.allclose(mean, coeffs.m_beta)
         assert np.allclose(cov2, 2.0 * coeffs.c_beta_sq)
 
@@ -112,6 +116,16 @@ class TestScalarFunctions:
             direct_b2 = 2.0 * (math.exp(-z) + z - 1.0) / (z * z)
             _, b2 = bhat_coefficients(z)
             assert float(b2) == pytest.approx(direct_b2, abs=1e-12)
+
+    @pytest.mark.parametrize("z", [1e154, 1e200, 1e300, 1e308])
+    def test_huge_argument_stays_finite(self, z):
+        # z * z overflows here; b2 tends to 2 / z and b1 + b2 is still phi
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b1, b2 = bhat_coefficients(z)
+            phi = phi_scalar(z)
+        assert float(b2) == pytest.approx(2.0 / z, rel=1e-12, abs=0.0)
+        assert float(b1 + b2) == float(phi)
 
 
 def exp_euler_trajectory(theta0, stage_fn, h, steps, rates):
@@ -220,7 +234,7 @@ class TestExpEulerIdentity:
         alpha = math.exp(-h)
         coeffs = ensemble_coefficients(ens, 1.2, 2.5)
         theta = moments_of_ensemble(ens)
-        mean, cov = unpack_moments(theta, 2)
+        mean, cov = split(theta, 2)
         recursion = pack_moments(
             alpha * mean + (1.0 - alpha) * coeffs.m_beta,
             alpha**2 * cov + (1.0 - alpha**2) * coeffs.c_beta_sq,
@@ -232,12 +246,12 @@ class TestExpEulerIdentity:
 
 class TestInitialStepsize:
     def test_formula_transcription_oracle(self):
-        # re-derive h0, h1 and the probe from the raw formulas, sharing only
+        # re-derive h0, the probe and h1 from the raw formulas, sharing only
         # the seeded noise stream with the implementation
         J, d, s, beta, eps = 200, 2, 0.8, 1.7, 0.9
         pts = RandomStream(7).standard_normal((J, d))
         ens = Ensemble(pts, linear_g(pts))
-        got_h, got_probe, got_cost = initial_stepsize(
+        got_h, got_cost = initial_stepsize(
             ens, s, beta, eps, RandomStream(8), linear_g
         )
         assert got_cost == J
@@ -266,7 +280,6 @@ class TestInitialStepsize:
         noise = RandomStream(8).standard_normal((J, d))
         lower = np.linalg.cholesky(0.5 * (c2 + c2.T))
         probe_pts = alpha * pts + (1.0 - alpha) * m_beta + math.sqrt(1.0 - alpha**2) * noise @ lower.T
-        assert np.allclose(got_probe.points, probe_pts, atol=1e-12)
 
         g_probe = np.asarray(linear_g(probe_pts))
         logw1 = beta * (
@@ -289,7 +302,7 @@ class TestInitialStepsize:
         # beta = 0 makes the full rhs vanish identically -> guard path
         pts = RandomStream(9).standard_normal((100, 2))
         ens = Ensemble(pts, linear_g(pts))
-        h, probe, cost = initial_stepsize(ens, 0.0, 0.0, 1.0, RandomStream(10), linear_g)
+        h, cost = initial_stepsize(ens, 0.0, 0.0, 1.0, RandomStream(10), linear_g)
         assert math.isfinite(h)
         assert h >= 100.0 * 1e-6
         assert cost == 100
@@ -298,11 +311,11 @@ class TestInitialStepsize:
         for seed in range(4):
             pts = RandomStream(seed).standard_normal((150, 3))
             ens = Ensemble(pts, linear_g(pts))
-            h, _, _ = initial_stepsize(ens, 1.0, 1.5, 1.0, RandomStream(seed + 40), linear_g)
+            h, _ = initial_stepsize(ens, 1.0, 1.5, 1.0, RandomStream(seed + 40), linear_g)
             # reconstruct h0 from the formulas to bound the max rule
             theta0 = moments_of_ensemble(ens)
-            g0 = moments_rhs(ens, 1.0, 1.5, theta=theta0)
-            gamma = error_weights(theta0, 1.0, 1.0)
+            g0 = moments_rhs(theta0, ensemble_coefficients(ens, 1.0, 1.5))
+            gamma = error_weights(theta0, 1.0)
             h0 = 0.01 * weighted_error_norm(theta0, gamma) / weighted_error_norm(g0, gamma)
             assert h >= 100.0 * h0 - 1e-12
 
