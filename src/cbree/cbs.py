@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import factor_spd, log_sum_exp, spd_jitter, weighted_moments
+from .numkit import bisect, factor_spd, log_sum_exp, spd_jitter, weighted_moments
 
 __all__ = [
     "Ensemble",
@@ -119,18 +119,10 @@ def solve_beta(log_target_values, target: float) -> tuple[float, bool]:
         lo, hi = hi, min(2.0 * hi, BETA_CAP)
     if hi >= BETA_CAP and ess_from_log_weights(lw, BETA_CAP) > target:
         return BETA_CAP, True
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = ess_from_log_weights(lw, mid)
-        if abs(val - target) <= 0.01:
-            return mid, False
-        if val > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-10 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi), False
+    beta = bisect(
+        lambda b: target - ess_from_log_weights(lw, b), lo, hi, 1e-10 * max(1.0, hi), 0.01
+    )
+    return beta, False
 
 
 def write_ensemble_csv(ens: Ensemble, path) -> None:

@@ -81,8 +81,9 @@ class CbreeConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n_particles < 2:
-            raise ValueError("n_particles must be at least 2")
+        if self.n_particles < 3:
+            # the ESS target J/2 must lie strictly between 1 and J
+            raise ValueError("n_particles must be at least 3")
         if self.delta_target <= 0 or self.eps_target <= 0 or self.lip_s <= 0:
             raise ValueError("delta_target, eps_target and lip_s must be positive")
         if self.n_obs != 0 and self.n_obs < 2:
@@ -175,22 +176,15 @@ def divergence_check(cv_history, n_obs: int) -> bool:
     """Positive least-squares slope of the CV over the last ``n_obs`` values.
 
     Infinite CV entries carry no information (no or one-point failure mass),
-    so the check is suppressed until a finite CV has been observed and
-    whenever the newest entry is non-finite; remaining infinite entries
-    inside the window are replaced by ten times the largest finite CV seen
-    so far, which keeps the slope fit well defined.
+    so a window holding any non-finite entry never signals divergence.
     """
     if n_obs < 2:
         raise ValueError("n_obs must be at least 2 for the divergence check")
     hist = np.asarray(cv_history, dtype=float)
     if hist.size < n_obs:
         return False
-    finite = hist[np.isfinite(hist)]
-    if finite.size == 0 or not np.isfinite(hist[-1]):
-        return False
-    window = hist[-n_obs:].copy()
-    window[~np.isfinite(window)] = 10.0 * finite.max()
-    return ls_slope(window) > 0.0
+    window = hist[-n_obs:]
+    return bool(np.all(np.isfinite(window))) and ls_slope(window) > 0.0
 
 
 def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:

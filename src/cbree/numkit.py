@@ -16,7 +16,7 @@ __all__ = [
     "weighted_moments",
     "factor_spd",
     "spd_jitter",
-    "solve_scalar_root",
+    "bisect",
     "minimize_scalar_bounded",
     "ls_slope",
 ]
@@ -157,30 +157,24 @@ def factor_spd(m, jitter: float) -> np.ndarray:
         return lower * signs
 
 
-def solve_scalar_root(f, bracket, tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Bisection root of a continuous scalar function on a sign-changing bracket.
+def bisect(f, lo: float, hi: float, xtol: float, ftol: float = 0.0) -> float:
+    """Bisection for a crossing of a continuous scalar function.
 
-    Stops once ``|f(x)| <= tol`` or the bracket width falls below ``tol``.
+    The caller guarantees ``f(lo) < 0 <= f(hi)``; the endpoints themselves
+    are never evaluated.  Returns the first midpoint with ``|f| <= ftol``,
+    or the bracket midpoint once ``hi - lo <= xtol`` (or after 200 halvings).
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if lo > hi:
-        raise ValueError("bracket invalid: lo > hi")
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError("bracket invalid: no sign change")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if abs(fm) <= tol or (hi - lo) <= tol:
+        if abs(fm) <= ftol:
             return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
+        if fm < 0.0:
+            lo = mid
         else:
             hi = mid
+        if hi - lo <= xtol:
+            break
     return 0.5 * (lo + hi)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import solve_scalar_root
+from .numkit import bisect
 
 __all__ = [
     "CountedLsf",
@@ -201,7 +201,9 @@ def kl_eigenpairs(
             f = lambda w: c * math.sin(0.5 * w) + w * math.cos(0.5 * w)
             lo, hi = (2.0 * k + 1.0) * math.pi, (2.0 * k + 2.0) * math.pi
             cosine[i] = False
-        freqs[i] = solve_scalar_root(f, (lo + 1e-12, hi - 1e-12), tol=1e-13)
+        lo, hi = lo + 1e-12, hi - 1e-12
+        sign = -1.0 if f(lo) > 0 else 1.0
+        freqs[i] = bisect(lambda w: sign * f(w), lo, hi, 1e-13, 1e-13)
     lams = 2.0 * c * variance / (freqs**2 + c**2)
     fld = KlField(
         mean_level=mean_level,
@@ -257,14 +259,12 @@ PF_LINEAR = 0.5 * math.erfc(3.5 / math.sqrt(2.0))  # Phi(-3.5)
 def get_problem(name: str) -> ProblemSpec:
     """Fresh problem instance (own evaluation counter) by registry name.
 
-    Names: ``linear`` (d = 2), ``linear-<d>`` for other dimensions,
+    Names: ``linear`` (d = 2), ``linear-<d>`` for ``d >= 1``,
     ``convex``, ``oscillator``, ``flowrate``.
     """
-    m = re.fullmatch(r"linear(?:-(\d+))?", name)
+    m = re.fullmatch(r"linear(?:-([1-9]\d*))?", name)
     if m:
         d = int(m.group(1)) if m.group(1) else 2
-        if d < 1:
-            raise ValueError("linear problem needs dimension >= 1")
         return ProblemSpec(
             name=name,
             dim=d,

@@ -105,6 +105,18 @@ class TestCommands:
     def test_run_unknown_problem_is_config_error(self, capsys):
         assert main(["run", "--problem", "nope", "--method", "mc"]) == EXIT_CONFIG
 
+    def test_run_zero_dimensional_linear_is_config_error(self, capsys):
+        assert main(["run", "--problem", "linear-0", "--method", "mc"]) == EXIT_CONFIG
+        assert "unknown problem" in capsys.readouterr().err
+
+    def test_run_two_particle_cbree_is_config_error(self, tmp_path, capsys):
+        # the ESS target J/2 = 1 is unreachable, so J = 2 is a config error
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("n_particles = 2\n")
+        code = main(["run", "--problem", "linear", "--method", "cbree", "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+        assert "n_particles" in capsys.readouterr().err
+
     def test_run_unknown_key_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("wrong_key = 3\n")

@@ -90,10 +90,9 @@ class TestChecks:
         assert not divergence_check([1.0, math.inf], 2)
 
     def test_divergence_sentinel_on_older_entries(self):
-        # window (inf -> sentinel, finite): large drop, never a positive slope
+        # a window holding an infinite older entry never signals divergence
         assert not divergence_check([math.inf, 5.0], 2)
-        # three-point window with a replaced middle entry can still fire
-        assert divergence_check([1.0, math.inf, 20.0], 3)
+        assert not divergence_check([1.0, math.inf, 20.0], 3)
 
     def test_divergence_needs_two(self):
         with pytest.raises(ValueError):

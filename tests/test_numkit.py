@@ -3,11 +3,11 @@ import pytest
 
 from cbree.numkit import (
     RandomStream,
+    bisect,
     factor_spd,
     log_sum_exp,
     ls_slope,
     minimize_scalar_bounded,
-    solve_scalar_root,
     weighted_moments,
 )
 
@@ -119,15 +119,39 @@ class TestFactorSpd:
 
 class TestScalarSolvers:
     def test_linear_root(self):
-        assert solve_scalar_root(lambda x: x - 1.0, (0.0, 2.0), 1e-12) == pytest.approx(1.0)
+        assert bisect(lambda x: x - 1.0, 0.0, 3.0, 1e-12) == pytest.approx(1.0, abs=1e-12)
 
     def test_sqrt2(self):
-        root = solve_scalar_root(lambda x: x * x - 2.0, (0.0, 2.0), 1e-10)
-        assert root == pytest.approx(np.sqrt(2.0), abs=1e-9)
+        root = bisect(lambda x: x * x - 2.0, 0.0, 2.0, 1e-10)
+        assert root == pytest.approx(np.sqrt(2.0), abs=1e-10)
 
-    def test_no_sign_change(self):
-        with pytest.raises(ValueError, match="bracket"):
-            solve_scalar_root(lambda x: 1.0, (0.0, 1.0), 1e-10)
+    def test_ftol_early_exit(self):
+        # the first midpoint 1.5 is already within ftol of the root 1.6
+        assert bisect(lambda x: x - 1.6, 0.0, 3.0, 1e-12, ftol=0.2) == 1.5
+
+    def test_stops_on_width(self):
+        # a jump at 0.3 never reaches |f| <= ftol; the returned midpoint
+        # lies within half the final width of it
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return -1.0 if x < 0.3 else 1.0
+
+        root = bisect(step, 0.0, 1.0, 1e-3, ftol=0.5)
+        assert abs(root - 0.3) <= 0.5e-3
+        assert len(calls) == 10  # 2**-10 is the first width <= 1e-3
+
+    def test_endpoints_never_evaluated(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x - 0.7
+
+        bisect(f, 0.0, 1.0, 1e-6)
+        assert len(seen) == 20  # 2**-20 is the first width <= 1e-6
+        assert all(0.0 < x < 1.0 for x in seen)
 
     def test_quadratic_minimum(self):
         x = minimize_scalar_bounded(lambda t: (t - 0.3) ** 2, (0.0, 1.0), 1e-6)
