@@ -1,7 +1,8 @@
 """Small numerical kernel shared by all other modules.
 
-Stabilized log-domain weight arithmetic, robust SPD factorization, scalar
-solvers and the seeded random-stream contract.  All functions are pure;
+Stabilized log-domain weight arithmetic, robust SPD factorization, the one
+scalar solver (:func:`bisect`, used by the beta, smoothing and KL frequency
+solves) and the seeded random-stream contract.  All functions are pure;
 :class:`RandomStream` is the only stateful object and is single-owner by
 convention.
 """
@@ -17,11 +18,8 @@ __all__ = [
     "factor_spd",
     "spd_jitter",
     "bisect",
-    "minimize_scalar_bounded",
     "ls_slope",
 ]
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class RandomStream:
@@ -176,49 +174,6 @@ def bisect(f, lo: float, hi: float, xtol: float, ftol: float = 0.0) -> float:
         if hi - lo <= xtol:
             break
     return 0.5 * (lo + hi)
-
-
-def minimize_scalar_bounded(f, bounds, tol: float = 1e-6, max_iter: int = 100) -> float:
-    """Golden-section minimizer on a closed interval, ties resolved upward.
-
-    Returns the best evaluated point; when several evaluations tie (flat
-    objective) the largest abscissa wins, so a constant function yields the
-    upper bound.
-    """
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if lo > hi:
-        raise ValueError("invalid interval: lo > hi")
-
-    best_x, best_f = hi, f(hi)
-
-    def consider(x, fx):
-        nonlocal best_x, best_f
-        if fx < best_f or (fx == best_f and x > best_x):
-            best_x, best_f = x, fx
-
-    consider(lo, f(lo))
-    if hi - lo <= tol:
-        return best_x
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    consider(c, fc)
-    consider(d, fd)
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = f(c)
-            consider(c, fc)
-        else:
-            # ties land here, pushing the bracket toward the upper bound
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = f(d)
-            consider(d, fd)
-    return best_x
 
 
 def ls_slope(values) -> float:

@@ -5,7 +5,7 @@ logistic function ``I(g, s) = 0.5 (1 - s g / sqrt(s^2 g^2 + 1))`` which tends
 to the sharp indicator pointwise as the smoothing parameter ``s`` grows.  The
 update takes the largest increment the per-step cap allows while the
 coefficient of variation of successive indicator ratios stays within a user
-target, and otherwise drives that coefficient to the target.
+target, and otherwise bisects for the level where it meets the target.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import std_normal_logpdf
-from .numkit import minimize_scalar_bounded
+from .numkit import bisect
 
 __all__ = [
     "SmoothingState",
@@ -82,8 +82,7 @@ def empirical_cv(weights) -> float:
     if mean <= 0.0 or int(np.count_nonzero(w > 0.0)) < 2:
         return float("inf")
     if w.max() == w.min():
-        # exactly constant weights: report 0 rather than rounding noise so
-        # flat objectives stay flat for the tie rule downstream
+        # exactly constant weights: report 0 rather than rounding noise
         return 0.0
     sd = float(np.sqrt(np.mean((w - mean) ** 2)))
     return sd / mean
@@ -97,11 +96,10 @@ def update_smoothing(g_values, state: SmoothingState, h: float) -> float:
     in the ratio and the CV is scale invariant, so no normalization
     constants enter.  The largest allowed step ``hi = s + lip_s * h`` is
     tried first and returned whenever ``cv(q) <= delta_target`` there.
-    Otherwise the level minimizes ``(cv(q) - delta_target)^2`` by
-    golden-section search on the interval to the tolerance
-    ``1e-6 * max(1, s)``, which stays above the spacing of floats near ``s``
-    at any level; flat objectives (e.g. all ``g_j`` equal) resolve to the
-    upper bound, which guarantees progress.
+    Otherwise ``cv(q)`` is 0 at ``s`` (every ratio is 1) and above the
+    target at ``hi``, and bisection finds a level where it crosses the
+    target, to the tolerance ``1e-6 * max(1, s)``, which stays above the
+    spacing of floats near ``s`` at any level.
     """
     g = np.asarray(g_values, dtype=float)
     s0 = state.s
@@ -113,6 +111,4 @@ def update_smoothing(g_values, state: SmoothingState, h: float) -> float:
 
     if cv_at(hi) <= state.delta_target:
         return hi
-    return minimize_scalar_bounded(
-        lambda s: (cv_at(s) - state.delta_target) ** 2, (s0, hi), tol=1e-6 * max(1.0, s0)
-    )
+    return bisect(lambda s: cv_at(s) - state.delta_target, s0, hi, 1e-6 * max(1.0, s0))

@@ -11,7 +11,7 @@ from cbree.cbs import (
     solve_beta,
     write_ensemble_csv,
 )
-from cbree.numkit import RandomStream
+from cbree.numkit import RandomStream, bisect
 from cbree.smoothing import log_target
 from cbree.stepctl import ensemble_coefficients
 
@@ -184,21 +184,14 @@ class TestSolveBeta:
 
     def test_hand_quadratic_case(self):
         # ESS(beta) = 2 with weights (1,1,1,10)^beta: 10^beta = 3 + 2 sqrt(3)
-        pts = np.zeros((4, 1))
-        g = np.zeros(4)
         lw = np.array([0.0, 0.0, 0.0, math.log(10.0)])
-        # synthesize via log-target: use g values whose log-target reproduces lw
-        # simpler: call the log-weight form through ess and bisect manually
         expected = math.log10(3.0 + 2.0 * math.sqrt(3.0))
-        lo, hi = 0.0, 4.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if ess_from_log_weights(lw, mid) > 2.0:
-                lo = mid
-            else:
-                hi = mid
-        assert 0.5 * (lo + hi) == pytest.approx(expected, abs=1e-9)
+        root = bisect(lambda b: 2.0 - ess_from_log_weights(lw, b), 0.0, 4.0, 1e-12)
+        assert root == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(0.8105082, abs=1e-6)
+        beta, capped = solve_beta(lw, 2.0)
+        assert not capped
+        assert abs(ess_from_log_weights(lw, beta) - 2.0) <= 0.01
 
     def test_self_consistency_on_random_ensembles(self):
         for seed in range(5):

@@ -7,7 +7,6 @@ from cbree.numkit import (
     factor_spd,
     log_sum_exp,
     ls_slope,
-    minimize_scalar_bounded,
     weighted_moments,
 )
 
@@ -152,20 +151,6 @@ class TestScalarSolvers:
         bisect(f, 0.0, 1.0, 1e-6)
         assert len(seen) == 20  # 2**-20 is the first width <= 1e-6
         assert all(0.0 < x < 1.0 for x in seen)
-
-    def test_quadratic_minimum(self):
-        x = minimize_scalar_bounded(lambda t: (t - 0.3) ** 2, (0.0, 1.0), 1e-6)
-        assert x == pytest.approx(0.3, abs=1e-5)
-
-    def test_flat_tie_goes_up(self):
-        assert minimize_scalar_bounded(lambda t: 1.0, (0.0, 1.0), 1e-6) == 1.0
-
-    def test_boundary_minimum(self):
-        assert minimize_scalar_bounded(lambda t: (t - 2.0) ** 2, (0.0, 1.0), 1e-6) == 1.0
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            minimize_scalar_bounded(lambda t: t, (1.0, 0.0), 1e-6)
 
 
 class TestLsSlope:

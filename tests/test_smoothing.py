@@ -7,7 +7,7 @@ import cbree.driver
 import cbree.smoothing
 from cbree.densities import std_normal_logpdf
 from cbree.driver import CbreeConfig, run_cbree
-from cbree.numkit import RandomStream, minimize_scalar_bounded
+from cbree.numkit import RandomStream, bisect
 from cbree.problems import get_problem
 from cbree.smoothing import (
     SmoothingState,
@@ -182,11 +182,12 @@ def ratio_cv(g, s0, s):
 
 
 def search_only(g, state, h):
-    """The golden-section search over the whole interval, without the cap test."""
-    return minimize_scalar_bounded(
-        lambda s: (ratio_cv(g, state.s, s) - state.delta_target) ** 2,
-        (state.s, state.s + state.lip_s * h),
-        tol=1e-6 * max(1.0, state.s),
+    """The bisection over the whole interval, without the cap test."""
+    return bisect(
+        lambda s: ratio_cv(g, state.s, s) - state.delta_target,
+        state.s,
+        state.s + state.lip_s * h,
+        1e-6 * max(1.0, state.s),
     )
 
 
@@ -207,13 +208,20 @@ def captured_updates(monkeypatch, problem, **config):
 class TestCapFirstRule:
     def test_non_unimodal_case_takes_the_cap(self):
         # both particles fail, so both ratios tend to 2 as s grows: cv(q)
-        # rises from 0 and falls again, and the search alone stops at the
-        # interior peak, the point of the interval closest to delta
+        # rises from 0 and falls again, staying below delta throughout
         g = np.array([-4.0, -1.0])
         state = SmoothingState(s=0.0, lip_s=1.0, delta_target=4.0)
         assert update_smoothing(g, state, 1.0) == 1.0
         assert ratio_cv(g, 0.0, 1.0) <= 4.0
-        assert 0.2 < search_only(g, state, 1.0) < 0.35
+
+    def test_non_monotone_search_meets_delta(self):
+        # cv(q) crosses delta near s = 0.157, rises above it and falls back
+        # toward it before the cap at 8.5; a minimizer of (cv - delta)^2
+        # that assumes one minimum stops at s = 1.074 with cv 4 % too high
+        g = np.array([-0.709, -6.442, -6.183, -7.945, -0.584, -3.374, 0.152])
+        state = SmoothingState(s=0.0, lip_s=1.0, delta_target=0.2238)
+        s_next = update_smoothing(g, state, 8.5)
+        assert abs(ratio_cv(g, 0.0, s_next) - state.delta_target) <= 1e-6
 
     @pytest.mark.parametrize(
         "problem,config",
@@ -233,14 +241,17 @@ class TestCapFirstRule:
         capped = 0
         for g, state, h in calls:
             hi = state.s + state.lip_s * h
-            capped += ratio_cv(g, state.s, hi) <= state.delta_target
-            assert update_smoothing(g, state, h) == search_only(g, state, h)
+            if ratio_cv(g, state.s, hi) <= state.delta_target:
+                capped += 1
+                assert update_smoothing(g, state, h) == hi
+            else:
+                assert update_smoothing(g, state, h) == search_only(g, state, h)
         assert capped > 0
 
     def test_search_at_large_s_meets_its_tolerance(self, monkeypatch):
         # near s = 1e12 floats are spaced wider than 1e-6, so only a
-        # tolerance relative to s lets the search stop inside its
-        # 100-iteration budget (about 35 indicator evaluations here)
+        # tolerance relative to s lets the bisection stop before its
+        # 200-halving limit (about 22 indicator evaluations here)
         g = RandomStream(3).standard_normal(1000)
         state = SmoothingState(s=1e12, lip_s=1.0, delta_target=0.1)
         calls = [0]
