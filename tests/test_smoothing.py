@@ -215,9 +215,10 @@ class TestCapFirstRule:
         assert ratio_cv(g, 0.0, 1.0) <= 4.0
 
     def test_non_monotone_search_meets_delta(self):
-        # cv(q) crosses delta near s = 0.157, rises above it and falls back
-        # toward it before the cap at 8.5; a minimizer of (cv - delta)^2
-        # that assumes one minimum stops at s = 1.074 with cv 4 % too high
+        # cv(q) crosses delta near s = 0.157, peaks near 0.3, dips to
+        # delta + 9.3e-3 near 1.07 and rises again to the cap at 8.5; a
+        # minimizer of (cv - delta)^2 that assumes one minimum stops in
+        # that dip with a CV 4 % over the target
         g = np.array([-0.709, -6.442, -6.183, -7.945, -0.584, -3.374, 0.152])
         state = SmoothingState(s=0.0, lip_s=1.0, delta_target=0.2238)
         s_next = update_smoothing(g, state, 8.5)
