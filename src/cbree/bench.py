@@ -178,8 +178,9 @@ def run_benchmark(
         raise KeyError(f"unknown method: {method!r}")
     problem = get_problem(problem_name)  # validates the name eagerly
     work = [(method, problem_name, config, master_seed, rep) for rep in range(reps)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, reps)  # the pool starts every worker up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_one_rep, work))
     else:
         outcomes = [_one_rep(w) for w in work]

@@ -133,6 +133,8 @@ def _cmd_bench(args) -> int:
         reps = args.reps
     if reps < 1:
         raise ConfigError(f"reps must be at least 1, got {reps}")
+    if args.jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {args.jobs}")
     config = build_config(method, entries)
     result, rows = run_benchmark(
         method, problem, config, reps=reps, master_seed=master_seed, jobs=args.jobs

@@ -32,6 +32,7 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+FIT_JITTER = 1e-10
 KAPPA_CAP = 1e8
 NAKAGAMI_SHAPE_MIN = 0.5
 NAKAGAMI_SHAPE_MAX = 1e6
@@ -74,11 +75,11 @@ def make_gaussian(mean, covariance, jitter: float = 0.0) -> GaussianModel:
     return GaussianModel(mean=mean, covariance=cov, factor=factor, log_det=log_det)
 
 
-def gaussian_fit(sample, jitter: float = 1e-10) -> GaussianModel:
+def gaussian_fit(sample) -> GaussianModel:
     """Fit mean and population covariance (divisor J) to a sample.
 
     Degenerate spreads are handled by the factorization: a fully collapsed
-    sample yields the effective covariance ``jitter * I``.
+    sample yields the effective covariance ``FIT_JITTER * I``.
     """
     x = np.asarray(sample, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -86,18 +87,15 @@ def gaussian_fit(sample, jitter: float = 1e-10) -> GaussianModel:
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / x.shape[0]
-    return make_gaussian(mean, cov, jitter)
+    return make_gaussian(mean, cov, FIT_JITTER)
 
 
-def gaussian_logpdf(model: GaussianModel, x):
-    """Log-density via two triangular solves on the cached factor."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    z = solve_triangular(model.factor, (pts - model.mean).T, lower=True)
+def gaussian_logpdf(model: GaussianModel, x) -> np.ndarray:
+    """Log-density at the rows of ``x`` ``(n, d)``, via a triangular solve on
+    the cached factor; returns ``(n,)``."""
+    z = solve_triangular(model.factor, (np.asarray(x, dtype=float) - model.mean).T, lower=True)
     quad = np.sum(z * z, axis=0)
-    out = -0.5 * (model.dim * _LOG_2PI + model.log_det + quad)
-    return float(out[0]) if single else out
+    return -0.5 * (model.dim * _LOG_2PI + model.log_det + quad)
 
 
 def gaussian_sample(model: GaussianModel, stream: RandomStream, n: int) -> np.ndarray:
@@ -203,11 +201,10 @@ def _log_vmf_normalizer(d: int, kappa: float) -> float:
     return nu * math.log(kappa) - 0.5 * d * _LOG_2PI - log_iv
 
 
-def vmfn_logpdf(model: VmfnModel, x):
-    """Log-density on R^d; undefined at the origin."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
+def vmfn_logpdf(model: VmfnModel, x) -> np.ndarray:
+    """Log-density on R^d at the rows of ``x`` ``(n, d)``; returns ``(n,)``.
+    Undefined at the origin."""
+    pts = np.asarray(x, dtype=float)
     d = model.dim
     r = np.linalg.norm(pts, axis=1)
     if np.any(r == 0.0):
@@ -223,8 +220,7 @@ def vmfn_logpdf(model: VmfnModel, x):
         + (2.0 * m - 1.0) * np.log(r)
         - m * r * r / om
     )
-    out = log_dir + log_rad - (d - 1.0) * np.log(r)
-    return float(out[0]) if single else out
+    return log_dir + log_rad - (d - 1.0) * np.log(r)
 
 
 def _sample_vmf_directions(mu, kappa: float, stream: RandomStream, n: int) -> np.ndarray:

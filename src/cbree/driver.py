@@ -16,7 +16,7 @@ import csv
 import json
 import math
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .cbs import (
 from .densities import gaussian_fit, gaussian_sample, std_normal_logpdf, vmfn_fit, vmfn_sample
 from .numkit import RandomStream, ls_slope
 from .problems import ProblemSpec
-from .smoothing import SmoothingState, empirical_cv, log_target, update_smoothing
+from .smoothing import empirical_cv, log_target, update_smoothing
 from .stepctl import (
     StepControllerState,
     initial_stepsize,
@@ -50,20 +50,6 @@ __all__ = [
     "run_cbree_vmfn",
 ]
 
-TRACE_COLUMNS = (
-    "iter",
-    "s",
-    "beta",
-    "beta_capped",
-    "h",
-    "err",
-    "cv",
-    "pf_estimate",
-    "ess",
-    "cost_cum",
-)
-
-
 @dataclass
 class CbreeConfig:
     """All tunables of one run.
@@ -76,7 +62,6 @@ class CbreeConfig:
     delta_target: float = 1.0
     eps_target: float = 1.0
     n_obs: int = 2
-    lip_s: float = 1.0
     max_iter: int = 100
     seed: int = 0
 
@@ -84,8 +69,8 @@ class CbreeConfig:
         if self.n_particles < 3:
             # the ESS target J/2 must lie strictly between 1 and J
             raise ValueError("n_particles must be at least 3")
-        if self.delta_target <= 0 or self.eps_target <= 0 or self.lip_s <= 0:
-            raise ValueError("delta_target, eps_target and lip_s must be positive")
+        if self.delta_target <= 0 or self.eps_target <= 0:
+            raise ValueError("delta_target and eps_target must be positive")
         if self.n_obs != 0 and self.n_obs < 2:
             raise ValueError("n_obs must be 0 (disabled) or >= 2")
         if self.max_iter < 0:
@@ -108,6 +93,9 @@ class IterationRecord:
     pf_estimate: float
     ess: float = math.nan
     cost_cum: int
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(IterationRecord))
 
 
 @dataclass
@@ -242,8 +230,6 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
         ens = Ensemble(points=points, g_values=np.asarray(lsf(points), dtype=float))
         cost = J + mover.start(ens, root, lsf)
         step_lsf = None if mover.batch == "replace" else lsf
-        cv_history: list[float] = []
-        pf_history: list[float] = []
         trace: list[IterationRecord] = []
 
         n = 0
@@ -260,16 +246,17 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
 
             pf, weights = is_estimate(sample, model)
             cv = empirical_cv(weights)
-            cv_history.append(cv)
-            pf_history.append(pf)
             row = IterationRecord(iter=n, cv=cv, pf_estimate=pf, cost_cum=cost, **mover.trace_fields())
             trace.append(row)
 
             termination, estimate = None, pf
             if cv <= config.delta_target:
                 termination = "converged"
-            elif mover.n_obs > 0 and n >= mover.n_obs and divergence_check(cv_history, mover.n_obs):
-                termination, estimate = "diverged", float(np.mean(pf_history[-mover.n_obs :]))
+            elif mover.n_obs > 0 and n >= mover.n_obs and divergence_check(
+                [r.cv for r in trace[-mover.n_obs :]], mover.n_obs
+            ):
+                termination = "diverged"
+                estimate = float(np.mean([r.pf_estimate for r in trace[-mover.n_obs :]]))
             elif n >= config.max_iter:
                 termination = "max_iter"
             if termination is not None:
@@ -340,8 +327,7 @@ class CbreeMover:
         else:
             theta_now = pack_moments(model.mean, model.covariance)
         h_next, err = self.ctrl.propose(theta_now, n)
-        state = SmoothingState(s=self.s, lip_s=cfg.lip_s, delta_target=cfg.delta_target)
-        s_next = update_smoothing(ens.g_values, state, h_next)
+        s_next = update_smoothing(ens.g_values, self.s, h_next, cfg.delta_target)
         log_w = log_target(ens.g_values, ens.points, s_next)
         beta, beta_capped = solve_beta(log_w, self.ess_target)
         coeffs = coefficients_from_log_weights(ens.points, beta * log_w, beta)

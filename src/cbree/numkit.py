@@ -95,8 +95,6 @@ def weighted_moments(points, log_weights):
         sum to one, no small-sample correction).
     """
     x = np.asarray(points, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
     lw = np.asarray(log_weights, dtype=float)
     if x.shape[0] != lw.shape[0] or x.shape[0] < 1:
         raise ValueError("points and log_weights must share a leading dimension >= 1")

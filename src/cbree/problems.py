@@ -93,10 +93,14 @@ class ProblemSpec:
 
 # --- linear hyperplane problem ------------------------------------------------
 
-def linear_lsf(x, c: float = 3.5):
-    """``c - sum(x) / sqrt(d)``; exact failure probability Phi(-c) in any d."""
+LINEAR_THRESHOLD = 3.5
+
+
+def linear_lsf(x):
+    """``LINEAR_THRESHOLD - sum(x) / sqrt(d)``; exact failure probability
+    ``Phi(-LINEAR_THRESHOLD)`` in any d."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    return c - x.sum(axis=1) / math.sqrt(x.shape[1])
+    return LINEAR_THRESHOLD - x.sum(axis=1) / math.sqrt(x.shape[1])
 
 
 def convex_lsf(x):
@@ -135,21 +139,23 @@ def oscillator_lsf(u):
 
 # --- lognormal diffusion / flowrate problem ------------------------------------
 
+# the flowrate log-diffusion field on (0, 1): a Gaussian field with mean
+# KL_MEAN_LEVEL and covariance KL_VARIANCE * exp(-|y1 - y2| / KL_CORR_LENGTH)
+KL_VARIANCE = 0.04
+KL_CORR_LENGTH = 0.3
+KL_MEAN_LEVEL = 0.1
+
+
 @dataclass
 class KlField:
-    """Truncated spectral expansion of a stationary exponential-covariance field.
+    """Truncated spectral expansion of the flowrate log-diffusion field.
 
-    Covariance ``variance * exp(-|y1 - y2| / corr_length)`` on (0, 1); the
-    eigenpairs of the covariance operator are the classical sine/cosine modes
-    with frequencies from two interlacing transcendental equations.  The
-    field is reconstructed as ``mean_level + sum_i sqrt(lambda_i) v_i(y) x_i``
-    so that the truncation reproduces the target covariance of the retained
-    modes.
+    The eigenpairs of its covariance operator are the classical sine/cosine
+    modes with frequencies from two interlacing transcendental equations.
+    The field is ``KL_MEAN_LEVEL + sum_i sqrt(lambda_i) v_i(y) x_i``, so the
+    truncation reproduces the target covariance of the retained modes.
     """
 
-    mean_level: float
-    variance: float
-    corr_length: float
     eigenvalues: np.ndarray   # (n_terms,), strictly decreasing
     frequencies: np.ndarray   # (n_terms,)
     is_cosine: np.ndarray     # (n_terms,) bool: cosine vs sine mode
@@ -172,23 +178,19 @@ class KlField:
         return self.signs[:, None] * vals
 
 
-def kl_eigenpairs(
-    n_terms: int,
-    variance: float = 0.04,
-    corr_length: float = 0.3,
-    mean_level: float = 0.1,
-) -> KlField:
+def kl_eigenpairs(n_terms: int) -> KlField:
     """Solve the transcendental eigenvalue problem of the exponential kernel.
 
-    On the centered interval [-1/2, 1/2] with inverse length ``c``, cosine
-    modes solve ``w sin(w/2) = c cos(w/2)`` on ``(2k pi, (2k+1) pi)`` and sine
-    modes solve ``c sin(w/2) = -w cos(w/2)`` on ``((2k+1) pi, (2k+2) pi)``;
-    both forms are continuous on their bracket so plain bisection applies.
-    Eigenvalues follow as ``2 c variance / (w^2 + c^2)``.
+    On the centered interval [-1/2, 1/2] with inverse length
+    ``c = 1 / KL_CORR_LENGTH``, cosine modes solve ``w sin(w/2) = c cos(w/2)``
+    on ``(2k pi, (2k+1) pi)`` and sine modes solve ``c sin(w/2) = -w cos(w/2)``
+    on ``((2k+1) pi, (2k+2) pi)``; both forms are continuous on their bracket
+    so plain bisection applies.
+    Eigenvalues follow as ``2 c KL_VARIANCE / (w^2 + c^2)``.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be at least 1")
-    c = 1.0 / corr_length
+    c = 1.0 / KL_CORR_LENGTH
     freqs = np.empty(n_terms)
     cosine = np.empty(n_terms, dtype=bool)
     for i in range(n_terms):
@@ -204,11 +206,8 @@ def kl_eigenpairs(
         lo, hi = lo + 1e-12, hi - 1e-12
         sign = -1.0 if f(lo) > 0 else 1.0
         freqs[i] = bisect(lambda w: sign * f(w), lo, hi, 1e-13, 1e-13)
-    lams = 2.0 * c * variance / (freqs**2 + c**2)
+    lams = 2.0 * c * KL_VARIANCE / (freqs**2 + c**2)
     fld = KlField(
-        mean_level=mean_level,
-        variance=variance,
-        corr_length=corr_length,
         eigenvalues=lams,
         frequencies=freqs,
         is_cosine=cosine,
@@ -243,9 +242,9 @@ def make_flowrate_lsf(n_terms: int = 10, mesh_exponent: int = 6):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != n_terms:
             raise ValueError(f"flowrate problem expects dimension {n_terms}")
-        a_elem = np.exp(fld.mean_level + x @ basis_mid)     # (n, n_elem)
+        a_elem = np.exp(KL_MEAN_LEVEL + x @ basis_mid)      # (n, n_elem)
         flux = 1.0 / (mesh_h * np.sum(1.0 / a_elem, axis=1))
-        a_end = np.exp(fld.mean_level + x @ basis_end)
+        a_end = np.exp(KL_MEAN_LEVEL + x @ basis_end)
         return 1.7 - a_end * flux / a_elem[:, -1]
 
     return lsf, fld
@@ -253,7 +252,7 @@ def make_flowrate_lsf(n_terms: int = 10, mesh_exponent: int = 6):
 
 # --- registry -------------------------------------------------------------------
 
-PF_LINEAR = 0.5 * math.erfc(3.5 / math.sqrt(2.0))  # Phi(-3.5)
+PF_LINEAR = 0.5 * math.erfc(LINEAR_THRESHOLD / math.sqrt(2.0))  # Phi(-3.5)
 
 
 def get_problem(name: str) -> ProblemSpec:
@@ -268,7 +267,7 @@ def get_problem(name: str) -> ProblemSpec:
         return ProblemSpec(
             name=name,
             dim=d,
-            lsf=CountedLsf(lambda x: linear_lsf(x, 3.5)),
+            lsf=CountedLsf(linear_lsf),
             pf_ref=PF_LINEAR,
             pf_ref_source="analytic",
         )

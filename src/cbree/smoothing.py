@@ -10,15 +10,12 @@ target, and otherwise bisects for the level where it meets the target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .densities import std_normal_logpdf
 from .numkit import bisect
 
 __all__ = [
-    "SmoothingState",
     "smooth_indicator",
     "log_smooth_indicator",
     "log_target",
@@ -26,17 +23,7 @@ __all__ = [
     "update_smoothing",
 ]
 
-
-@dataclass
-class SmoothingState:
-    """Current smoothing level plus the update tolerances.
-
-    ``s`` never decreases and each update obeys ``s' - s <= lip_s * h``.
-    """
-
-    s: float
-    lip_s: float
-    delta_target: float
+LIP_S = 1.0  # an update with stepsize h raises s by at most LIP_S * h
 
 
 def smooth_indicator(g, s):
@@ -88,13 +75,13 @@ def empirical_cv(weights) -> float:
     return sd / mean
 
 
-def update_smoothing(g_values, state: SmoothingState, h: float) -> float:
-    """Choose the next smoothing level on ``[s, s + lip_s * h]``.
+def update_smoothing(g_values, s: float, h: float, delta_target: float) -> float:
+    """Choose the next smoothing level on ``[s, s + LIP_S * h]``.
 
     The accuracy target is the coefficient of variation of the indicator
     ratios ``q_j = I(g_j, s') / I(g_j, s)``; the input-density factor cancels
     in the ratio and the CV is scale invariant, so no normalization
-    constants enter.  The largest allowed step ``hi = s + lip_s * h`` is
+    constants enter.  The largest allowed step ``hi = s + LIP_S * h`` is
     tried first and returned whenever ``cv(q) <= delta_target`` there.
     Otherwise ``cv(q)`` is 0 at ``s`` (every ratio is 1) and above the
     target at ``hi``, and bisection finds a level where it crosses the
@@ -102,13 +89,12 @@ def update_smoothing(g_values, state: SmoothingState, h: float) -> float:
     spacing of floats near ``s`` at any level.
     """
     g = np.asarray(g_values, dtype=float)
-    s0 = state.s
-    hi = s0 + state.lip_s * h
-    log_i0 = log_smooth_indicator(g, s0)
+    hi = s + LIP_S * h
+    log_i0 = log_smooth_indicator(g, s)
 
-    def cv_at(s):
-        return empirical_cv(np.exp(log_smooth_indicator(g, s) - log_i0))
+    def cv_at(level):
+        return empirical_cv(np.exp(log_smooth_indicator(g, level) - log_i0))
 
-    if cv_at(hi) <= state.delta_target:
+    if cv_at(hi) <= delta_target:
         return hi
-    return bisect(lambda s: cv_at(s) - state.delta_target, s0, hi, 1e-6 * max(1.0, s0))
+    return bisect(lambda level: cv_at(level) - delta_target, s, hi, 1e-6 * max(1.0, s))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import cbree.bench
 from cbree.bench import (
     BenchmarkResult,
     McConfig,
@@ -68,6 +69,29 @@ class TestRunBenchmark:
         parallel, rows_p = run_benchmark("cbree", "linear", cfg, reps=4, master_seed=8, jobs=2)
         assert rows_s == rows_p
         assert serial.mse == parallel.mse
+
+    def test_pool_sized_by_reps(self, monkeypatch):
+        # a pool starts all its workers at the first submit, so more workers
+        # than repetitions would only be forked to idle
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cbree.bench, "ProcessPoolExecutor", FakePool)
+        run_benchmark("mc", "linear", McConfig(n_particles=1000), reps=2, jobs=64)
+        run_benchmark("mc", "linear", McConfig(n_particles=1000), reps=1, jobs=64)
+        assert sizes == [2]
 
     def test_per_rep_seeds_differ(self):
         seeds = [rep_seed(3, rep) for rep in range(10)]

@@ -91,7 +91,7 @@ class TestCommands:
         data = json.loads(out.with_suffix(".json").read_text())
         assert data["termination"] in ("converged", "diverged", "max_iter")
         trace = out.with_suffix(".trace.csv").read_text().splitlines()
-        assert trace[0].startswith("iter,s,beta")
+        assert trace[0] == "iter,s,beta,beta_capped,h,err,cv,pf_estimate,ess,cost_cum"
         assert len(trace) == data["iterations"] + 2
 
     def test_run_stdout_json(self, capsys, run_config):
@@ -129,14 +129,15 @@ class TestCommands:
             ("cbree", "proposal_kind = vmfn"),
             ("cbree", "clamp_steps = false"),
             ("cbree", "beta_cap = 1e6"),
+            ("cbree", "lip_s = 0.9"),
             ("enkf", "proposal_kind = vmfn"),
         ],
-        ids=["proposal_kind", "clamp_steps", "beta_cap", "enkf-proposal_kind"],
+        ids=["proposal_kind", "clamp_steps", "beta_cap", "lip_s", "enkf-proposal_kind"],
     )
     def test_run_proposal_kind_key_is_config_error(self, tmp_path, capsys, method, stale):
         # keys of removed settings (the method name alone picks the proposal;
-        # the stepsize clamps and the beta cap are fixed) must fail, not be
-        # silently ignored
+        # the stepsize clamps, the beta cap and the smoothing slope are
+        # fixed) must fail, not be silently ignored
         cfg = tmp_path / "stale.cfg"
         cfg.write_text(f"n_particles = 300\n{stale}\n")
         code = main(["run", "--problem", "linear-4", "--method", method, "--config", str(cfg)])
@@ -183,8 +184,11 @@ class TestCommands:
             ("reps = 0\n", []),
             ("reps = -3\n", []),
             ("", ["--reps", "0"]),
+            ("", ["--jobs", "0"]),
+            ("", ["--jobs", "-5"]),
         ],
-        ids=["reps-not-int", "seed-not-int", "reps-zero", "reps-negative", "cli-reps-zero"],
+        ids=["reps-not-int", "seed-not-int", "reps-zero", "reps-negative", "cli-reps-zero",
+             "jobs-zero", "jobs-negative"],
     )
     def test_bench_bad_reps_or_seed_is_config_error(self, tmp_path, capsys, lines, argv):
         cfg = tmp_path / "bench.cfg"

@@ -18,7 +18,7 @@ from cbree.driver import (
 from cbree.enkf import EnkfConfig, run_enkf
 from cbree.numkit import RandomStream
 from cbree.problems import CountedLsf, ProblemSpec, get_problem
-from cbree.smoothing import empirical_cv
+from cbree.smoothing import LIP_S, empirical_cv
 
 
 class TestIsEstimate:
@@ -132,12 +132,12 @@ class TestRunCbree:
         assert [row.iter for row in record.trace] == list(range(record.iterations + 1))
 
     def test_smoothing_trace_monotone_with_lipschitz_cap(self):
-        record = run_cbree(get_problem("linear"), CbreeConfig(n_particles=500, seed=8, lip_s=0.9))
+        record = run_cbree(get_problem("linear"), CbreeConfig(n_particles=500, seed=8))
         rows = [r for r in record.trace if not math.isnan(r.h)]
         previous = 0.0
         for row in rows:
             assert row.s >= previous - 1e-12
-            assert row.s - previous <= 0.9 * row.h + 1e-12
+            assert row.s - previous <= LIP_S * row.h + 1e-12
             previous = row.s
 
     def test_max_iter_zero_gives_flagged_one_shot(self):

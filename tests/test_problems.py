@@ -6,6 +6,7 @@ import pytest
 from cbree.numkit import RandomStream
 from cbree.problems import (
     GUARD_VALUE,
+    KL_MEAN_LEVEL,
     OSCILLATOR_MEAN,
     OSCILLATOR_STD,
     CountedLsf,
@@ -140,8 +141,8 @@ def dense_fem_lsf(x, fld, mesh_exponent):
     h = 1.0 / n_elem
     sqrt_lam = np.sqrt(fld.eigenvalues)
     mid = (np.arange(n_elem) + 0.5) * h
-    a = np.exp(fld.mean_level + x @ (sqrt_lam[:, None] * fld.eigenfunctions(mid)))
-    a_end = np.exp(fld.mean_level + x @ (sqrt_lam * fld.eigenfunctions(np.array([1.0]))[:, 0]))
+    a = np.exp(KL_MEAN_LEVEL + x @ (sqrt_lam[:, None] * fld.eigenfunctions(mid)))
+    a_end = np.exp(KL_MEAN_LEVEL + x @ (sqrt_lam * fld.eigenfunctions(np.array([1.0]))[:, 0]))
     local = np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
     k = np.zeros((x.shape[0], n_elem + 1, n_elem + 1))
     for e in range(n_elem):

@@ -10,7 +10,7 @@ from cbree.driver import CbreeConfig, run_cbree
 from cbree.numkit import RandomStream, bisect
 from cbree.problems import get_problem
 from cbree.smoothing import (
-    SmoothingState,
+    LIP_S,
     empirical_cv,
     log_smooth_indicator,
     log_target,
@@ -140,25 +140,22 @@ class TestDeltaDistance:
 
 class TestUpdateSmoothing:
     def test_flat_objective_hits_upper_bound(self):
-        state = SmoothingState(s=0.5, lip_s=1.0, delta_target=1.0)
         g = np.full(6, 1.3)  # identical values -> constant ratio -> flat objective
-        assert update_smoothing(g, state, 2.0) == pytest.approx(2.5, abs=1e-5)
+        assert update_smoothing(g, 0.5, 2.0, 1.0) == pytest.approx(2.5, abs=1e-5)
 
     def test_result_inside_domain(self):
         rng = np.random.default_rng(5)
-        state = SmoothingState(s=0.2, lip_s=0.7, delta_target=1.0)
         for _ in range(20):
             g = rng.normal(size=30)
             h = float(rng.uniform(0.01, 5.0))
-            s_new = update_smoothing(g, state, h)
-            assert state.s <= s_new <= state.s + state.lip_s * h + 1e-12
+            s_new = update_smoothing(g, 0.2, h, 1.0)
+            assert 0.2 <= s_new <= 0.2 + LIP_S * h + 1e-12
 
     def test_monotone_non_decreasing(self):
         g = np.random.default_rng(6).normal(size=25)
-        state = SmoothingState(s=0.0, lip_s=1.0, delta_target=0.8)
         s = 0.0
         for _ in range(10):
-            s_new = update_smoothing(g, SmoothingState(s, 1.0, 0.8), 0.5)
+            s_new = update_smoothing(g, s, 0.5, 0.8)
             assert s_new >= s
             s = s_new
 
@@ -166,14 +163,12 @@ class TestUpdateSmoothing:
         # frozen from a 1e6-point scan on [0, 10]: cv(q) approaches the
         # target 1 from below, so the minimizer sits at the upper bound
         g = np.array([-1.0, -0.5, 0.5, 1.0])
-        state = SmoothingState(s=0.0, lip_s=1.0, delta_target=1.0)
-        assert update_smoothing(g, state, 10.0) == pytest.approx(10.0, abs=1e-3)
+        assert update_smoothing(g, 0.0, 10.0, 1.0) == pytest.approx(10.0, abs=1e-3)
 
     def test_grid_scan_oracle_interior_case(self):
         # frozen from a refined 1e6-point scan: cv crosses 0.5 at s = 0.7685488
         g = np.array([-1.0, -0.5, 0.5, 1.0])
-        state = SmoothingState(s=0.0, lip_s=1.0, delta_target=0.5)
-        assert update_smoothing(g, state, 10.0) == pytest.approx(0.7685488214, abs=1e-3)
+        assert update_smoothing(g, 0.0, 10.0, 0.5) == pytest.approx(0.7685488214, abs=1e-3)
 
 
 def ratio_cv(g, s0, s):
@@ -181,24 +176,24 @@ def ratio_cv(g, s0, s):
     return empirical_cv(np.exp(log_smooth_indicator(g, s) - log_smooth_indicator(g, s0)))
 
 
-def search_only(g, state, h):
+def search_only(g, s, h, delta):
     """The bisection over the whole interval, without the cap test."""
     return bisect(
-        lambda s: ratio_cv(g, state.s, s) - state.delta_target,
-        state.s,
-        state.s + state.lip_s * h,
-        1e-6 * max(1.0, state.s),
+        lambda level: ratio_cv(g, s, level) - delta,
+        s,
+        s + LIP_S * h,
+        1e-6 * max(1.0, s),
     )
 
 
 def captured_updates(monkeypatch, problem, **config):
-    """The ``(g, state, h)`` of every smoothing update in one seeded run."""
+    """The ``(g, s, h, delta_target)`` of every smoothing update in one seeded run."""
     calls = []
     inner = cbree.driver.update_smoothing
 
-    def capture(g, state, h):
-        calls.append((np.array(g), state, h))
-        return inner(g, state, h)
+    def capture(g, s, h, delta):
+        calls.append((np.array(g), s, h, delta))
+        return inner(g, s, h, delta)
 
     monkeypatch.setattr(cbree.driver, "update_smoothing", capture)
     run_cbree(get_problem(problem), CbreeConfig(**config))
@@ -210,8 +205,7 @@ class TestCapFirstRule:
         # both particles fail, so both ratios tend to 2 as s grows: cv(q)
         # rises from 0 and falls again, staying below delta throughout
         g = np.array([-4.0, -1.0])
-        state = SmoothingState(s=0.0, lip_s=1.0, delta_target=4.0)
-        assert update_smoothing(g, state, 1.0) == 1.0
+        assert update_smoothing(g, 0.0, 1.0, 4.0) == 1.0
         assert ratio_cv(g, 0.0, 1.0) <= 4.0
 
     def test_non_monotone_search_meets_delta(self):
@@ -220,9 +214,8 @@ class TestCapFirstRule:
         # minimizer of (cv - delta)^2 that assumes one minimum stops in
         # that dip with a CV 4 % over the target
         g = np.array([-0.709, -6.442, -6.183, -7.945, -0.584, -3.374, 0.152])
-        state = SmoothingState(s=0.0, lip_s=1.0, delta_target=0.2238)
-        s_next = update_smoothing(g, state, 8.5)
-        assert abs(ratio_cv(g, 0.0, s_next) - state.delta_target) <= 1e-6
+        s_next = update_smoothing(g, 0.0, 8.5, 0.2238)
+        assert abs(ratio_cv(g, 0.0, s_next) - 0.2238) <= 1e-6
 
     @pytest.mark.parametrize(
         "problem,config",
@@ -240,13 +233,13 @@ class TestCapFirstRule:
     def test_replay_matches_search(self, monkeypatch, problem, config):
         calls = captured_updates(monkeypatch, problem, **config)
         capped = 0
-        for g, state, h in calls:
-            hi = state.s + state.lip_s * h
-            if ratio_cv(g, state.s, hi) <= state.delta_target:
+        for g, s, h, delta in calls:
+            hi = s + LIP_S * h
+            if ratio_cv(g, s, hi) <= delta:
                 capped += 1
-                assert update_smoothing(g, state, h) == hi
+                assert update_smoothing(g, s, h, delta) == hi
             else:
-                assert update_smoothing(g, state, h) == search_only(g, state, h)
+                assert update_smoothing(g, s, h, delta) == search_only(g, s, h, delta)
         assert capped > 0
 
     def test_search_at_large_s_meets_its_tolerance(self, monkeypatch):
@@ -254,7 +247,6 @@ class TestCapFirstRule:
         # tolerance relative to s lets the bisection stop before its
         # 200-halving limit (about 22 indicator evaluations here)
         g = RandomStream(3).standard_normal(1000)
-        state = SmoothingState(s=1e12, lip_s=1.0, delta_target=0.1)
         calls = [0]
         indicator = cbree.smoothing.log_smooth_indicator
 
@@ -263,9 +255,9 @@ class TestCapFirstRule:
             return indicator(g, s)
 
         monkeypatch.setattr(cbree.smoothing, "log_smooth_indicator", counted_indicator)
-        s_next = update_smoothing(g, state, 1e12)
+        s_next = update_smoothing(g, 1e12, 1e12, 0.1)
         assert calls[0] <= 40
-        assert abs(ratio_cv(g, state.s, s_next) - state.delta_target) <= 1e-6
+        assert abs(ratio_cv(g, 1e12, s_next) - 0.1) <= 1e-6
 
     def test_log_indicator_calls_per_update(self, monkeypatch):
         depth = [0]
@@ -277,11 +269,11 @@ class TestCapFirstRule:
             counts["indicator"] += depth[0] > 0
             return indicator(g, s)
 
-        def counted_update(g, state, h):
+        def counted_update(g, s, h, delta):
             counts["updates"] += 1
             depth[0] += 1
             try:
-                return update(g, state, h)
+                return update(g, s, h, delta)
             finally:
                 depth[0] -= 1
 
