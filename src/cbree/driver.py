@@ -188,7 +188,6 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
     - ``n_obs``: the divergence window, 0 to disable it;
     - ``start(ens, root, lsf)``: set-up on the initial ensemble, returning
       the limit-state evaluations it spent;
-    - ``trace_fields()``: its values for a new trace row;
     - ``noise_shape(J, d)``: the shape of one step's standard-normal noise;
     - ``move(ens, model, n, noise, lsf, row)``: the next ensemble, with the
       step's parameters written into ``row``; ``noise`` is a future whose
@@ -246,7 +245,7 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
 
             pf, weights = is_estimate(sample, model)
             cv = empirical_cv(weights)
-            row = IterationRecord(iter=n, cv=cv, pf_estimate=pf, cost_cum=cost, **mover.trace_fields())
+            row = IterationRecord(iter=n, cv=cv, pf_estimate=pf, cost_cum=cost)
             trace.append(row)
 
             termination, estimate = None, pf
@@ -310,9 +309,6 @@ class CbreeMover:
         )
         self.ctrl = StepControllerState(h_current=h1, eps_target=cfg.eps_target)
         return probe_cost
-
-    def trace_fields(self) -> dict:
-        return {"s": self.s}
 
     def noise_shape(self, J: int, d: int) -> tuple[int, ...]:
         return (J, d)

@@ -89,13 +89,11 @@ class EnkfMover:
     def start(self, ens, root, lsf) -> int:
         return 0
 
-    def trace_fields(self) -> dict:
-        return {"h": self.h}
-
     def noise_shape(self, J: int, d: int) -> tuple[int, ...]:
         return (J,)
 
     def move(self, ens, model, n, noise, lsf, row) -> Ensemble:
+        row.h = self.h
         return enkf_step(ens, self.h, noise.result(), lsf)
 
 

@@ -140,6 +140,19 @@ class TestRunCbree:
             assert row.s - previous <= LIP_S * row.h + 1e-12
             previous = row.s
 
+    def test_terminal_row_has_no_step_parameters(self):
+        # no step is taken from the terminal row, so its step parameters are
+        # NaN, while every earlier row records the step taken from it
+        records = (
+            run_cbree(get_problem("linear"), CbreeConfig(n_particles=500, seed=3)),
+            run_enkf(get_problem("linear"), EnkfConfig(n_particles=500, seed=3, max_iter=4)),
+        )
+        for record in records:
+            assert record.iterations >= 2
+            last = record.trace[-1]
+            assert all(math.isnan(v) for v in (last.s, last.beta, last.h, last.err, last.ess))
+            assert all(math.isfinite(row.h) for row in record.trace[:-1])
+
     def test_max_iter_zero_gives_flagged_one_shot(self):
         record = run_cbree(get_problem("linear"), CbreeConfig(n_particles=300, max_iter=0, seed=9))
         assert record.termination == "max_iter"
