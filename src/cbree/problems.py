@@ -185,8 +185,8 @@ def kl_eigenpairs(n_terms: int) -> KlField:
     ``c = 1 / KL_CORR_LENGTH``, cosine modes solve ``w sin(w/2) = c cos(w/2)``
     on ``(2k pi, (2k+1) pi)`` and sine modes solve ``c sin(w/2) = -w cos(w/2)``
     on ``((2k+1) pi, (2k+2) pi)``; both forms are continuous on their bracket
-    so plain bisection applies.
-    Eigenvalues follow as ``2 c KL_VARIANCE / (w^2 + c^2)``.
+    so plain bisection applies.  Eigenvalues follow as
+    ``2 c KL_VARIANCE / (w^2 + c^2)``.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be at least 1")
