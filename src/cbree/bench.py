@@ -29,6 +29,7 @@ __all__ = [
     "BenchmarkResult",
     "rel_eff",
     "run_mc",
+    "audited_run",
     "run_benchmark",
     "write_runs_csv",
     "write_aggregate_json",
@@ -147,15 +148,22 @@ def rep_seed(master_seed: int, rep: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _one_rep(args) -> tuple[int, int, RunRecord]:
-    method, problem_name, config, master_seed, rep = args
+def audited_run(method: str, problem_name: str, config) -> RunRecord:
+    """One run of ``method`` on a fresh problem instance; the recorded cost
+    must equal the problem's own count of limit-state evaluations."""
     problem = get_problem(problem_name)
-    seed = rep_seed(master_seed, rep)
-    record = METHODS[method][1](problem, replace(config, seed=seed))
+    record = METHODS[method][1](problem, config)
     if record.cost != problem.evaluations:
         raise RuntimeError(
             f"cost audit failed: recorded {record.cost}, counted {problem.evaluations}"
         )
+    return record
+
+
+def _one_rep(args) -> tuple[int, int, RunRecord]:
+    method, problem_name, config, master_seed, rep = args
+    seed = rep_seed(master_seed, rep)
+    record = audited_run(method, problem_name, replace(config, seed=seed))
     record.final_ensemble = None  # keep results light for transport
     return rep, seed, record
 

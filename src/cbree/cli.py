@@ -21,13 +21,14 @@ from pathlib import Path
 
 from .bench import (
     METHODS,
+    audited_run,
     run_benchmark,
     write_aggregate_csv,
     write_aggregate_json,
     write_runs_csv,
 )
 from .cbs import write_ensemble_csv
-from .problems import get_problem, list_problems
+from .problems import list_problems
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -101,10 +102,7 @@ def _cmd_list(_args) -> int:
 def _cmd_run(args) -> int:
     entries = parse_kv_file(args.config) if args.config else {}
     config = build_config(args.method, entries, seed=args.seed)
-    problem = get_problem(args.problem)
-    record = METHODS[args.method][1](problem, config)
-    if record.cost != problem.evaluations:
-        raise RuntimeError("cost audit failed")
+    record = audited_run(args.method, args.problem, config)
     if args.out:
         base = Path(args.out)
         base.parent.mkdir(parents=True, exist_ok=True)
@@ -156,8 +154,7 @@ def _cmd_bench(args) -> int:
 def _cmd_export(args) -> int:
     entries = parse_kv_file(args.config) if args.config else {}
     config = build_config(args.method, entries, seed=args.seed)
-    problem = get_problem(args.problem)
-    record = METHODS[args.method][1](problem, config)
+    record = audited_run(args.method, args.problem, config)
     if record.final_ensemble is None:
         raise RuntimeError(f"method {args.method!r} does not keep a final ensemble")
     out = Path(args.out) if args.out else Path(f"{args.method}_{args.problem}_ensemble.csv")

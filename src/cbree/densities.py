@@ -158,17 +158,10 @@ def vmfn_fit(sample) -> VmfnModel:
     unit = x / r[:, None]
     resultant = unit.mean(axis=0)
     rbar = float(np.linalg.norm(resultant))
-    capped = False
-    if rbar >= 1.0 - 1e-12:
-        mu = resultant / rbar
-        kappa = KAPPA_CAP
-        capped = True
-    else:
-        mu = resultant / rbar if rbar > 0 else np.eye(d)[0]
-        kappa = rbar * (d - rbar**2) / (1.0 - rbar**2)
-        if kappa > KAPPA_CAP:
-            kappa = KAPPA_CAP
-            capped = True
+    mu = resultant / rbar if rbar > 0 else np.eye(d)[0]
+    kappa = math.inf if rbar >= 1.0 - 1e-12 else rbar * (d - rbar**2) / (1.0 - rbar**2)
+    capped = kappa > KAPPA_CAP
+    kappa = min(kappa, KAPPA_CAP)
     r2 = r * r
     omega = float(r2.mean())
     var_r2 = float(np.mean((r2 - omega) ** 2))
@@ -226,9 +219,6 @@ def vmfn_logpdf(model: VmfnModel, x) -> np.ndarray:
 def _sample_vmf_directions(mu, kappa: float, stream: RandomStream, n: int) -> np.ndarray:
     """Directions on the unit sphere via the rejection scheme of Wood (1994)."""
     d = mu.shape[0]
-    if kappa == 0.0:
-        v = stream.standard_normal((n, d))
-        return v / np.linalg.norm(v, axis=1, keepdims=True)
     # rationalized form of b avoids cancellation for large kappa
     b = (d - 1.0) / (2.0 * kappa + math.sqrt(4.0 * kappa**2 + (d - 1.0) ** 2))
     x0 = (1.0 - b) / (1.0 + b)

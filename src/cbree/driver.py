@@ -333,7 +333,7 @@ class CbreeMover:
         row.beta = beta
         row.beta_capped = beta_capped
         row.h = h_next
-        row.err = err if err is not None else math.nan
+        row.err = err
         row.ess = ess_from_log_weights(log_w, beta)
         self.s = s_next
         return cbs_step(ens, coeffs, h_next, noise.result(), lsf)

@@ -22,42 +22,25 @@ __all__ = [
 ]
 
 
-class RandomStream:
+class RandomStream(np.random.Generator):
     """Counter-based random stream keyed by a 64-bit seed and a derivation path.
 
-    Two streams built from the same ``(seed, path)`` produce identical draw
-    sequences.  Sub-streams derived via :meth:`substream` are independent by
-    construction (distinct ``spawn_key`` paths of the underlying Philox
-    generator), so work can be split deterministically across repetitions,
-    iterations or threads without any shared state.
+    A Philox ``numpy.random.Generator``: two streams built from the same
+    ``(seed, path)`` produce identical draw sequences.  Sub-streams derived
+    via :meth:`substream` are independent by construction (distinct
+    ``spawn_key`` paths), so work can be split deterministically across
+    repetitions, iterations or threads without any shared state.
     """
 
     def __init__(self, seed: int, path: tuple = ()):
         self.seed = int(seed)
         self.path = tuple(int(i) for i in path)
         seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
-        self.gen = np.random.Generator(np.random.Philox(seq))
+        super().__init__(np.random.Philox(seq))
 
     def substream(self, *index: int) -> "RandomStream":
         """Derive an independent stream addressed by ``path + index``."""
         return RandomStream(self.seed, self.path + tuple(index))
-
-    def standard_normal(self, size=None, out=None) -> np.ndarray:
-        """Draw standard normals, into ``out`` (float64) when it is given;
-        the values are the same as an allocating draw of the same shape."""
-        return self.gen.standard_normal(size, out=out)
-
-    def uniform(self, size=None) -> np.ndarray:
-        return self.gen.uniform(size=size)
-
-    def gamma(self, shape, scale=1.0, size=None) -> np.ndarray:
-        return self.gen.gamma(shape, scale, size)
-
-    def beta(self, a, b, size=None) -> np.ndarray:
-        return self.gen.beta(a, b, size)
-
-    def __repr__(self):  # pragma: no cover
-        return f"RandomStream(seed={self.seed}, path={self.path})"
 
 
 def log_sum_exp(values) -> float:

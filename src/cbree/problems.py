@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,7 +159,7 @@ class KlField:
     eigenvalues: np.ndarray   # (n_terms,), strictly decreasing
     frequencies: np.ndarray   # (n_terms,)
     is_cosine: np.ndarray     # (n_terms,) bool: cosine vs sine mode
-    signs: np.ndarray = field(default=None)
+    signs: np.ndarray         # (n_terms,) +-1: every mode is non-negative at y = 0
 
     def eigenfunctions(self, y) -> np.ndarray:
         """Unit-L2-norm eigenfunctions evaluated at ``y``; shape (n_terms, len(y))."""
@@ -193,8 +193,11 @@ def kl_eigenpairs(n_terms: int) -> KlField:
     c = 1.0 / KL_CORR_LENGTH
     freqs = np.empty(n_terms)
     cosine = np.empty(n_terms, dtype=bool)
+    signs = np.empty(n_terms)
     for i in range(n_terms):
         k, odd = divmod(i, 2)
+        # at y = 0 cosine mode k has the sign (-1)^k, sine mode k (-1)^(k+1)
+        signs[i] = (-1.0) ** (k + odd)
         if not odd:
             f = lambda w: w * math.sin(0.5 * w) - c * math.cos(0.5 * w)
             lo, hi = 2.0 * k * math.pi, (2.0 * k + 1.0) * math.pi
@@ -207,16 +210,7 @@ def kl_eigenpairs(n_terms: int) -> KlField:
         sign = -1.0 if f(lo) > 0 else 1.0
         freqs[i] = bisect(lambda w: sign * f(w), lo, hi, 1e-13, 1e-13)
     lams = 2.0 * c * KL_VARIANCE / (freqs**2 + c**2)
-    fld = KlField(
-        eigenvalues=lams,
-        frequencies=freqs,
-        is_cosine=cosine,
-        signs=np.ones(n_terms),
-    )
-    # fix sign so each eigenfunction is non-negative at y = 0
-    at_zero = fld.eigenfunctions(np.array([0.0]))[:, 0]
-    fld.signs = np.where(at_zero < 0.0, -1.0, 1.0)
-    return fld
+    return KlField(eigenvalues=lams, frequencies=freqs, is_cosine=cosine, signs=signs)
 
 
 def make_flowrate_lsf(n_terms: int = 10, mesh_exponent: int = 6):

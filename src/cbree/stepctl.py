@@ -39,8 +39,7 @@ __all__ = [
     "initial_stepsize",
 ]
 
-_TAYLOR_CUT = 1e-5
-_SQUARE_CUT = 1e150  # z * z overflows not far above
+_SERIES_CUT = 2e-3  # below it 2 (1 - phi) / z loses over 1e-13 to cancellation
 STEP_FACTOR_MIN = 0.2
 STEP_FACTOR_MAX = 5.0
 
@@ -106,48 +105,41 @@ def decay_rates(d: int) -> np.ndarray:
 
 
 def phi_scalar(z):
-    """``(1 - exp(-z)) / z`` with the continuous extension 1 at zero."""
+    """``(1 - exp(-z)) / z`` with the continuous extension 1 at zero.
+
+    Formed as ``-expm1(-z) / z``, which keeps full relative accuracy near
+    zero and stays finite for every ``z >= 0``, infinity included.
+    """
     z = np.asarray(z, dtype=float)
-    small = np.abs(z) < _TAYLOR_CUT
-    zs = np.where(small, 1.0, z)
-    zt = np.where(small, z, 0.0)
-    exact = (1.0 - np.exp(-zs)) / zs
-    taylor = 1.0 - zt / 2.0 + zt * zt / 6.0
-    return np.where(small, taylor, exact)
+    zero = z == 0.0
+    return np.where(zero, 1.0, -np.expm1(-z) / np.where(zero, 1.0, z))
 
 
 def bhat_coefficients(z):
     """Weights of the second-order exponential midpoint rule.
 
-    ``b2(z) = 2 (exp(-z) + z - 1) / z^2`` and ``b1 = phi(z) - b2``; both sum
-    to ``phi(z)`` (consistency) and tend to the classical midpoint weights
-    (0, 1) as ``z -> 0``.  Where ``z^2`` would overflow, ``b2`` is formed
-    without the square.
+    ``b2(z) = 2 (exp(-z) + z - 1) / z^2 = 2 (1 - phi(z)) / z`` and
+    ``b1 = phi(z) - b2``; both sum to ``phi(z)`` (consistency) and tend to
+    the classical midpoint weights (0, 1) as ``z -> 0``.  Below
+    ``_SERIES_CUT``, where ``1 - phi`` cancels, ``b2`` is its Taylor series.
+    No ``z^2`` is formed, so the weights stay finite for every ``z >= 0``.
     """
     z = np.asarray(z, dtype=float)
-    small = np.abs(z) < _TAYLOR_CUT
-    zs = np.where(small, 1.0, z)
+    phi = phi_scalar(z)
+    small = np.abs(z) < _SERIES_CUT
     zt = np.where(small, z, 0.0)
-    huge = np.abs(zs) > _SQUARE_CUT
-    zq = np.where(huge, 1.0, zs)
-    tail = (2.0 / zs) * ((np.exp(-zs) + zs - 1.0) / zs)
-    exact = np.where(huge, tail, 2.0 * (np.exp(-zq) + zq - 1.0) / (zq * zq))
-    taylor = 1.0 - zt / 3.0 + zt * zt / 12.0
-    b2 = np.where(small, taylor, exact)
-    b1 = phi_scalar(z) - b2
-    return b1, b2
+    series = 1.0 + zt * (-1.0 / 3.0 + zt * (1.0 / 12.0 + zt * (-1.0 / 60.0 + zt / 360.0)))
+    b2 = np.where(small, series, 2.0 * (1.0 - phi) / np.where(small, 1.0, z))
+    return phi - b2, b2
 
 
-def weighted_error_norm(x, gamma) -> float:
-    """``sqrt(sum(x_i^2 / gamma_i))`` -- the tolerance-scaled error norm."""
+def error_norm(x, reference, eps: float) -> float:
+    """Tolerance-scaled norm ``sqrt(sum(x_i^2 / gamma_i))`` with the diagonal
+    weights ``gamma_i = m (eps + eps |ref_i|)``, ``m`` the vector length."""
     x = np.asarray(x, dtype=float)
-    return float(np.sqrt(np.sum(x * x / gamma)))
-
-
-def error_weights(reference, eps: float) -> np.ndarray:
-    """Diagonal tolerance weights ``m (eps + eps |ref_i|)``."""
     ref = np.abs(np.asarray(reference, dtype=float))
-    return ref.shape[-1] * (eps + eps * ref)
+    gamma = ref.shape[-1] * (eps + eps * ref)
+    return float(np.sqrt(np.sum(x * x / gamma)))
 
 
 def local_error(
@@ -176,8 +168,7 @@ def local_error(
     comparator = np.exp(-z) * theta_prev2 + hh * (
         b1 * np.asarray(stage_prev2, dtype=float) + b2 * np.asarray(stage_prev1, dtype=float)
     )
-    gamma = error_weights(np.maximum(np.abs(psi), np.abs(theta_prev2)), eps_target)
-    return weighted_error_norm(comparator - psi, gamma)
+    return error_norm(comparator - psi, np.maximum(np.abs(psi), np.abs(theta_prev2)), eps_target)
 
 
 def next_stepsize(err: float, h: float) -> float:
@@ -209,9 +200,8 @@ def initial_stepsize(
     theta0 = moments_of_ensemble(ens0)
     coeffs0 = ensemble_coefficients(ens0, s1, beta1)
     g0 = moments_rhs(theta0, coeffs0)
-    gamma = error_weights(theta0, eps_target)
-    norm_theta0 = weighted_error_norm(theta0, gamma)
-    norm_g0 = weighted_error_norm(g0, gamma)
+    norm_theta0 = error_norm(theta0, theta0, eps_target)
+    norm_g0 = error_norm(g0, theta0, eps_target)
     if norm_g0 < 1e-14:
         h0 = 1e-6
     else:
@@ -219,7 +209,7 @@ def initial_stepsize(
     noise = stream.standard_normal(ens0.points.shape)
     probe = cbs_step(ens0, coeffs0, h0, noise, lsf)
     g1 = moments_rhs(moments_of_ensemble(probe), ensemble_coefficients(probe, s1, beta1))
-    denom = max(weighted_error_norm(g1 - g0, gamma) / h0, norm_g0)
+    denom = max(error_norm(g1 - g0, theta0, eps_target) / h0, norm_g0)
     if denom < 1e-14:
         h1 = 100.0 * h0
     else:
@@ -234,7 +224,8 @@ class StepControllerState:
     Holds the current stepsize and the last two moment vectors and cached
     stage values.  The controller fires at iteration 2 and every even
     iteration after that, consuming the just-completed pair of equal-h steps;
-    odd iterations keep the stepsize.
+    odd iterations keep the stepsize.  ``record`` runs every iteration, so
+    both deques are full whenever the controller fires.
     """
 
     h_current: float
@@ -242,9 +233,10 @@ class StepControllerState:
     thetas: deque = field(default_factory=lambda: deque(maxlen=2))
     stages: deque = field(default_factory=lambda: deque(maxlen=2))
 
-    def propose(self, theta_now, n: int) -> tuple[float, float | None]:
-        """Stepsize for the upcoming step; the error estimate when it fired."""
-        if n >= 2 and n % 2 == 0 and len(self.thetas) >= 2 and len(self.stages) >= 2:
+    def propose(self, theta_now, n: int) -> tuple[float, float]:
+        """Stepsize for the upcoming step and the error estimate, NaN when
+        the controller does not fire."""
+        if n >= 2 and n % 2 == 0:
             err = local_error(
                 self.thetas[-2],
                 theta_now,
@@ -254,7 +246,7 @@ class StepControllerState:
                 self.eps_target,
             )
             return next_stepsize(err, self.h_current), err
-        return self.h_current, None
+        return self.h_current, np.nan
 
     def record(self, theta_now, stage_now, h_next: float) -> None:
         self.thetas.append(np.asarray(theta_now, dtype=float))

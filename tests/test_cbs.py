@@ -122,7 +122,7 @@ class TestCbsStep:
         ens3 = Ensemble(ens.points, g3(ens.points))
         coeffs = ensemble_coefficients(ens3, 0.7, 1.0)
         stepped = cbs_step(ens3, coeffs, 0.5, noise_for(ens, 11), g3)
-        idx = RandomStream(12).gen.integers(0, 200, size=5)
+        idx = RandomStream(12).integers(0, 200, size=5)
         assert np.array_equal(stepped.g_values[idx], g3(stepped.points[idx]))
 
     def test_non_positive_h_rejected(self):

@@ -1,10 +1,13 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
+from cbree.bench import METHODS
 from cbree.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_config, main, parse_kv_file
+from cbree.driver import CbreeConfig, run_cbree
 
 
 @pytest.fixture
@@ -148,6 +151,28 @@ class TestCommands:
         # vMFN resampling cannot work in one dimension -> runtime failure
         code = main(["run", "--problem", "linear-1", "--method", "cbree-vmfn"])
         assert code == EXIT_RUNTIME
+
+    @pytest.mark.parametrize("command", ["run", "export-ensemble", "bench"])
+    def test_failed_cost_audit_is_runtime_failure(self, tmp_path, capsys, monkeypatch, command):
+        def under_reporting(problem, config):
+            record = run_cbree(problem, config)
+            record.cost -= 1
+            return record
+
+        monkeypatch.setitem(METHODS, "cbree", (CbreeConfig, under_reporting))
+        cfg = tmp_path / "small.cfg"
+        settings = "n_particles = 300\nmax_iter = 2\n"
+        if command == "bench":
+            cfg.write_text("method = cbree\nproblem = linear-4\nreps = 1\n" + settings)
+            argv = ["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+        else:
+            cfg.write_text(settings)
+            argv = [command, "--problem", "linear-4", "--method", "cbree", "--config", str(cfg),
+                    "--out", str(tmp_path / "result")]
+        assert main(argv) == EXIT_RUNTIME
+        found = re.search(r"cost audit failed: recorded (\d+), counted (\d+)", capsys.readouterr().err)
+        assert found is not None
+        assert int(found[1]) + 1 == int(found[2])
 
     def test_bench_outputs_and_determinism(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"

@@ -115,6 +115,19 @@ class TestVmfnFit:
         assert model.kappa == 1e8
         assert np.allclose(model.mean_direction, direction)
 
+    def test_near_collinear_caps_kappa(self):
+        # rbar = cos(4e-5) stays below 1 - 1e-12, yet the concentration
+        # formula gives about 6e8, above the cap
+        eps = 4e-5
+        pts = np.array([[math.cos(eps), math.sin(eps)], [math.cos(eps), -math.sin(eps)]])
+        pts = np.repeat(pts, 5, axis=0) * np.linspace(0.5, 2.0, 10)[:, None]
+        rbar = np.linalg.norm((pts / np.linalg.norm(pts, axis=1, keepdims=True)).mean(axis=0))
+        assert rbar < 1.0 - 1e-12
+        model = vmfn_fit(pts)
+        assert model.kappa_capped
+        assert model.kappa == 1e8
+        assert np.allclose(model.mean_direction, [1.0, 0.0])
+
     def test_scaling_equivariance(self):
         x = RandomStream(4).standard_normal((5_000, 5)) + 0.5
         a = vmfn_fit(x)
@@ -185,6 +198,16 @@ class TestVmfnDensity:
         a = vmfn_sample(model, RandomStream(9), 100)
         b = vmfn_sample(model, RandomStream(9), 100)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d", [2, 5, 50])
+    def test_zero_kappa_directions_are_uniform(self, d):
+        # Wood's scheme at kappa = 0 accepts every candidate; uniform
+        # directions have a vanishing mean and E[x_1^2] = 1 / d
+        model = VmfnModel(np.eye(d)[0], 0.0, 1.0, 1.0)
+        pts = vmfn_sample(model, RandomStream(15), 200_000)
+        dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        assert np.linalg.norm(dirs.mean(axis=0)) < 0.01
+        assert d * np.mean(dirs[:, 0] ** 2) == pytest.approx(1.0, abs=0.01)
 
     def test_high_kappa_concentrates(self):
         mu = np.array([1.0, 0.0, 0.0])

@@ -116,8 +116,9 @@ class TestKlExpansion:
         assert np.allclose(norms, 1.0, atol=1e-4)
 
     def test_sign_convention(self):
-        fld = kl_eigenpairs(8)
-        assert np.all(fld.eigenfunctions(np.array([0.0]))[:, 0] >= 0.0)
+        for n_terms in (8, 40):
+            fld = kl_eigenpairs(n_terms)
+            assert np.all(fld.eigenfunctions(np.array([0.0]))[:, 0] >= 0.0)
 
     def test_against_nystrom_oracle(self):
         # dense eigendecomposition of the kernel matrix on a 2000-point grid
