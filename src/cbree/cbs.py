@@ -13,11 +13,12 @@ temperature solve that pins it at a target.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import bisect, factor_spd, log_sum_exp, spd_jitter, weighted_moments
+from .densities import std_normal_logpdf
+from .numkit import bisect, factor_spd, spd_jitter, weighted_moments
 
 __all__ = [
     "Ensemble",
@@ -39,11 +40,14 @@ class Ensemble:
 
     ``g_values[j]`` always equals the limit state evaluated at ``points[j]``;
     a step taken with ``lsf=None`` leaves the cache unset (``None``) for
-    callers that immediately replace the ensemble anyway.
+    callers that immediately replace the ensemble anyway.  The input
+    log-density of the points is computed on first use and kept as well
+    (see :meth:`log_phi`); the points are never changed in place.
     """
 
     points: np.ndarray            # (J, d)
     g_values: np.ndarray | None   # (J,)
+    _log_phi: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -52,6 +56,18 @@ class Ensemble:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+    def log_phi(self, work=(None, None)) -> np.ndarray:
+        """Standard-normal log-density ``log phi`` at every particle, ``(J,)``.
+
+        Computed on the first call (with ``work`` as scratch, see
+        :func:`cbree.densities.std_normal_logpdf`) and returned from the
+        cache afterwards, so the importance-sampling estimate and the
+        temperature solve of one ensemble share it.
+        """
+        if self._log_phi is None:
+            self._log_phi = std_normal_logpdf(self.points, work)
+        return self._log_phi
 
 
 @dataclass
@@ -63,14 +79,24 @@ class CbsCoefficients:
     c_beta_factor: np.ndarray # lower triangular
 
 
-def coefficients_from_log_weights(points, log_weights, beta: float) -> CbsCoefficients:
-    mean, scm = weighted_moments(points, log_weights)
+def coefficients_from_log_weights(
+    points, log_weights, beta: float, work=(None, None)
+) -> CbsCoefficients:
+    mean, scm = weighted_moments(points, log_weights, work)
     c_sq = (1.0 + beta) * scm
     factor = factor_spd(c_sq, spd_jitter(c_sq))
     return CbsCoefficients(m_beta=mean, c_beta_sq=c_sq, c_beta_factor=factor)
 
 
-def cbs_step(ens: Ensemble, coeffs: CbsCoefficients, h: float, noise: np.ndarray, lsf) -> Ensemble:
+def cbs_step(
+    ens: Ensemble,
+    coeffs: CbsCoefficients,
+    h: float,
+    noise: np.ndarray,
+    lsf,
+    out: np.ndarray | None = None,
+    work=(None, None),
+) -> Ensemble:
     """Advance every particle by one exponential Euler--Maruyama step.
 
     ``coeffs`` are the weighted moments the step relaxes toward; ``noise``
@@ -79,25 +105,44 @@ def cbs_step(ens: Ensemble, coeffs: CbsCoefficients, h: float, noise: np.ndarray
     limit-state values; with ``lsf=None`` the cache is left unset (used when
     the ensemble is resampled immediately afterwards, saving one sweep of
     evaluations).
+
+    The new positions are written into ``out`` when it is given (an array
+    shaped like the points that shares no memory with them or with
+    ``noise``) and the scaled noise into ``work[0]``; a ``None`` makes numpy
+    allocate.  The drift ``alpha x + (1 - alpha) m`` is formed first and the
+    scaled noise added to it, which rounds exactly as the left-to-right sum
+    ``alpha * x + (1 - alpha) * m + sqrt(1 - alpha^2) * (noise @ L.T)``.
     """
     if h <= 0:
         raise ValueError("stepsize h must be positive")
     if noise.shape != ens.points.shape:
         raise ValueError(f"noise has shape {noise.shape}, expected {ens.points.shape}")
+    if out is not None and (np.shares_memory(out, ens.points) or np.shares_memory(out, noise)):
+        raise ValueError("out must not share memory with the points or the noise")
     alpha = np.exp(-h)
-    new_pts = (
-        alpha * ens.points
-        + (1.0 - alpha) * coeffs.m_beta
-        + np.sqrt(1.0 - alpha * alpha) * (noise @ coeffs.c_beta_factor.T)
-    )
+    new_pts = np.multiply(alpha, ens.points, out=out)
+    new_pts += (1.0 - alpha) * coeffs.m_beta
+    diffusion = np.matmul(noise, coeffs.c_beta_factor.T, out=work[0])
+    diffusion *= np.sqrt(1.0 - alpha * alpha)
+    new_pts += diffusion
     new_g = np.asarray(lsf(new_pts), dtype=float) if lsf is not None else None
     return Ensemble(points=new_pts, g_values=new_g)
 
 
 def ess_from_log_weights(log_w, beta: float) -> float:
-    """Effective sample size ``(sum w^beta)^2 / sum w^(2 beta)`` in log form."""
-    lw = np.asarray(log_w, dtype=float)
-    return float(np.exp(2.0 * log_sum_exp(beta * lw) - log_sum_exp(2.0 * beta * lw)))
+    """Effective sample size ``(sum w^beta)^2 / sum w^(2 beta)``.
+
+    One exponential pass: with ``v = exp(beta log_w - max)`` the ESS is
+    ``(sum v)^2 / (v . v)``, and the shift cancels.  Entries may be ``-inf``
+    (zero weight); NaN when no finite maximum exists, e.g. all ``-inf``.
+    """
+    lw = beta * np.asarray(log_w, dtype=float)
+    top = np.max(lw)
+    if not np.isfinite(top):
+        return np.nan
+    v = np.exp(lw - top)
+    total = np.sum(v)
+    return float(total * total / (v @ v))
 
 
 def solve_beta(log_target_values, target: float) -> tuple[float, bool]:

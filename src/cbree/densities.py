@@ -38,28 +38,35 @@ NAKAGAMI_SHAPE_MIN = 0.5
 NAKAGAMI_SHAPE_MAX = 1e6
 
 
-def std_normal_logpdf(x):
-    """Log-density of N(0, I_d); ``x`` is ``(d,)`` or ``(n, d)``."""
+def std_normal_logpdf(x, work=(None, None)):
+    """Log-density of N(0, I_d); ``x`` is ``(d,)`` or ``(n, d)``.
+
+    ``work`` is a pair of scratch arrays shaped like ``x``; the squares go
+    into ``work[0]``, and a ``None`` there makes numpy allocate.
+    """
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
-    return -0.5 * (d * _LOG_2PI + np.sum(x * x, axis=-1))
+    return -0.5 * (d * _LOG_2PI + np.sum(np.multiply(x, x, out=work[0]), axis=-1))
 
 
 @dataclass(frozen=True)
 class GaussianModel:
-    """Gaussian with a cached Cholesky factor of the (regularized) covariance."""
+    """Gaussian with a cached Cholesky factor of the (regularized) covariance
+    and the whitening map ``whiten = (factor^-1)^T``, so that
+    ``(x - mean) @ whiten`` is standard normal."""
 
     mean: np.ndarray
     covariance: np.ndarray
     factor: np.ndarray  # lower triangular, factor @ factor.T = clip(cov) + jitter I
     log_det: float      # log-determinant of the effective covariance
+    whiten: np.ndarray  # upper triangular, (factor^-1)^T
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def logpdf(self, x):
-        return gaussian_logpdf(self, x)
+    def logpdf(self, x, work=(None, None)):
+        return gaussian_logpdf(self, x, work)
 
     def to_json(self) -> dict:
         """Serialize for run-record export."""
@@ -72,35 +79,45 @@ def make_gaussian(mean, covariance, jitter: float = 0.0) -> GaussianModel:
     cov = 0.5 * (cov + cov.T)
     factor = factor_spd(cov, jitter)
     log_det = 2.0 * float(np.sum(np.log(np.diag(factor))))
-    return GaussianModel(mean=mean, covariance=cov, factor=factor, log_det=log_det)
+    whiten = solve_triangular(factor, np.eye(mean.shape[0]), lower=True).T
+    return GaussianModel(mean=mean, covariance=cov, factor=factor, log_det=log_det, whiten=whiten)
 
 
-def gaussian_fit(sample) -> GaussianModel:
+def gaussian_fit(sample, work=(None, None)) -> GaussianModel:
     """Fit mean and population covariance (divisor J) to a sample.
 
     Degenerate spreads are handled by the factorization: a fully collapsed
-    sample yields the effective covariance ``FIT_JITTER * I``.
+    sample yields the effective covariance ``FIT_JITTER * I``.  The centered
+    sample goes into ``work[0]`` (see :func:`std_normal_logpdf`).
     """
     x = np.asarray(sample, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("gaussian_fit needs at least two sample points")
     mean = x.mean(axis=0)
-    centered = x - mean
+    centered = np.subtract(x, mean, out=work[0])
     cov = centered.T @ centered / x.shape[0]
     return make_gaussian(mean, cov, FIT_JITTER)
 
 
-def gaussian_logpdf(model: GaussianModel, x) -> np.ndarray:
-    """Log-density at the rows of ``x`` ``(n, d)``, via a triangular solve on
-    the cached factor; returns ``(n,)``."""
-    z = solve_triangular(model.factor, (np.asarray(x, dtype=float) - model.mean).T, lower=True)
-    quad = np.sum(z * z, axis=0)
+def gaussian_logpdf(model: GaussianModel, x, work=(None, None)) -> np.ndarray:
+    """Log-density at the rows of ``x`` ``(n, d)``; returns ``(n,)``.
+
+    The rows are whitened by one product with the cached ``whiten``; the
+    centered rows go into ``work[0]`` and the whitened ones into ``work[1]``
+    (see :func:`std_normal_logpdf`).
+    """
+    z = np.matmul(np.subtract(x, model.mean, out=work[0]), model.whiten, out=work[1])
+    quad = np.sum(np.multiply(z, z, out=z), axis=1)
     return -0.5 * (model.dim * _LOG_2PI + model.log_det + quad)
 
 
-def gaussian_sample(model: GaussianModel, stream: RandomStream, n: int) -> np.ndarray:
-    xi = stream.standard_normal((n, model.dim))
-    return model.mean + xi @ model.factor.T
+def gaussian_sample(
+    model: GaussianModel, stream: RandomStream, n: int, out=None, work=(None, None)
+) -> np.ndarray:
+    """Draw ``n`` points into ``out``, with ``work`` as scratch (see
+    :func:`std_normal_logpdf`); a ``None`` makes numpy allocate."""
+    xi = stream.standard_normal((n, model.dim), out=work[0])
+    return np.add(model.mean, np.matmul(xi, model.factor.T, out=work[1]), out=out)
 
 
 @dataclass(frozen=True)
@@ -123,8 +140,8 @@ class VmfnModel:
     def dim(self) -> int:
         return self.mean_direction.shape[0]
 
-    def logpdf(self, x):
-        return vmfn_logpdf(self, x)
+    def logpdf(self, x, work=(None, None)):
+        return vmfn_logpdf(self, x, work)
 
     def to_json(self) -> dict:
         """Serialize for run-record export."""
@@ -137,14 +154,15 @@ class VmfnModel:
         }
 
 
-def vmfn_fit(sample) -> VmfnModel:
+def vmfn_fit(sample, work=(None, None)) -> VmfnModel:
     """Fit a vMFN model by moment matching.
 
     Direction: mean resultant length ``rbar`` gives the standard concentration
     approximation ``kappa = rbar (d - rbar^2) / (1 - rbar^2)``.  Radius: the
     Nakagami spread is ``mean(r^2)`` and the shape follows from matching
     ``var(r^2)``, clamped to ``[0.5, 1e6]``.  Nearly collinear samples cap
-    ``kappa`` at 1e8 and set a flag.
+    ``kappa`` at 1e8 and set a flag.  The ``(J, d)`` temporaries go into
+    ``work[0]`` (see :func:`std_normal_logpdf`).
     """
     x = np.asarray(sample, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -152,10 +170,10 @@ def vmfn_fit(sample) -> VmfnModel:
     d = x.shape[1]
     if d < 2:
         raise ValueError("vmfn_fit requires dimension >= 2")
-    r = np.linalg.norm(x, axis=1)
+    r = _row_norms(x, work[0])
     if np.any(r == 0.0):
         raise ValueError("vmfn_fit: zero-norm sample point")
-    unit = x / r[:, None]
+    unit = np.divide(x, r[:, None], out=work[0])
     resultant = unit.mean(axis=0)
     rbar = float(np.linalg.norm(resultant))
     mu = resultant / rbar if rbar > 0 else np.eye(d)[0]
@@ -194,12 +212,13 @@ def _log_vmf_normalizer(d: int, kappa: float) -> float:
     return nu * math.log(kappa) - 0.5 * d * _LOG_2PI - log_iv
 
 
-def vmfn_logpdf(model: VmfnModel, x) -> np.ndarray:
+def vmfn_logpdf(model: VmfnModel, x, work=(None, None)) -> np.ndarray:
     """Log-density on R^d at the rows of ``x`` ``(n, d)``; returns ``(n,)``.
-    Undefined at the origin."""
+    Undefined at the origin.  The squared coordinates go into ``work[0]``
+    (see :func:`std_normal_logpdf`)."""
     pts = np.asarray(x, dtype=float)
     d = model.dim
-    r = np.linalg.norm(pts, axis=1)
+    r = _row_norms(pts, work[0])
     if np.any(r == 0.0):
         raise ValueError("vmfn_logpdf undefined at x = 0")
     cos_angle = (pts @ model.mean_direction) / r
@@ -216,8 +235,17 @@ def vmfn_logpdf(model: VmfnModel, x) -> np.ndarray:
     return log_dir + log_rad - (d - 1.0) * np.log(r)
 
 
-def _sample_vmf_directions(mu, kappa: float, stream: RandomStream, n: int) -> np.ndarray:
-    """Directions on the unit sphere via the rejection scheme of Wood (1994)."""
+def _row_norms(x, scratch=None, keepdims=False) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1)``, bit for bit, with the squares written
+    into ``scratch``."""
+    return np.sqrt(np.sum(np.multiply(x, x, out=scratch), axis=1, keepdims=keepdims))
+
+
+def _sample_vmf_directions(
+    mu, kappa: float, stream: RandomStream, n: int, out=None, work=(None, None)
+) -> np.ndarray:
+    """Directions on the unit sphere via the rejection scheme of Wood (1994),
+    written into ``out`` with ``work`` as scratch."""
     d = mu.shape[0]
     # rationalized form of b avoids cancellation for large kappa
     b = (d - 1.0) / (2.0 * kappa + math.sqrt(4.0 * kappa**2 + (d - 1.0) ** 2))
@@ -238,17 +266,20 @@ def _sample_vmf_directions(mu, kappa: float, stream: RandomStream, n: int) -> np
         filled += good.size
     else:  # pragma: no cover
         raise RuntimeError("direction sampling failed to accept enough draws")
-    tangent = stream.standard_normal((n, d))
-    tangent -= np.outer(tangent @ mu, mu)
-    tangent /= np.linalg.norm(tangent, axis=1, keepdims=True)
+    tangent = stream.standard_normal((n, d), out=out)
+    tangent -= np.outer(tangent @ mu, mu, out=work[0])
+    tangent /= _row_norms(tangent, work[0], keepdims=True)
     tangent *= np.sqrt(np.clip(1.0 - w * w, 0.0, None))[:, None]
-    tangent += w[:, None] * mu
+    tangent += np.outer(w, mu, out=work[0])
     return tangent
 
 
-def vmfn_sample(model: VmfnModel, stream: RandomStream, n: int) -> np.ndarray:
-    """Draw ``n`` points: vMF direction times a Nakagami radius."""
-    dirs = _sample_vmf_directions(model.mean_direction, model.kappa, stream, n)
+def vmfn_sample(
+    model: VmfnModel, stream: RandomStream, n: int, out=None, work=(None, None)
+) -> np.ndarray:
+    """Draw ``n`` points: vMF direction times a Nakagami radius, written into
+    ``out`` with ``work`` as scratch (see :func:`std_normal_logpdf`)."""
+    dirs = _sample_vmf_directions(model.mean_direction, model.kappa, stream, n, out, work)
     m, om = model.nakagami_shape, model.nakagami_spread
     r = np.sqrt(stream.gamma(m, om / m, size=n))
     dirs *= r[:, None]

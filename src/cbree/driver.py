@@ -27,7 +27,7 @@ from .cbs import (
     ess_from_log_weights,
     solve_beta,
 )
-from .densities import gaussian_fit, gaussian_sample, std_normal_logpdf, vmfn_fit, vmfn_sample
+from .densities import gaussian_fit, gaussian_sample, vmfn_fit, vmfn_sample
 from .numkit import RandomStream, ls_slope
 from .problems import ProblemSpec
 from .smoothing import empirical_cv, log_target, update_smoothing
@@ -145,18 +145,20 @@ class RunRecord:
                 writer.writerow([getattr(row, col) for col in TRACE_COLUMNS])
 
 
-def is_estimate(ens: Ensemble, proposal) -> tuple[float, np.ndarray]:
+def is_estimate(ens: Ensemble, proposal, work=(None, None)) -> tuple[float, np.ndarray]:
     """Importance-sampling estimate with the fitted proposal as sampler.
 
     Weights are ``exp(log phi(x) - log mu(x))`` on failure particles and zero
     elsewhere; with no failure particles the estimate is zero and the CV
-    downstream becomes infinite.
+    downstream becomes infinite.  ``log phi`` is the ensemble's shared one;
+    ``log mu`` is evaluated on every particle, with ``work`` (a pair of
+    arrays shaped like the points) as scratch, so that no subset is copied.
     """
     fail = ens.g_values <= 0.0
     weights = np.zeros(ens.size)
     if np.any(fail):
-        pts = ens.points[fail]
-        weights[fail] = np.exp(std_normal_logpdf(pts) - proposal.logpdf(pts))
+        log_ratio = ens.log_phi(work) - proposal.logpdf(ens.points, work)
+        weights[fail] = np.exp(log_ratio[fail])
     return float(weights.mean()), weights
 
 
@@ -189,18 +191,25 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
     - ``start(ens, root, lsf)``: set-up on the initial ensemble, returning
       the limit-state evaluations it spent;
     - ``noise_shape(J, d)``: the shape of one step's standard-normal noise;
-    - ``move(ens, model, n, noise, lsf, row)``: the next ensemble, with the
-      step's parameters written into ``row``; ``noise`` is a future whose
-      ``result()`` is the step's draw from ``substream(3, n)``, which must
-      not be kept past the call, since its buffer is refilled for the next
-      step; ``lsf`` is ``None`` when the next fresh batch replaces the points
-      anyway.
+    - ``move(ens, model, n, noise, lsf, row, out, work)``: the next
+      ensemble, with the step's parameters written into ``row``; ``noise``
+      is a future whose ``result()`` is the step's draw from
+      ``substream(3, n)``, which must not be kept past the call, since its
+      buffer is refilled for the next step; ``lsf`` is ``None`` when the
+      next fresh batch replaces the points anyway; ``out`` is a ``(J, d)``
+      array the mover may write the new positions into, and ``work`` a
+      pair of ``(J, d)`` scratch arrays.
 
     While the main thread works through iteration ``n`` up to the particle
     step, one worker thread draws the noise of that step into a buffer
     allocated once per run.  It only calls the random generator, and the
     draws depend on nothing the iteration computes, so the records are the
-    same as with draws made in line.
+    same as with draws made in line.  The run also owns its other large
+    arrays: two position arrays, one holding the ensemble and one spare that
+    a fresh batch or the particle step is written into (the two swap roles
+    when the ensemble is replaced), and the pair of scratch arrays for the
+    ``(J, d)`` temporaries of the fit, the sampler, the estimate and the
+    move.  Nothing is shared between runs.
 
     The cost is counted here from the batch sizes evaluated: the initial
     sweep, each fresh batch, one sweep per move that gets ``lsf``, plus the
@@ -228,22 +237,25 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
         points = root.substream(0).standard_normal((J, d))
         ens = Ensemble(points=points, g_values=np.asarray(lsf(points), dtype=float))
         cost = J + mover.start(ens, root, lsf)
+        # allocated after the start-up probe has freed its temporaries
+        spare = np.empty((J, d))
+        work = np.empty((2, J, d))
         step_lsf = None if mover.batch == "replace" else lsf
         trace: list[IterationRecord] = []
 
         n = 0
         while True:
-            model = vmfn_fit(ens.points) if vmfn else gaussian_fit(ens.points)
+            model = (vmfn_fit if vmfn else gaussian_fit)(ens.points, work)
             sample = ens
             if mover.batch is not None:
                 sampler = vmfn_sample if vmfn else gaussian_sample
-                new_pts = sampler(model, root.substream(2, n), J)
+                new_pts = sampler(model, root.substream(2, n), J, spare, work)
                 sample = Ensemble(points=new_pts, g_values=np.asarray(lsf(new_pts), dtype=float))
                 cost += J
                 if mover.batch == "replace":
-                    ens = sample
+                    spare, ens = ens.points, sample
 
-            pf, weights = is_estimate(sample, model)
+            pf, weights = is_estimate(sample, model, work)
             cv = empirical_cv(weights)
             row = IterationRecord(iter=n, cv=cv, pf_estimate=pf, cost_cum=cost)
             trace.append(row)
@@ -271,7 +283,10 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
                     final_ensemble=ens,
                 )
 
-            ens = mover.move(ens, model, n, pending, step_lsf, row)
+            moved = mover.move(ens, model, n, pending, step_lsf, row, spare, work)
+            if moved.points is spare:
+                spare = ens.points
+            ens = moved
             # the move has consumed the buffer, so it may be refilled; the
             # run stops at max_iter without drawing for that step
             if n + 1 < config.max_iter:
@@ -303,7 +318,7 @@ class CbreeMover:
         self.s = 0.0
         self.ess_target = ens.size / 2.0
         # provisional temperature at the initial smoothing level drives the probe
-        beta0, _ = solve_beta(log_target(ens.g_values, ens.points, self.s), self.ess_target)
+        beta0, _ = solve_beta(log_target(ens.g_values, ens.log_phi(), self.s), self.ess_target)
         h1, probe_cost = initial_stepsize(
             ens, self.s, beta0, cfg.eps_target, root.substream(1), lsf
         )
@@ -313,20 +328,20 @@ class CbreeMover:
     def noise_shape(self, J: int, d: int) -> tuple[int, ...]:
         return (J, d)
 
-    def move(self, ens: Ensemble, model, n: int, noise: Future, lsf, row) -> Ensemble:
+    def move(self, ens: Ensemble, model, n: int, noise: Future, lsf, row, out, work) -> Ensemble:
         cfg = self.config
         # the Gaussian proposal was fitted to this very ensemble, so its
         # moments are the ensemble's; a vMFN ensemble was resampled after
         # its fit
         if self.proposal == "vmfn":
-            theta_now = moments_of_ensemble(ens)
+            theta_now = moments_of_ensemble(ens, work)
         else:
             theta_now = pack_moments(model.mean, model.covariance)
         h_next, err = self.ctrl.propose(theta_now, n)
         s_next = update_smoothing(ens.g_values, self.s, h_next, cfg.delta_target)
-        log_w = log_target(ens.g_values, ens.points, s_next)
+        log_w = log_target(ens.g_values, ens.log_phi(work), s_next)
         beta, beta_capped = solve_beta(log_w, self.ess_target)
-        coeffs = coefficients_from_log_weights(ens.points, beta * log_w, beta)
+        coeffs = coefficients_from_log_weights(ens.points, beta * log_w, beta, work)
         self.ctrl.record(theta_now, stage_from_coefficients(coeffs), h_next)
 
         row.s = s_next
@@ -336,7 +351,7 @@ class CbreeMover:
         row.err = err
         row.ess = ess_from_log_weights(log_w, beta)
         self.s = s_next
-        return cbs_step(ens, coeffs, h_next, noise.result(), lsf)
+        return cbs_step(ens, coeffs, h_next, noise.result(), lsf, out, work)
 
 
 def run_cbree(problem: ProblemSpec, config: CbreeConfig) -> RunRecord:

@@ -92,7 +92,7 @@ class EnkfMover:
     def noise_shape(self, J: int, d: int) -> tuple[int, ...]:
         return (J,)
 
-    def move(self, ens, model, n, noise, lsf, row) -> Ensemble:
+    def move(self, ens, model, n, noise, lsf, row, out, work) -> Ensemble:
         row.h = self.h
         return enkf_step(ens, self.h, noise.result(), lsf)
 

@@ -59,7 +59,7 @@ def log_sum_exp(values) -> float:
     return m + float(np.log(np.sum(np.exp(v - m))))
 
 
-def weighted_moments(points, log_weights):
+def weighted_moments(points, log_weights, work=(None, None)):
     """Weighted mean and central second moment with log-domain weights.
 
     Parameters
@@ -69,6 +69,9 @@ def weighted_moments(points, log_weights):
     log_weights : ndarray, shape (J,)
         Unnormalized log-weights; normalization happens internally via
         :func:`log_sum_exp` so entries may span hundreds of nats.
+    work : pair of ndarrays shaped like ``points``, optional
+        Scratch space for the centered and the weighted centered points;
+        a ``None`` makes numpy allocate that temporary.
 
     Returns
     -------
@@ -86,8 +89,8 @@ def weighted_moments(points, log_weights):
         raise ValueError("degenerate weights: zero total mass")
     w = np.exp(lw - total)
     mean = w @ x
-    centered = x - mean
-    scm = (w[:, None] * centered).T @ centered
+    centered = np.subtract(x, mean, out=work[0])
+    scm = np.multiply(w[:, None], centered, out=work[1]).T @ centered
     scm = 0.5 * (scm + scm.T)
     return mean, scm
 

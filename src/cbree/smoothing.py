@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .densities import std_normal_logpdf
 from .numkit import bisect
 
 __all__ = [
@@ -46,13 +45,15 @@ def log_smooth_indicator(g, s):
     return -np.log(2.0) - np.log(u) - np.sign(t) * np.log(u + np.abs(t))
 
 
-def log_target(g, x, s):
-    """Log of the unnormalized smoothed target ``I(g, s) * phi(x)``.
+def log_target(g, log_phi, s):
+    """Log of the unnormalized smoothed target ``I(g, s) * phi(x)``, given
+    the input log-density ``log_phi = log phi(x)`` at the same points (see
+    :meth:`cbree.cbs.Ensemble.log_phi`).
 
     Finite for all finite inputs since the logistic surrogate is strictly
     positive.
     """
-    return log_smooth_indicator(g, s) + std_normal_logpdf(x)
+    return log_smooth_indicator(g, s) + log_phi
 
 
 def empirical_cv(weights) -> float:

@@ -68,17 +68,18 @@ def ensemble_coefficients(ens: Ensemble, s: float, beta: float) -> CbsCoefficien
     """
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    lw = beta * log_target(np.asarray(ens.g_values, dtype=float), ens.points, s)
+    lw = beta * log_target(np.asarray(ens.g_values, dtype=float), ens.log_phi(), s)
     return coefficients_from_log_weights(ens.points, lw, beta)
 
 
-def moments_of_ensemble(ens: Ensemble) -> np.ndarray:
-    """Sample mean and population covariance of the particle positions."""
+def moments_of_ensemble(ens: Ensemble, work=(None, None)) -> np.ndarray:
+    """Sample mean and population covariance of the particle positions; the
+    centered points go into ``work[0]``, or a new array when it is ``None``."""
     pts = ens.points
     if pts.shape[0] < 2:
         raise ValueError("moments need at least two particles")
     mean = pts.mean(axis=0)
-    centered = pts - mean
+    centered = np.subtract(pts, mean, out=work[0])
     cov = centered.T @ centered / pts.shape[0]
     return pack_moments(mean, cov)
 
@@ -173,10 +174,14 @@ def local_error(
 
 def next_stepsize(err: float, h: float) -> float:
     """``h' = (1 / err)^(1/2) h`` with the growth ratio clamped to
-    ``[STEP_FACTOR_MIN, STEP_FACTOR_MAX]``; a zero error takes the maximum."""
+    ``[STEP_FACTOR_MIN, STEP_FACTOR_MAX]``; a zero error takes the maximum,
+    a non-finite one the minimum."""
     if h <= 0:
         raise ValueError("stepsize h must be positive")
-    ratio = (1.0 / err) ** 0.5 if err > 0 else STEP_FACTOR_MAX
+    if err > 0:
+        ratio = (1.0 / err) ** 0.5
+    else:  # a NaN error (h overflowed) shrinks like an infinite one
+        ratio = STEP_FACTOR_MAX if err == 0 else STEP_FACTOR_MIN
     return h * min(max(ratio, STEP_FACTOR_MIN), STEP_FACTOR_MAX)
 
 

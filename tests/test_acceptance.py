@@ -15,7 +15,7 @@ import pytest
 import cbree
 from cbree.bench import McConfig, rep_seed, run_benchmark
 from cbree.cbs import coefficients_from_log_weights, ess_from_log_weights, solve_beta
-from cbree.densities import gaussian_logpdf, gaussian_sample, make_gaussian
+from cbree.densities import gaussian_logpdf, gaussian_sample, make_gaussian, std_normal_logpdf
 from cbree.numkit import RandomStream
 from cbree.problems import get_problem, kl_eigenpairs, make_flowrate_lsf
 from cbree.smoothing import empirical_cv, log_target, smooth_indicator
@@ -278,8 +278,9 @@ def test_c8_invariant_suite():
     # temperature solve self-consistency
     pts = RandomStream(3).standard_normal((400, 3))
     g_vals = 3.5 - pts.sum(axis=1) / math.sqrt(3.0)
-    beta, capped = solve_beta(log_target(g_vals, pts, 1.0), 200.0)
-    ess_val = ess_from_log_weights(log_target(g_vals, pts, 1.0), beta)
+    log_w = log_target(g_vals, std_normal_logpdf(pts), 1.0)
+    beta, capped = solve_beta(log_w, 200.0)
+    ess_val = ess_from_log_weights(log_w, beta)
     checks.append(("beta-solve self-consistency", (not capped) and abs(ess_val - 200.0) <= 0.01))
 
     ok = all(passed for _, passed in checks)

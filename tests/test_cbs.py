@@ -11,7 +11,8 @@ from cbree.cbs import (
     solve_beta,
     write_ensemble_csv,
 )
-from cbree.numkit import RandomStream, bisect
+from cbree.densities import std_normal_logpdf
+from cbree.numkit import RandomStream, bisect, log_sum_exp
 from cbree.smoothing import log_target
 from cbree.stepctl import ensemble_coefficients
 
@@ -76,7 +77,7 @@ class TestCoefficients:
     def test_laplace_principle(self):
         # unique maximal weight pulls the weighted mean onto that particle
         ens = make_ensemble(3, 40, 3)
-        lw = log_target(ens.g_values, ens.points, 1.0)
+        lw = log_target(ens.g_values, ens.log_phi(), 1.0)
         k = int(np.argmax(lw))
         coeffs = coefficients_from_log_weights(ens.points, 1e8 * lw, beta=1.0)
         assert np.max(np.abs(coeffs.m_beta - ens.points[k])) < 1e-8
@@ -135,6 +136,32 @@ class TestCbsStep:
         stepped = cbs_step(ens, ensemble_coefficients(ens, 1.0, 1.0), 0.5, noise_for(ens, 0), None)
         assert stepped.g_values is None
 
+    def test_step_into_buffers_matches_the_formula_bitwise(self):
+        ens = make_ensemble(33, 300, 50)
+        coeffs = ensemble_coefficients(ens, 0.9, 2.0)
+        noise = noise_for(ens, 34)
+        h = 0.4
+        alpha = np.exp(-h)
+        expected = (
+            alpha * ens.points
+            + (1.0 - alpha) * coeffs.m_beta
+            + np.sqrt(1.0 - alpha * alpha) * (noise @ coeffs.c_beta_factor.T)
+        )
+        out = np.empty_like(ens.points)
+        work = np.empty((2,) + ens.points.shape)
+        stepped = cbs_step(ens, coeffs, h, noise, linear_g, out, work)
+        assert stepped.points is out
+        assert np.array_equal(stepped.points, expected)
+        assert np.array_equal(cbs_step(ens, coeffs, h, noise, linear_g).points, expected)
+
+    @pytest.mark.parametrize("target", ["points", "noise"])
+    def test_out_sharing_memory_rejected(self, target):
+        ens = make_ensemble(35, 40, 3)
+        noise = noise_for(ens, 36)
+        out = {"points": ens.points, "noise": noise}[target][::-1]
+        with pytest.raises(ValueError, match="share memory"):
+            cbs_step(ens, ensemble_coefficients(ens, 1.0, 1.0), 0.5, noise, linear_g, out)
+
     @pytest.mark.parametrize("shape", [(50,), (49, 2), (50, 3), (2, 50)])
     def test_wrong_noise_shape_rejected(self, shape):
         ens = make_ensemble()
@@ -145,7 +172,7 @@ class TestCbsStep:
 class TestEss:
     def test_beta_zero_gives_J(self):
         ens = make_ensemble(13, 35, 2)
-        lw = log_target(ens.g_values, ens.points, 1.0)
+        lw = log_target(ens.g_values, ens.log_phi(), 1.0)
         assert ess_from_log_weights(lw, 0.0) == pytest.approx(35.0)
 
     def test_equal_weights_any_beta(self):
@@ -168,6 +195,24 @@ class TestEss:
             assert np.all(np.diff(vals) <= 1e-9)
             assert vals[0] == pytest.approx(30.0)
 
+    def test_one_exp_form_matches_two_log_sum_exps(self):
+        # the reference exp(2 lse(beta lw) - lse(2 beta lw)) loses about
+        # |beta max lw| * 2^-52 in its exponent, so the log-weights are
+        # shifted to a zero maximum, where it is exact to rounding
+        rng = np.random.default_rng(37)
+        betas = np.concatenate([[0.0], np.logspace(-8.0, 8.0, 97)])
+        for trial in range(6):
+            lw = 150.0 * rng.standard_normal(2000)
+            lw -= lw.max()
+            if trial % 2:
+                lw[rng.integers(0, 2000, size=40)] = -np.inf
+            for beta in betas[1:] if trial % 2 else betas:
+                reference = math.exp(2.0 * log_sum_exp(beta * lw) - log_sum_exp(2.0 * beta * lw))
+                assert ess_from_log_weights(lw, beta) == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+    def test_all_minus_inf_gives_nan(self):
+        assert math.isnan(ess_from_log_weights(np.full(6, -np.inf), 1.0))
+
     def test_limit_counts_argmax_ties(self):
         lw = np.array([0.0, 0.0, -5.0, -9.0])
         assert ess_from_log_weights(lw, 1e6) == pytest.approx(2.0)
@@ -178,7 +223,7 @@ class TestSolveBeta:
         pts = RandomStream(15).standard_normal((12, 2))
         norm = np.linalg.norm(pts, axis=1, keepdims=True)
         pts = pts / norm  # same radius
-        beta, capped = solve_beta(log_target(np.full(12, 1.0), pts, 0.0), 6.0)
+        beta, capped = solve_beta(log_target(np.full(12, 1.0), std_normal_logpdf(pts), 0.0), 6.0)
         assert capped
         assert beta == 1e8
 
@@ -197,7 +242,7 @@ class TestSolveBeta:
         for seed in range(5):
             ens = make_ensemble(seed + 20, 400, 3)
             target = 200.0
-            lw = log_target(ens.g_values, ens.points, 1.3)
+            lw = log_target(ens.g_values, ens.log_phi(), 1.3)
             beta, capped = solve_beta(lw, target)
             assert not capped
             assert abs(ess_from_log_weights(lw, beta) - target) <= 0.01
@@ -205,7 +250,7 @@ class TestSolveBeta:
     def test_matches_dense_grid_oracle(self):
         ens = make_ensemble(30, 200, 2)
         target = 100.0
-        lw = log_target(ens.g_values, ens.points, 0.8)
+        lw = log_target(ens.g_values, ens.log_phi(), 0.8)
         beta, _ = solve_beta(lw, target)
         grid = np.linspace(max(beta - 0.5, 0.0), beta + 0.5, 20001)
         vals = np.abs([ess_from_log_weights(lw, b) - target for b in grid])
@@ -215,9 +260,9 @@ class TestSolveBeta:
     def test_invalid_target(self):
         ens = make_ensemble(31, 10, 2)
         with pytest.raises(ValueError):
-            solve_beta(log_target(ens.g_values, ens.points, 1.0), 0.5)
+            solve_beta(log_target(ens.g_values, ens.log_phi(), 1.0), 0.5)
         with pytest.raises(ValueError):
-            solve_beta(log_target(ens.g_values, ens.points, 1.0), 10.0)
+            solve_beta(log_target(ens.g_values, ens.log_phi(), 1.0), 10.0)
 
 
 class TestExport:

@@ -22,6 +22,7 @@ from cbree.stepctl import (
     phi_scalar,
     stage_from_coefficients,
 )
+from cbree.stepctl import STEP_FACTOR_MIN
 
 
 def linear_g(x):
@@ -248,6 +249,12 @@ class TestNextStepsize:
 
     def test_zero_error_capped_growth(self):
         assert next_stepsize(0.0, 1.0) == pytest.approx(5.0)
+
+    def test_non_finite_error_takes_the_minimum_factor(self):
+        # an overflowed h makes the error estimate inf * 0 = NaN; it must not
+        # read as a zero error and grow h further
+        for err in (math.nan, math.inf):
+            assert next_stepsize(err, 2.0) == 2.0 * STEP_FACTOR_MIN
 
     def test_clamps(self):
         assert next_stepsize(1e6, 1.0) == pytest.approx(0.2)
