@@ -69,7 +69,8 @@ def _coerce(value: str, target_type, key: str):
 
 
 def build_config(method: str, entries: dict[str, str], seed: int | None = None):
-    """Instantiate the method's config dataclass from flat key-value entries."""
+    """Instantiate the method's config dataclass from flat key-value entries;
+    a ``seed`` given here overrides theirs."""
     if method not in METHODS:
         raise ConfigError(f"unknown method: {method!r}")
     config = METHODS[method][0]()
@@ -81,6 +82,8 @@ def build_config(method: str, entries: dict[str, str], seed: int | None = None):
         setattr(config, key, _coerce(value, type(current), key))
     if seed is not None:
         config.seed = int(seed)
+    if config.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {config.seed}")
     try:
         config.validate()
     except ValueError as exc:
@@ -131,6 +134,8 @@ def _cmd_bench(args) -> int:
         reps = args.reps
     if reps < 1:
         raise ConfigError(f"reps must be at least 1, got {reps}")
+    if master_seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {master_seed}")
     if args.jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {args.jobs}")
     config = build_config(method, entries)
@@ -177,7 +182,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--problem", required=True)
     p_run.add_argument("--method", required=True, choices=METHODS)
     p_run.add_argument("--config", help="flat key = value config file")
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=int, help="overrides the config file's seed")
     p_run.add_argument("--out", help="output base path (writes .json and .trace.csv)")
 
     p_bench = sub.add_parser("bench", help="repeated runs with aggregation")
@@ -189,7 +194,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("export-ensemble", help="final ensemble as CSV")
     p_exp.add_argument("--problem", required=True)
     p_exp.add_argument("--method", required=True, choices=("cbree", "cbree-vmfn", "enkf", "enkf-vmfn"))
-    p_exp.add_argument("--seed", type=int, default=0)
+    p_exp.add_argument("--seed", type=int, help="overrides the config file's seed")
     p_exp.add_argument("--config", help="flat key = value config file")
     p_exp.add_argument("--out")
 

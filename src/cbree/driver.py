@@ -188,8 +188,7 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
       to draw J fresh points from the proposal each iteration and move those,
       or ``"apart"`` to estimate on the fresh points and move the ensemble;
     - ``n_obs``: the divergence window, 0 to disable it;
-    - ``start(ens, root, lsf)``: set-up on the initial ensemble, returning
-      the limit-state evaluations it spent;
+    - ``start(ens, root)``: set-up on the initial ensemble;
     - ``noise_shape(J, d)``: the shape of one step's standard-normal noise;
     - ``move(ens, model, n, noise, lsf, row, out, work)``: the next
       ensemble, with the step's parameters written into ``row``; ``noise``
@@ -212,8 +211,7 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
     move.  Nothing is shared between runs.
 
     The cost is counted here from the batch sizes evaluated: the initial
-    sweep, each fresh batch, one sweep per move that gets ``lsf``, plus the
-    mover's start-up evaluations.
+    sweep, each fresh batch and one sweep per move that gets ``lsf``.
     """
     config.validate()
     d = problem.dim
@@ -233,10 +231,12 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
 
     # leaving the block joins the worker on every exit path, errors included
     with ThreadPoolExecutor(max_workers=1) as worker:
-        pending = worker.submit(draw_noise, 0)
+        # no noise is drawn for the step at max_iter, which is never taken
+        pending = worker.submit(draw_noise, 0) if config.max_iter > 0 else None
         points = root.substream(0).standard_normal((J, d))
         ens = Ensemble(points=points, g_values=np.asarray(lsf(points), dtype=float))
-        cost = J + mover.start(ens, root, lsf)
+        cost = J
+        mover.start(ens, root)
         # allocated after the start-up probe has freed its temporaries
         spare = np.empty((J, d))
         work = np.empty((2, J, d))
@@ -271,7 +271,8 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
             elif n >= config.max_iter:
                 termination = "max_iter"
             if termination is not None:
-                pending.result()  # a failed draw is not lost
+                if pending is not None:
+                    pending.result()  # a failed draw is not lost
                 return RunRecord(
                     estimate=float(estimate),
                     termination=termination,
@@ -287,8 +288,7 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
             if moved.points is spare:
                 spare = ens.points
             ens = moved
-            # the move has consumed the buffer, so it may be refilled; the
-            # run stops at max_iter without drawing for that step
+            # the move has consumed the buffer, so it may be refilled
             if n + 1 < config.max_iter:
                 pending = worker.submit(draw_noise, n + 1)
             if step_lsf is not None:
@@ -313,17 +313,14 @@ class CbreeMover:
         self.batch = "replace" if proposal == "vmfn" else None
         self.n_obs = config.n_obs
 
-    def start(self, ens: Ensemble, root: RandomStream, lsf) -> int:
+    def start(self, ens: Ensemble, root: RandomStream) -> None:
         cfg = self.config
         self.s = 0.0
         self.ess_target = ens.size / 2.0
         # provisional temperature at the initial smoothing level drives the probe
         beta0, _ = solve_beta(log_target(ens.g_values, ens.log_phi(), self.s), self.ess_target)
-        h1, probe_cost = initial_stepsize(
-            ens, self.s, beta0, cfg.eps_target, root.substream(1), lsf
-        )
+        h1 = initial_stepsize(ens, beta0, cfg.eps_target, root.substream(1))
         self.ctrl = StepControllerState(h_current=h1, eps_target=cfg.eps_target)
-        return probe_cost
 
     def noise_shape(self, J: int, d: int) -> tuple[int, ...]:
         return (J, d)

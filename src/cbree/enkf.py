@@ -86,8 +86,8 @@ class EnkfMover:
         self.proposal = proposal
         self.h = config.h
 
-    def start(self, ens, root, lsf) -> int:
-        return 0
+    def start(self, ens, root) -> None:
+        pass
 
     def noise_shape(self, J: int, d: int) -> tuple[int, ...]:
         return (J,)

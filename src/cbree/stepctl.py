@@ -23,7 +23,6 @@ import numpy as np
 
 from .cbs import CbsCoefficients, Ensemble, cbs_step, coefficients_from_log_weights
 from .numkit import RandomStream
-from .smoothing import log_target
 
 __all__ = [
     "StepControllerState",
@@ -60,16 +59,16 @@ def moment_dim(theta) -> int:
     return d
 
 
-def ensemble_coefficients(ens: Ensemble, s: float, beta: float) -> CbsCoefficients:
-    """Softmax-weighted mean and (1+beta)-scaled covariance of the ensemble.
-
-    All weight arithmetic happens in the log domain; in high dimensions the
-    input log-density alone spans hundreds of nats across the ensemble.
+def ensemble_coefficients(ens: Ensemble, beta: float) -> CbsCoefficients:
+    """Softmax-weighted mean and (1+beta)-scaled covariance of the ensemble
+    at the start level ``s = 0``, where ``I(g, 0) = 1/2`` for every finite
+    ``g``: the log-weights ``beta (log phi - log 2)`` involve no limit-state
+    value.  They stay in the log domain; in high dimensions ``log phi``
+    alone spans hundreds of nats across the ensemble.
     """
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    lw = beta * log_target(np.asarray(ens.g_values, dtype=float), ens.log_phi(), s)
-    return coefficients_from_log_weights(ens.points, lw, beta)
+    return coefficients_from_log_weights(ens.points, beta * (ens.log_phi() - np.log(2.0)), beta)
 
 
 def moments_of_ensemble(ens: Ensemble, work=(None, None)) -> np.ndarray:
@@ -185,25 +184,19 @@ def next_stepsize(err: float, h: float) -> float:
     return h * min(max(ratio, STEP_FACTOR_MIN), STEP_FACTOR_MAX)
 
 
-def initial_stepsize(
-    ens0: Ensemble,
-    s1: float,
-    beta1: float,
-    eps_target: float,
-    stream: RandomStream,
-    lsf,
-):
-    """Starting stepsize from one cheap probe step.
+def initial_stepsize(ens0: Ensemble, beta1: float, eps_target: float, stream: RandomStream) -> float:
+    """Starting stepsize from one cheap probe step at the start level.
 
     A conservative first guess ``h0 = |theta0|_G / (100 |g(theta0)|_G)``
     drives a probe particle step whose moments give a forward-difference
     estimate of the right-hand side's derivative; the second guess solves
     ``h1^2 max(|g1 - g0|_G / h0, |g0|_G) = 1/100`` and the final value is
-    ``max(100 h0, h1)``.  Returns the stepsize and the number of limit-state
-    evaluations spent (one per particle).
+    ``max(100 h0, h1)``.  Both ensembles are weighted at ``s = 0``, where the
+    limit state does not enter (see :func:`ensemble_coefficients`), so the
+    probe evaluates nothing.
     """
     theta0 = moments_of_ensemble(ens0)
-    coeffs0 = ensemble_coefficients(ens0, s1, beta1)
+    coeffs0 = ensemble_coefficients(ens0, beta1)
     g0 = moments_rhs(theta0, coeffs0)
     norm_theta0 = error_norm(theta0, theta0, eps_target)
     norm_g0 = error_norm(g0, theta0, eps_target)
@@ -212,14 +205,14 @@ def initial_stepsize(
     else:
         h0 = 0.01 * norm_theta0 / norm_g0
     noise = stream.standard_normal(ens0.points.shape)
-    probe = cbs_step(ens0, coeffs0, h0, noise, lsf)
-    g1 = moments_rhs(moments_of_ensemble(probe), ensemble_coefficients(probe, s1, beta1))
+    probe = cbs_step(ens0, coeffs0, h0, noise, None)
+    g1 = moments_rhs(moments_of_ensemble(probe), ensemble_coefficients(probe, beta1))
     denom = max(error_norm(g1 - g0, theta0, eps_target) / h0, norm_g0)
     if denom < 1e-14:
         h1 = 100.0 * h0
     else:
         h1 = np.sqrt(0.01 / denom)
-    return max(100.0 * h0, h1), ens0.size
+    return max(100.0 * h0, h1)
 
 
 @dataclass

@@ -27,6 +27,12 @@ def make_ensemble(seed=0, n=50, d=2):
     return Ensemble(pts, linear_g(pts))
 
 
+def coefficients_at(ens, s, beta):
+    """Coefficients at smoothing level ``s``, formed as the driver forms them."""
+    log_w = log_target(ens.g_values, ens.log_phi(), s)
+    return coefficients_from_log_weights(ens.points, beta * log_w, beta)
+
+
 def noise_for(ens, seed):
     return RandomStream(seed).standard_normal(ens.points.shape)
 
@@ -34,7 +40,7 @@ def noise_for(ens, seed):
 class TestCoefficients:
     def test_beta_zero_gives_sample_moments(self):
         ens = make_ensemble()
-        coeffs = ensemble_coefficients(ens, s=1.0, beta=0.0)
+        coeffs = coefficients_at(ens, s=1.0, beta=0.0)
         assert np.allclose(coeffs.m_beta, ens.points.mean(axis=0))
         centered = ens.points - ens.points.mean(axis=0)
         assert np.allclose(coeffs.c_beta_sq, centered.T @ centered / ens.size)
@@ -45,7 +51,7 @@ class TestCoefficients:
         pts = 1.7 * np.stack([np.cos(theta), np.sin(theta)], axis=1)
         ens = Ensemble(points=pts, g_values=np.full(8, 0.4))
         for beta in (0.5, 1.0, 7.0):
-            coeffs = ensemble_coefficients(ens, s=2.0, beta=beta)
+            coeffs = coefficients_at(ens, s=2.0, beta=beta)
             centered = pts - pts.mean(axis=0)
             assert np.allclose(coeffs.m_beta, pts.mean(axis=0), atol=1e-12)
             assert np.allclose(coeffs.c_beta_sq, (1.0 + beta) * centered.T @ centered / 8, atol=1e-12)
@@ -58,13 +64,22 @@ class TestCoefficients:
 
     def test_factor_reconstructs(self):
         ens = make_ensemble(1, 120, 4)
-        coeffs = ensemble_coefficients(ens, s=0.7, beta=3.0)
+        coeffs = coefficients_at(ens, s=0.7, beta=3.0)
         rebuilt = coeffs.c_beta_factor @ coeffs.c_beta_factor.T
         assert np.max(np.abs(rebuilt - coeffs.c_beta_sq)) < 1e-8
 
+    def test_start_level_weights_match_log_target_bitwise(self):
+        # I(g, 0) = 1/2 for every finite g, so the limit state drops out
+        ens = make_ensemble(4, 200, 3)
+        for beta in (0.0, 0.6, 2.5):
+            got = ensemble_coefficients(ens, beta)
+            want = coefficients_at(ens, 0.0, beta)
+            assert np.array_equal(got.m_beta, want.m_beta)
+            assert np.array_equal(got.c_beta_sq, want.c_beta_sq)
+
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
-            ensemble_coefficients(make_ensemble(), 1.0, -0.5)
+            ensemble_coefficients(make_ensemble(), -0.5)
 
     def test_mean_in_convex_hull_1d(self):
         rng = np.random.default_rng(2)
@@ -88,13 +103,13 @@ class TestCbsStep:
         # displacement is dominated by the sqrt(1 - alpha^2) ~ sqrt(2h) noise
         ens = make_ensemble(4, 60, 2)
         for h in (1e-6, 1e-10):
-            coeffs = ensemble_coefficients(ens, 1.0, 1.0)
+            coeffs = coefficients_at(ens, 1.0, 1.0)
             stepped = cbs_step(ens, coeffs, h, noise_for(ens, 5), linear_g)
             assert np.max(np.abs(stepped.points - ens.points)) < 8.0 * math.sqrt(2.0 * h)
 
     def test_huge_h_draws_iid_at_coefficients(self):
         ens = make_ensemble(6, 100_000, 2)
-        coeffs = ensemble_coefficients(ens, 0.5, 2.0)
+        coeffs = coefficients_at(ens, 0.5, 2.0)
         stepped = cbs_step(ens, coeffs, 1e3, noise_for(ens, 7), linear_g)
         assert np.max(np.abs(stepped.points.mean(axis=0) - coeffs.m_beta)) < 0.02
         centered = stepped.points - stepped.points.mean(axis=0)
@@ -106,7 +121,7 @@ class TestCbsStep:
         ens = make_ensemble(8, 100_000, 2)
         h = 0.35
         alpha = math.exp(-h)
-        coeffs = ensemble_coefficients(ens, 1.0, 1.5)
+        coeffs = coefficients_at(ens, 1.0, 1.5)
         stepped = cbs_step(ens, coeffs, h, noise_for(ens, 9), linear_g)
         expected = alpha * ens.points.mean(axis=0) + (1.0 - alpha) * coeffs.m_beta
         noise_cov = (1.0 - alpha**2) * coeffs.c_beta_sq
@@ -121,7 +136,7 @@ class TestCbsStep:
             return 3.5 - x.sum(axis=1) / math.sqrt(3.0)
 
         ens3 = Ensemble(ens.points, g3(ens.points))
-        coeffs = ensemble_coefficients(ens3, 0.7, 1.0)
+        coeffs = coefficients_at(ens3, 0.7, 1.0)
         stepped = cbs_step(ens3, coeffs, 0.5, noise_for(ens, 11), g3)
         idx = RandomStream(12).integers(0, 200, size=5)
         assert np.array_equal(stepped.g_values[idx], g3(stepped.points[idx]))
@@ -129,16 +144,16 @@ class TestCbsStep:
     def test_non_positive_h_rejected(self):
         with pytest.raises(ValueError):
             ens = make_ensemble()
-            cbs_step(ens, ensemble_coefficients(ens, 1.0, 1.0), 0.0, noise_for(ens, 0), linear_g)
+            cbs_step(ens, coefficients_at(ens, 1.0, 1.0), 0.0, noise_for(ens, 0), linear_g)
 
     def test_skip_refresh_leaves_cache_unset(self):
         ens = make_ensemble()
-        stepped = cbs_step(ens, ensemble_coefficients(ens, 1.0, 1.0), 0.5, noise_for(ens, 0), None)
+        stepped = cbs_step(ens, coefficients_at(ens, 1.0, 1.0), 0.5, noise_for(ens, 0), None)
         assert stepped.g_values is None
 
     def test_step_into_buffers_matches_the_formula_bitwise(self):
         ens = make_ensemble(33, 300, 50)
-        coeffs = ensemble_coefficients(ens, 0.9, 2.0)
+        coeffs = coefficients_at(ens, 0.9, 2.0)
         noise = noise_for(ens, 34)
         h = 0.4
         alpha = np.exp(-h)
@@ -160,13 +175,13 @@ class TestCbsStep:
         noise = noise_for(ens, 36)
         out = {"points": ens.points, "noise": noise}[target][::-1]
         with pytest.raises(ValueError, match="share memory"):
-            cbs_step(ens, ensemble_coefficients(ens, 1.0, 1.0), 0.5, noise, linear_g, out)
+            cbs_step(ens, coefficients_at(ens, 1.0, 1.0), 0.5, noise, linear_g, out)
 
     @pytest.mark.parametrize("shape", [(50,), (49, 2), (50, 3), (2, 50)])
     def test_wrong_noise_shape_rejected(self, shape):
         ens = make_ensemble()
         with pytest.raises(ValueError, match="noise has shape"):
-            cbs_step(ens, ensemble_coefficients(ens, 1.0, 1.0), 0.5, np.zeros(shape), linear_g)
+            cbs_step(ens, coefficients_at(ens, 1.0, 1.0), 0.5, np.zeros(shape), linear_g)
 
 
 class TestEss:

@@ -8,6 +8,7 @@ import pytest
 from cbree.bench import METHODS
 from cbree.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_config, main, parse_kv_file
 from cbree.driver import CbreeConfig, run_cbree
+from cbree.problems import get_problem
 
 
 @pytest.fixture
@@ -147,6 +148,27 @@ class TestCommands:
         assert code == EXIT_CONFIG
         assert stale.split()[0] in capsys.readouterr().err
 
+    def test_run_uses_the_config_file_seed(self, tmp_path, capsys):
+        cfg = tmp_path / "seeded.cfg"
+        cfg.write_text("n_particles = 300\nmax_iter = 2\nseed = 5\n")
+        argv = ["run", "--problem", "linear", "--method", "cbree", "--config", str(cfg)]
+        assert main(argv) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["seed"] == 5
+        direct = run_cbree(get_problem("linear"), CbreeConfig(n_particles=300, max_iter=2, seed=5))
+        assert payload == json.loads(json.dumps(direct.to_json_dict()))
+
+    def test_run_seed_flag_overrides_the_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "seeded.cfg"
+        cfg.write_text("n_particles = 300\nmax_iter = 2\nseed = 5\n")
+        argv = ["run", "--problem", "linear", "--method", "cbree", "--config", str(cfg), "--seed", "7"]
+        assert main(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["seed"] == 7
+
+    def test_run_negative_seed_is_config_error(self, capsys):
+        assert main(["run", "--problem", "linear", "--method", "mc", "--seed", "-1"]) == EXIT_CONFIG
+        assert "seed must be non-negative" in capsys.readouterr().err
+
     def test_run_runtime_failure_exit_code(self, capsys):
         # vMFN resampling cannot work in one dimension -> runtime failure
         code = main(["run", "--problem", "linear-1", "--method", "cbree-vmfn"])
@@ -206,14 +228,15 @@ class TestCommands:
         [
             ("reps = two\n", []),
             ("seed = x\n", []),
+            ("seed = -1\n", []),
             ("reps = 0\n", []),
             ("reps = -3\n", []),
             ("", ["--reps", "0"]),
             ("", ["--jobs", "0"]),
             ("", ["--jobs", "-5"]),
         ],
-        ids=["reps-not-int", "seed-not-int", "reps-zero", "reps-negative", "cli-reps-zero",
-             "jobs-zero", "jobs-negative"],
+        ids=["reps-not-int", "seed-not-int", "seed-negative", "reps-zero", "reps-negative",
+             "cli-reps-zero", "jobs-zero", "jobs-negative"],
     )
     def test_bench_bad_reps_or_seed_is_config_error(self, tmp_path, capsys, lines, argv):
         cfg = tmp_path / "bench.cfg"

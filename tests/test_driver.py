@@ -115,15 +115,15 @@ class TestRunCbree:
         problem = get_problem("linear")
         record = run_cbree(problem, CbreeConfig(n_particles=300, seed=5))
         assert record.cost == problem.evaluations
-        # initial sample + probe + one sweep per completed step
-        assert record.cost == 300 * (record.iterations + 2)
+        # initial sample + one sweep per completed step
+        assert record.cost == 300 * (record.iterations + 1)
 
     def test_cost_audit_vmfn(self):
         problem = get_problem("linear-4")
         record = run_cbree_vmfn(problem, CbreeConfig(n_particles=300, delta_target=2.0, seed=6))
         assert record.cost == problem.evaluations
-        # initial sample + probe + one resample sweep per iteration row
-        assert record.cost == 300 * (record.iterations + 3)
+        # initial sample + one resample sweep per iteration row
+        assert record.cost == 300 * (record.iterations + 2)
 
     def test_trace_shape_and_termination(self):
         record = run_cbree(get_problem("linear"), CbreeConfig(n_particles=300, seed=7))
@@ -158,7 +158,7 @@ class TestRunCbree:
         assert record.termination == "max_iter"
         assert record.iterations == 0
         assert len(record.trace) == 1
-        assert record.cost == 2 * 300  # initial sweep + probe
+        assert record.cost == 300  # initial sweep only
 
     def test_single_particle_rejected(self):
         with pytest.raises(ValueError):
@@ -250,7 +250,7 @@ class TestNoiseWorker:
 
         problem = ProblemSpec(name="nan-on-third", dim=4, lsf=CountedLsf(nan_on_third_sweep))
         before = threading.active_count()
-        # sweeps: initial ensemble, start-up probe, first particle step
+        # sweeps: initial ensemble, first particle step, second particle step
         with pytest.raises(ValueError, match="non-finite"):
             run_cbree(problem, CbreeConfig(n_particles=300, seed=24))
         assert len(calls) == 3
@@ -261,10 +261,13 @@ class TestNoiseWorker:
         [
             (run_cbree, CbreeConfig(n_particles=300, delta_target=0.01, n_obs=0, max_iter=3, seed=25)),
             (run_enkf, EnkfConfig(n_particles=300, delta_target=0.01, max_iter=3, seed=26)),
+            (run_cbree, CbreeConfig(n_particles=300, delta_target=0.01, n_obs=0, max_iter=0, seed=25)),
+            (run_enkf, EnkfConfig(n_particles=300, delta_target=0.01, max_iter=0, seed=26)),
         ],
     )
     def test_no_draw_for_the_step_max_iter_never_takes(self, monkeypatch, runner, config):
-        # steps are taken at iterations 0, 1, 2; the run stops at 3 without one
+        # steps are taken at iterations 0 .. max_iter - 1; the run stops at
+        # max_iter without one
         draws = []
 
         class CountingStream(RandomStream):
@@ -276,7 +279,7 @@ class TestNoiseWorker:
         monkeypatch.setattr(cbree.driver, "RandomStream", CountingStream)
         record = runner(get_problem("linear-4"), config)
         assert record.termination == "max_iter"
-        assert draws == [(3, 0), (3, 1), (3, 2)]
+        assert draws == [(3, n) for n in range(config.max_iter)]
 
     def test_runs_in_a_thread_pool_match_serial_runs(self):
         cells = [("linear", seed) for seed in (31, 32, 33)] + [("linear-4", 34)]
