@@ -65,6 +65,8 @@ class McConfig:
     def validate(self) -> None:
         if self.n_particles < 1:
             raise ValueError("n_particles must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -184,6 +186,8 @@ def run_benchmark(
     """
     if method not in METHODS:
         raise KeyError(f"unknown method: {method!r}")
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be non-negative, got {master_seed}")
     problem = get_problem(problem_name)  # validates the name eagerly
     work = [(method, problem_name, config, master_seed, rep) for rep in range(reps)]
     workers = min(jobs, reps)  # the pool starts every worker up front

@@ -13,12 +13,13 @@ temperature solve that pins it at a target.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .densities import std_normal_logpdf
-from .numkit import bisect, factor_spd, spd_jitter, weighted_moments
+from .numkit import factor_spd, spd_jitter, weighted_moments
 
 __all__ = [
     "Ensemble",
@@ -32,6 +33,7 @@ __all__ = [
 
 # largest inverse temperature the beta solve returns (reported as beta_capped)
 BETA_CAP = 1e8
+_LOG_BETA_CAP = math.log(BETA_CAP)
 
 
 @dataclass
@@ -57,16 +59,15 @@ class Ensemble:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def log_phi(self, work=(None, None)) -> np.ndarray:
+    def log_phi(self) -> np.ndarray:
         """Standard-normal log-density ``log phi`` at every particle, ``(J,)``.
 
-        Computed on the first call (with ``work`` as scratch, see
-        :func:`cbree.densities.std_normal_logpdf`) and returned from the
-        cache afterwards, so the importance-sampling estimate and the
-        temperature solve of one ensemble share it.
+        Computed on the first call and returned from the cache afterwards,
+        so the importance-sampling estimate and the temperature solve of one
+        ensemble share it.
         """
         if self._log_phi is None:
-            self._log_phi = std_normal_logpdf(self.points, work)
+            self._log_phi = std_normal_logpdf(self.points)
         return self._log_phi
 
 
@@ -129,45 +130,91 @@ def cbs_step(
     return Ensemble(points=new_pts, g_values=new_g)
 
 
-def ess_from_log_weights(log_w, beta: float) -> float:
+def ess_from_log_weights(log_w, beta: float, slope: bool = False):
     """Effective sample size ``(sum w^beta)^2 / sum w^(2 beta)``.
 
     One exponential pass: with ``v = exp(beta log_w - max)`` the ESS is
     ``(sum v)^2 / (v . v)``, and the shift cancels.  Entries may be ``-inf``
     (zero weight); NaN when no finite maximum exists, e.g. all ``-inf``.
+
+    With ``slope=True`` returns ``(ess, d log ESS / d log beta)``.  The
+    slope is ``2 beta (E_beta[l] - E_2beta[l])``, where ``E_beta`` is the
+    mean of ``l = log_w`` under weights proportional to ``exp(beta l)``; it
+    comes from the same exponentials, as ``2 (E_v[c] - E_vv[c])`` with
+    ``c = beta log_w - max`` and weights ``v`` and ``v * v``.
     """
     lw = beta * np.asarray(log_w, dtype=float)
     top = np.max(lw)
     if not np.isfinite(top):
-        return np.nan
-    v = np.exp(lw - top)
+        return (np.nan, np.nan) if slope else np.nan
+    c = np.subtract(lw, top, out=lw)
+    v = np.exp(c)
     total = np.sum(v)
-    return float(total * total / (v @ v))
+    sq = v @ v
+    ess = float(total * total / sq)
+    if not slope:
+        return ess
+    # exp underflows to 0 below about -745, so the floor leaves v as it is
+    # and keeps 0 * (-inf) out of the sums
+    vc = np.multiply(v, np.maximum(c, -1e3, out=c), out=c)
+    return ess, float(2.0 * (np.sum(vc) / total - (vc @ v) / sq))
 
 
 def solve_beta(log_target_values, target: float) -> tuple[float, bool]:
-    """Inverse temperature with ``ESS(beta) = target``, by bracketed bisection.
+    """Inverse temperature with ``ESS(beta) = target``, by safeguarded Newton.
 
     ``log_target_values`` holds the per-particle ``log(I(g, s) phi(x))`` (see
-    :func:`cbree.smoothing.log_target`); the weights are their ``beta``-th
-    powers.  ESS is non-increasing in ``beta`` with ``ESS(0) = J``, so the
-    bracket ``[0, 1]`` is doubled until it straddles the target.  If even
-    :data:`BETA_CAP` leaves the weights too uniform (``ESS > target``, e.g.
-    identical log-weights) the cap is returned with ``capped=True``.
+    :func:`cbree.smoothing.log_target`), all finite; the weights are their
+    ``beta``-th powers.  ESS is non-increasing in ``beta`` with
+    ``ESS(0) = J``.
+
+    Newton's method runs in ``u = log beta`` on ``log ESS = log target``,
+    written as ``log(log J - log ESS) = log(log J - log target)``: for
+    Gaussian log-target values ``log(J / ESS) = beta^2 var`` exactly, so this
+    form is linear in ``u``, and its ``beta -> 0`` limit gives the starting
+    point ``sqrt(log(J / target)) / sd``.  The slope comes with each ESS
+    evaluation (see :func:`ess_from_log_weights`), and a step changes ``u``
+    by at most ``log(BETA_CAP)``.  A bracket ``ESS(lo) > target >= ESS(hi)``
+    guards the iteration: when the slope is not negative or the iterate
+    leaves the bracket, the solve doubles ``beta`` (while there is no upper
+    end yet) or bisects.  It stops at the first ``beta`` with
+    ``|ESS - target| <= 0.01``, or at the bracket midpoint once the bracket
+    is narrower than ``1e-10 max(1, hi)``.  If even :data:`BETA_CAP` leaves
+    the weights too uniform (``ESS > target``, e.g. identical log-weights)
+    the cap is returned with ``capped=True``.
     """
     lw = np.asarray(log_target_values, dtype=float)
     n = lw.shape[0]
     if not 1.0 < target < n:
         raise ValueError("target must lie strictly between 1 and J")
-    lo, hi = 0.0, 1.0
-    while hi < BETA_CAP and ess_from_log_weights(lw, hi) > target:
-        lo, hi = hi, min(2.0 * hi, BETA_CAP)
-    if hi >= BETA_CAP and ess_from_log_weights(lw, BETA_CAP) > target:
-        return BETA_CAP, True
-    beta = bisect(
-        lambda b: target - ess_from_log_weights(lw, b), lo, hi, 1e-10 * max(1.0, hi), 0.01
-    )
-    return beta, False
+    if not np.all(np.isfinite(lw)):
+        raise ValueError("log-target values must be finite")
+    log_n = math.log(n)
+    gap_target = log_n - math.log(target)
+    sd = float(np.std(lw))
+    beta = min(math.sqrt(gap_target) / sd, BETA_CAP) if sd > 0.0 else BETA_CAP
+    lo, hi = 0.0, math.inf
+    for _ in range(200):
+        ess, slope = ess_from_log_weights(lw, beta, slope=True)
+        if abs(ess - target) <= 0.01:
+            return beta, False
+        if ess > target:
+            if beta >= BETA_CAP:
+                return BETA_CAP, True
+            lo = beta
+        else:
+            hi = beta
+        if hi < math.inf and hi - lo <= 1e-10 * max(1.0, hi):
+            break
+        gap = log_n - math.log(ess)
+        step = math.nan
+        if slope < 0.0 and gap > 0.0:
+            step = math.log(gap_target / gap) * gap / -slope
+        nxt = beta * math.exp(min(max(step, -_LOG_BETA_CAP), _LOG_BETA_CAP))
+        if not lo < nxt < hi:  # also taken when the step is NaN
+            nxt = min(2.0 * beta, BETA_CAP) if hi == math.inf else 0.5 * (lo + hi)
+        beta = min(nxt, BETA_CAP)
+    return 0.5 * (lo + hi), False
 
 
 def write_ensemble_csv(ens: Ensemble, path) -> None:

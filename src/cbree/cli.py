@@ -82,8 +82,6 @@ def build_config(method: str, entries: dict[str, str], seed: int | None = None):
         setattr(config, key, _coerce(value, type(current), key))
     if seed is not None:
         config.seed = int(seed)
-    if config.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {config.seed}")
     try:
         config.validate()
     except ValueError as exc:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln, ive
 
-from .numkit import RandomStream, factor_spd
+from .numkit import RandomStream, factor_spd, sample_mean
 
 __all__ = [
     "GaussianModel",
@@ -38,15 +38,15 @@ NAKAGAMI_SHAPE_MIN = 0.5
 NAKAGAMI_SHAPE_MAX = 1e6
 
 
-def std_normal_logpdf(x, work=(None, None)):
+def std_normal_logpdf(x):
     """Log-density of N(0, I_d); ``x`` is ``(d,)`` or ``(n, d)``.
 
-    ``work`` is a pair of scratch arrays shaped like ``x``; the squares go
-    into ``work[0]``, and a ``None`` there makes numpy allocate.
+    The sums of squares are one ``einsum``, which forms no ``(n, d)``
+    temporary and beats numpy's strided axis sum several times over.
     """
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
-    return -0.5 * (d * _LOG_2PI + np.sum(np.multiply(x, x, out=work[0]), axis=-1))
+    return -0.5 * (d * _LOG_2PI + np.einsum("...i,...i->...", x, x))
 
 
 @dataclass(frozen=True)
@@ -88,12 +88,12 @@ def gaussian_fit(sample, work=(None, None)) -> GaussianModel:
 
     Degenerate spreads are handled by the factorization: a fully collapsed
     sample yields the effective covariance ``FIT_JITTER * I``.  The centered
-    sample goes into ``work[0]`` (see :func:`std_normal_logpdf`).
+    sample goes into ``work[0]``, and a ``None`` there makes numpy allocate.
     """
     x = np.asarray(sample, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("gaussian_fit needs at least two sample points")
-    mean = x.mean(axis=0)
+    mean = sample_mean(x)
     centered = np.subtract(x, mean, out=work[0])
     cov = centered.T @ centered / x.shape[0]
     return make_gaussian(mean, cov, FIT_JITTER)
@@ -104,10 +104,10 @@ def gaussian_logpdf(model: GaussianModel, x, work=(None, None)) -> np.ndarray:
 
     The rows are whitened by one product with the cached ``whiten``; the
     centered rows go into ``work[0]`` and the whitened ones into ``work[1]``
-    (see :func:`std_normal_logpdf`).
+    (see :func:`gaussian_fit`).
     """
     z = np.matmul(np.subtract(x, model.mean, out=work[0]), model.whiten, out=work[1])
-    quad = np.sum(np.multiply(z, z, out=z), axis=1)
+    quad = np.einsum("ij,ij->i", z, z)
     return -0.5 * (model.dim * _LOG_2PI + model.log_det + quad)
 
 
@@ -115,7 +115,7 @@ def gaussian_sample(
     model: GaussianModel, stream: RandomStream, n: int, out=None, work=(None, None)
 ) -> np.ndarray:
     """Draw ``n`` points into ``out``, with ``work`` as scratch (see
-    :func:`std_normal_logpdf`); a ``None`` makes numpy allocate."""
+    :func:`gaussian_fit`); a ``None`` makes numpy allocate."""
     xi = stream.standard_normal((n, model.dim), out=work[0])
     return np.add(model.mean, np.matmul(xi, model.factor.T, out=work[1]), out=out)
 
@@ -141,7 +141,9 @@ class VmfnModel:
         return self.mean_direction.shape[0]
 
     def logpdf(self, x, work=(None, None)):
-        return vmfn_logpdf(self, x, work)
+        # the density forms no (n, d) temporary: ``work`` is only taken so
+        # that both proposal models share one signature
+        return vmfn_logpdf(self, x)
 
     def to_json(self) -> dict:
         """Serialize for run-record export."""
@@ -154,15 +156,15 @@ class VmfnModel:
         }
 
 
-def vmfn_fit(sample, work=(None, None)) -> VmfnModel:
+def vmfn_fit(sample) -> VmfnModel:
     """Fit a vMFN model by moment matching.
 
     Direction: mean resultant length ``rbar`` gives the standard concentration
     approximation ``kappa = rbar (d - rbar^2) / (1 - rbar^2)``.  Radius: the
     Nakagami spread is ``mean(r^2)`` and the shape follows from matching
     ``var(r^2)``, clamped to ``[0.5, 1e6]``.  Nearly collinear samples cap
-    ``kappa`` at 1e8 and set a flag.  The ``(J, d)`` temporaries go into
-    ``work[0]`` (see :func:`std_normal_logpdf`).
+    ``kappa`` at 1e8 and set a flag.  The mean direction is one product
+    ``(1 / r) @ x``, so no unit vectors are formed.
     """
     x = np.asarray(sample, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -170,17 +172,16 @@ def vmfn_fit(sample, work=(None, None)) -> VmfnModel:
     d = x.shape[1]
     if d < 2:
         raise ValueError("vmfn_fit requires dimension >= 2")
-    r = _row_norms(x, work[0])
+    r2 = np.einsum("ij,ij->i", x, x)
+    r = np.sqrt(r2)
     if np.any(r == 0.0):
         raise ValueError("vmfn_fit: zero-norm sample point")
-    unit = np.divide(x, r[:, None], out=work[0])
-    resultant = unit.mean(axis=0)
+    resultant = (1.0 / r) @ x / x.shape[0]
     rbar = float(np.linalg.norm(resultant))
     mu = resultant / rbar if rbar > 0 else np.eye(d)[0]
     kappa = math.inf if rbar >= 1.0 - 1e-12 else rbar * (d - rbar**2) / (1.0 - rbar**2)
     capped = kappa > KAPPA_CAP
     kappa = min(kappa, KAPPA_CAP)
-    r2 = r * r
     omega = float(r2.mean())
     var_r2 = float(np.mean((r2 - omega) ** 2))
     if var_r2 > 0.0:
@@ -212,13 +213,12 @@ def _log_vmf_normalizer(d: int, kappa: float) -> float:
     return nu * math.log(kappa) - 0.5 * d * _LOG_2PI - log_iv
 
 
-def vmfn_logpdf(model: VmfnModel, x, work=(None, None)) -> np.ndarray:
+def vmfn_logpdf(model: VmfnModel, x) -> np.ndarray:
     """Log-density on R^d at the rows of ``x`` ``(n, d)``; returns ``(n,)``.
-    Undefined at the origin.  The squared coordinates go into ``work[0]``
-    (see :func:`std_normal_logpdf`)."""
+    Undefined at the origin."""
     pts = np.asarray(x, dtype=float)
     d = model.dim
-    r = _row_norms(pts, work[0])
+    r = _row_norms(pts)
     if np.any(r == 0.0):
         raise ValueError("vmfn_logpdf undefined at x = 0")
     cos_angle = (pts @ model.mean_direction) / r
@@ -235,10 +235,11 @@ def vmfn_logpdf(model: VmfnModel, x, work=(None, None)) -> np.ndarray:
     return log_dir + log_rad - (d - 1.0) * np.log(r)
 
 
-def _row_norms(x, scratch=None, keepdims=False) -> np.ndarray:
-    """``np.linalg.norm(x, axis=1)``, bit for bit, with the squares written
-    into ``scratch``."""
-    return np.sqrt(np.sum(np.multiply(x, x, out=scratch), axis=1, keepdims=keepdims))
+def _row_norms(x) -> np.ndarray:
+    """Euclidean norms of the rows of ``x``, with the sums of squares taken
+    by ``einsum`` (see :func:`std_normal_logpdf`); they agree with
+    ``np.linalg.norm(x, axis=1)`` to rounding, not bit for bit."""
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
 
 
 def _sample_vmf_directions(
@@ -268,7 +269,7 @@ def _sample_vmf_directions(
         raise RuntimeError("direction sampling failed to accept enough draws")
     tangent = stream.standard_normal((n, d), out=out)
     tangent -= np.outer(tangent @ mu, mu, out=work[0])
-    tangent /= _row_norms(tangent, work[0], keepdims=True)
+    tangent /= _row_norms(tangent)[:, None]
     tangent *= np.sqrt(np.clip(1.0 - w * w, 0.0, None))[:, None]
     tangent += np.outer(w, mu, out=work[0])
     return tangent
@@ -278,7 +279,7 @@ def vmfn_sample(
     model: VmfnModel, stream: RandomStream, n: int, out=None, work=(None, None)
 ) -> np.ndarray:
     """Draw ``n`` points: vMF direction times a Nakagami radius, written into
-    ``out`` with ``work`` as scratch (see :func:`std_normal_logpdf`)."""
+    ``out`` with ``work`` as scratch (see :func:`gaussian_fit`)."""
     dirs = _sample_vmf_directions(model.mean_direction, model.kappa, stream, n, out, work)
     m, om = model.nakagami_shape, model.nakagami_spread
     r = np.sqrt(stream.gamma(m, om / m, size=n))

@@ -75,6 +75,8 @@ class CbreeConfig:
             raise ValueError("n_obs must be 0 (disabled) or >= 2")
         if self.max_iter < 0:
             raise ValueError("max_iter must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(kw_only=True)
@@ -157,7 +159,7 @@ def is_estimate(ens: Ensemble, proposal, work=(None, None)) -> tuple[float, np.n
     fail = ens.g_values <= 0.0
     weights = np.zeros(ens.size)
     if np.any(fail):
-        log_ratio = ens.log_phi(work) - proposal.logpdf(ens.points, work)
+        log_ratio = ens.log_phi() - proposal.logpdf(ens.points, work)
         weights[fail] = np.exp(log_ratio[fail])
     return float(weights.mean()), weights
 
@@ -245,7 +247,7 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
 
         n = 0
         while True:
-            model = (vmfn_fit if vmfn else gaussian_fit)(ens.points, work)
+            model = vmfn_fit(ens.points) if vmfn else gaussian_fit(ens.points, work)
             sample = ens
             if mover.batch is not None:
                 sampler = vmfn_sample if vmfn else gaussian_sample
@@ -336,7 +338,7 @@ class CbreeMover:
             theta_now = pack_moments(model.mean, model.covariance)
         h_next, err = self.ctrl.propose(theta_now, n)
         s_next = update_smoothing(ens.g_values, self.s, h_next, cfg.delta_target)
-        log_w = log_target(ens.g_values, ens.log_phi(work), s_next)
+        log_w = log_target(ens.g_values, ens.log_phi(), s_next)
         beta, beta_capped = solve_beta(log_w, self.ess_target)
         coeffs = coefficients_from_log_weights(ens.points, beta * log_w, beta, work)
         self.ctrl.record(theta_now, stage_from_coefficients(coeffs), h_next)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .cbs import Ensemble
 from .driver import RunRecord, run_loop
+from .numkit import sample_mean
 from .problems import ProblemSpec
 
 __all__ = ["EnkfConfig", "enkf_step", "run_enkf", "run_enkf_vmfn"]
@@ -47,6 +48,8 @@ class EnkfConfig:
             raise ValueError("delta_target must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def enkf_step(ens: Ensemble, h: float, noise: np.ndarray, lsf) -> Ensemble:
@@ -65,7 +68,7 @@ def enkf_step(ens: Ensemble, h: float, noise: np.ndarray, lsf) -> Ensemble:
         raise ValueError(f"noise has shape {noise.shape}, expected {(ens.size,)}")
     g_plus = np.maximum(ens.g_values, 0.0)
     g_tilde = g_plus + noise / math.sqrt(h)
-    x_bar = ens.points.mean(axis=0)
+    x_bar = sample_mean(ens.points)
     g_bar = g_tilde.mean()
     centered_g = g_tilde - g_bar
     c_xg = (ens.points - x_bar).T @ centered_g / ens.size

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cbs import CbsCoefficients, Ensemble, cbs_step, coefficients_from_log_weights
-from .numkit import RandomStream
+from .numkit import RandomStream, sample_mean
 
 __all__ = [
     "StepControllerState",
@@ -77,7 +77,7 @@ def moments_of_ensemble(ens: Ensemble, work=(None, None)) -> np.ndarray:
     pts = ens.points
     if pts.shape[0] < 2:
         raise ValueError("moments need at least two particles")
-    mean = pts.mean(axis=0)
+    mean = sample_mean(pts)
     centered = np.subtract(pts, mean, out=work[0])
     cov = centered.T @ centered / pts.shape[0]
     return pack_moments(mean, cov)

@@ -54,6 +54,10 @@ class TestRunMc:
         b = run_mc(get_problem("linear"), McConfig(n_particles=250_000, seed=5), batch=250_000)
         assert a.estimate == b.estimate
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            run_mc(get_problem("linear"), McConfig(n_particles=100, seed=-1))
+
 
 class TestRunBenchmark:
     def test_deterministic(self):
@@ -117,6 +121,10 @@ class TestRunBenchmark:
         assert all(r["termination"] == "max_iter" for r in rows)
         assert result.n_success == 0
         assert result.mse is None
+
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(ValueError, match="master_seed must be non-negative, got -3"):
+            run_benchmark("mc", "linear", McConfig(n_particles=100), reps=1, master_seed=-3)
 
     def test_unknown_method_or_problem(self):
         with pytest.raises(KeyError):

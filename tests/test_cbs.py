@@ -1,9 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import cbree.cbs
+import cbree.driver
 from cbree.cbs import (
+    BETA_CAP,
     Ensemble,
     cbs_step,
     coefficients_from_log_weights,
@@ -12,7 +16,9 @@ from cbree.cbs import (
     write_ensemble_csv,
 )
 from cbree.densities import std_normal_logpdf
+from cbree.driver import CbreeConfig, run_cbree
 from cbree.numkit import RandomStream, bisect, log_sum_exp
+from cbree.problems import get_problem
 from cbree.smoothing import log_target
 from cbree.stepctl import ensemble_coefficients
 
@@ -232,6 +238,26 @@ class TestEss:
         lw = np.array([0.0, 0.0, -5.0, -9.0])
         assert ess_from_log_weights(lw, 1e6) == pytest.approx(2.0)
 
+    def test_slope_matches_central_difference(self):
+        # d log ESS / d log beta against a central difference in log beta
+        rng = np.random.default_rng(41)
+        lw = -8.0 + 2.5 * rng.standard_normal(3000) + rng.standard_exponential(3000)
+        step = 1e-4
+        for beta in (1e-3, 0.05, 0.4, 1.0, 3.0):
+            ess, slope = ess_from_log_weights(lw, beta, slope=True)
+            assert ess == ess_from_log_weights(lw, beta)
+            up = math.log(ess_from_log_weights(lw, beta * math.exp(step)))
+            down = math.log(ess_from_log_weights(lw, beta * math.exp(-step)))
+            assert slope < 0.0
+            assert slope == pytest.approx((up - down) / (2.0 * step), rel=1e-6)
+
+    def test_slope_ignores_zero_weights(self):
+        rng = np.random.default_rng(42)
+        lw = rng.standard_normal(50)
+        with_zeros = np.concatenate([lw, np.full(7, -np.inf)])
+        ess, slope = ess_from_log_weights(lw, 0.7, slope=True)
+        assert ess_from_log_weights(with_zeros, 0.7, slope=True) == pytest.approx((ess, slope), rel=1e-13)
+
 
 class TestSolveBeta:
     def test_equal_weights_capped(self):
@@ -278,6 +304,66 @@ class TestSolveBeta:
             solve_beta(log_target(ens.g_values, ens.log_phi(), 1.0), 0.5)
         with pytest.raises(ValueError):
             solve_beta(log_target(ens.g_values, ens.log_phi(), 1.0), 10.0)
+
+    def test_non_finite_log_target_rejected(self):
+        lw = np.array([0.0, -1.0, -np.inf, -2.0])
+        with pytest.raises(ValueError, match="finite"):
+            solve_beta(lw, 2.0)
+
+    @pytest.mark.parametrize("n", [3, 6000])
+    def test_identical_log_weights_capped(self, n):
+        assert solve_beta(np.full(n, -4.2), n / 2.0) == (BETA_CAP, True)
+
+    @staticmethod
+    def oscillator_log_targets(iterations):
+        """Log-target values of the first ensembles of a seeded J=6000
+        oscillator run, each at the smoothing level its step used."""
+        found = []
+        original = cbree.driver.solve_beta
+
+        def keep(lw, target):
+            found.append(np.array(lw))
+            return original(lw, target)
+
+        problem = get_problem("oscillator")
+        config = CbreeConfig(n_particles=6000, max_iter=iterations, n_obs=0, seed=3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cbree.driver, "solve_beta", keep)
+            run_cbree(problem, config)
+        return found
+
+    def test_few_ess_evaluations_per_solve(self, monkeypatch):
+        log_targets = self.oscillator_log_targets(12)
+        assert len(log_targets) == 13  # the start-up solve and 12 steps
+        calls = []
+        original = cbree.cbs.ess_from_log_weights
+
+        def counted(*args, **kwargs):
+            calls[-1] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cbree.cbs, "ess_from_log_weights", counted)
+        for lw in log_targets:
+            calls.append(0)
+            beta, capped = solve_beta(lw, 3000.0)
+            assert not capped
+            assert abs(original(lw, beta) - 3000.0) <= 0.01
+        assert max(calls) <= 6
+
+    def test_wide_log_weight_spread_is_silent(self):
+        # 1e3 nats between the extremes: most weights underflow at beta = 1
+        rng = np.random.default_rng(43)
+        spread = np.concatenate([[0.0, -1e3], -1e3 * rng.uniform(size=4000)])
+        # 2100 tied maxima hold the ESS above 2000 for every beta, and the
+        # slope vanishes as the other weights underflow, which asks Newton
+        # for an unbounded step
+        ties = np.concatenate([np.zeros(2100), -1e3 * rng.uniform(size=1900)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta, capped = solve_beta(spread, 2001.0)
+            assert solve_beta(ties, 2000.0) == (BETA_CAP, True)
+        assert not capped
+        assert abs(ess_from_log_weights(spread, beta) - 2001.0) <= 0.01
 
 
 class TestExport:

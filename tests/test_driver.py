@@ -174,6 +174,11 @@ class TestRunCbree:
         with pytest.raises(ValueError):
             CbreeConfig(delta_target=0.0).validate()
 
+    def test_negative_seed_rejected_before_the_run(self):
+        # numpy's SeedSequence would fail later with a bare message
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            run_cbree(get_problem("linear"), CbreeConfig(n_particles=50, seed=-1))
+
     def test_divergence_disabled_runs_to_convergence_or_cap(self):
         cfg = CbreeConfig(n_particles=400, n_obs=0, max_iter=30, seed=10)
         record = run_cbree(get_problem("linear"), cfg)

@@ -158,5 +158,7 @@ class TestRunEnkf:
             EnkfConfig(h=0.0).validate()
         with pytest.raises(ValueError):
             EnkfConfig(n_particles=1).validate()
+        with pytest.raises(ValueError, match="seed must be non-negative, got -2"):
+            run_enkf(get_problem("linear"), EnkfConfig(n_particles=50, seed=-2))
         with pytest.raises(ValueError):
             run_enkf_vmfn(get_problem("linear-1"), EnkfConfig())
