@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dger
 from scipy.special import gammaln, ive
 
 from .numkit import RandomStream, factor_spd, sample_mean
@@ -242,12 +243,9 @@ def _row_norms(x) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", x, x))
 
 
-def _sample_vmf_directions(
-    mu, kappa: float, stream: RandomStream, n: int, out=None, work=(None, None)
-) -> np.ndarray:
-    """Directions on the unit sphere via the rejection scheme of Wood (1994),
-    written into ``out`` with ``work`` as scratch."""
-    d = mu.shape[0]
+def _sample_vmf_cosines(d: int, kappa: float, stream: RandomStream, n: int) -> np.ndarray:
+    """Cosines ``w = mu . x`` of ``n`` vMF directions on the unit sphere in
+    R^d, by the rejection scheme of Wood (1994)."""
     # rationalized form of b avoids cancellation for large kappa
     b = (d - 1.0) / (2.0 * kappa + math.sqrt(4.0 * kappa**2 + (d - 1.0) ** 2))
     x0 = (1.0 - b) / (1.0 + b)
@@ -257,7 +255,7 @@ def _sample_vmf_directions(
     for _ in range(1000):
         todo = n - filled
         if todo == 0:
-            break
+            return w
         z = stream.beta(0.5 * (d - 1.0), 0.5 * (d - 1.0), size=todo)
         cand = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
         logu = np.log(stream.uniform(size=todo))
@@ -265,24 +263,33 @@ def _sample_vmf_directions(
         good = cand[accept]
         w[filled : filled + good.size] = good
         filled += good.size
-    else:  # pragma: no cover
-        raise RuntimeError("direction sampling failed to accept enough draws")
-    tangent = stream.standard_normal((n, d), out=out)
-    tangent -= np.outer(tangent @ mu, mu, out=work[0])
-    tangent /= _row_norms(tangent)[:, None]
-    tangent *= np.sqrt(np.clip(1.0 - w * w, 0.0, None))[:, None]
-    tangent += np.outer(w, mu, out=work[0])
-    return tangent
+    raise RuntimeError("direction sampling failed to accept enough draws")  # pragma: no cover
 
 
 def vmfn_sample(
     model: VmfnModel, stream: RandomStream, n: int, out=None, work=(None, None)
 ) -> np.ndarray:
-    """Draw ``n`` points: vMF direction times a Nakagami radius, written into
-    ``out`` with ``work`` as scratch (see :func:`gaussian_fit`)."""
-    dirs = _sample_vmf_directions(model.mean_direction, model.kappa, stream, n, out, work)
+    """Draw ``n`` points, a vMF direction times a Nakagami radius, into
+    ``out``; a ``None`` makes numpy allocate.  No ``(n, d)`` temporary is
+    formed: ``work`` is only taken so that both samplers share one signature.
+
+    Point ``j`` is ``r_j (sqrt(1 - w_j^2) t_j / |t_j| + w_j mu)``, with the
+    vMF cosine ``w_j``, the Nakagami radius ``r_j`` and the tangent
+    ``t_j = xi_j - (xi_j . mu) mu`` of a standard normal ``xi_j``.  It is
+    assembled in place as ``a_j t_j + b_j mu``: one rank-1 BLAS update
+    (``dger``) forms the tangents, one row scale applies ``a_j`` and a
+    second ``dger`` adds ``b_j mu``.  The stream gives the cosines' betas
+    and uniforms first, then the normals, then the radii's gammas.
+    """
+    mu = model.mean_direction
+    d = mu.shape[0]
+    w = _sample_vmf_cosines(d, model.kappa, stream, n)
+    xi = stream.standard_normal((n, d), out=out)
     m, om = model.nakagami_shape, model.nakagami_spread
     r = np.sqrt(stream.gamma(m, om / m, size=n))
-    dirs *= r[:, None]
-    return dirs
+    # xi is C-contiguous, so xi.T is F-contiguous and dger updates it in place
+    dger(-1.0, mu, xi @ mu, a=xi.T, overwrite_a=True)
+    xi *= (r * np.sqrt(np.clip(1.0 - w * w, 0.0, None)) / _row_norms(xi))[:, None]
+    dger(1.0, mu, r * w, a=xi.T, overwrite_a=True)
+    return xi
 

@@ -350,7 +350,7 @@ class CbreeMover:
         row.err = err
         row.ess = ess_from_log_weights(log_w, beta)
         self.s = s_next
-        return cbs_step(ens, coeffs, h_next, noise.result(), lsf, out, work)
+        return cbs_step(ens, coeffs, h_next, noise.result(), lsf, out)
 
 
 def run_cbree(problem: ProblemSpec, config: CbreeConfig) -> RunRecord:

@@ -79,15 +79,18 @@ def weighted_moments(points, log_weights, work=(None, None)):
         Unnormalized log-weights; normalization happens internally via
         :func:`log_sum_exp` so entries may span hundreds of nats.
     work : pair of ndarrays shaped like ``points``, optional
-        Scratch space for the centered and the weighted centered points;
-        a ``None`` makes numpy allocate that temporary.
+        ``work[0]`` is scratch space for the centred points scaled by the
+        square roots of the weights (``work[1]`` is not used); a ``None``
+        makes numpy allocate that temporary.
 
     Returns
     -------
     mean : ndarray, shape (d,)
     second_central_moment : ndarray, shape (d, d)
-        Symmetrized weighted covariance (population convention: the weights
-        sum to one, no small-sample correction).
+        Weighted covariance (population convention: the weights sum to one,
+        no small-sample correction).  It is ``S.T @ S`` for the scaled
+        centred points ``S``; with the same array on both sides numpy takes
+        BLAS's SYRK, whose result is exactly symmetric.
     """
     x = np.asarray(points, dtype=float)
     lw = np.asarray(log_weights, dtype=float)
@@ -98,10 +101,9 @@ def weighted_moments(points, log_weights, work=(None, None)):
         raise ValueError("degenerate weights: zero total mass")
     w = np.exp(lw - total)
     mean = w @ x
-    centered = np.subtract(x, mean, out=work[0])
-    scm = np.multiply(w[:, None], centered, out=work[1]).T @ centered
-    scm = 0.5 * (scm + scm.T)
-    return mean, scm
+    scaled = np.subtract(x, mean, out=work[0])
+    scaled *= np.sqrt(w)[:, None]
+    return mean, scaled.T @ scaled
 
 
 def spd_jitter(m) -> float:

@@ -243,6 +243,49 @@ class TestVmfnDensity:
         assert np.linalg.norm(dirs.mean(axis=0)) < 0.01
         assert d * np.mean(dirs[:, 0] ** 2) == pytest.approx(1.0, abs=0.01)
 
+    @staticmethod
+    def reference_vmfn_sample(model, stream, n):
+        # the sampler as first written: Wood's rejection scheme, the unit
+        # tangent scaled by sqrt(1 - w^2) plus w mu, then the radius
+        mu, kappa = model.mean_direction, model.kappa
+        d = mu.shape[0]
+        b = (d - 1.0) / (2.0 * kappa + math.sqrt(4.0 * kappa**2 + (d - 1.0) ** 2))
+        x0 = (1.0 - b) / (1.0 + b)
+        c = kappa * x0 + (d - 1.0) * math.log1p(-x0 * x0)
+        w = np.empty(0)
+        while w.size < n:
+            z = stream.beta(0.5 * (d - 1.0), 0.5 * (d - 1.0), size=n - w.size)
+            cand = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
+            logu = np.log(stream.uniform(size=n - w.size))
+            accept = kappa * cand + (d - 1.0) * np.log(1.0 - x0 * cand) - c >= logu
+            w = np.concatenate([w, cand[accept]])
+        xi = stream.standard_normal((n, d))
+        tangent = xi - np.outer(xi @ mu, mu)
+        length = np.linalg.norm(tangent, axis=1)
+        dirs = tangent / length[:, None]
+        dirs = dirs * np.sqrt(np.clip(1.0 - w * w, 0.0, None))[:, None] + np.outer(w, mu)
+        m, om = model.nakagami_shape, model.nakagami_spread
+        points = dirs * np.sqrt(stream.gamma(m, om / m, size=n))[:, None]
+        return points, np.linalg.norm(xi, axis=1) / length
+
+    @pytest.mark.parametrize("d,kappa", [(2, 3.0), (6, 0.5), (50, 40.0), (50, 1e6)])
+    def test_sample_matches_reference_and_draw_count(self, d, kappa):
+        mu = RandomStream(16).standard_normal(d)
+        model = VmfnModel(mu / np.linalg.norm(mu), kappa, 2.5, float(d))
+        got_stream, ref_stream = RandomStream(17), RandomStream(17)
+        out = np.empty((3000, d))
+        got = vmfn_sample(model, got_stream, 3000, out)
+        want, condition = self.reference_vmfn_sample(model, ref_stream, 3000)
+        assert got is out
+        # projecting xi onto the tangent space cancels when xi is nearly
+        # parallel to mu: both ways of rounding it are then accurate only to
+        # eps |xi| / |tangent| relative, so the error is measured in that unit
+        radius = np.linalg.norm(want, axis=1)
+        err = np.abs(got - want) / (radius * condition)[:, None]
+        assert np.max(err) <= 1e-13
+        # the same number of draws: the streams go on in step
+        assert got_stream.random() == ref_stream.random()
+
     def test_high_kappa_concentrates(self):
         mu = np.array([1.0, 0.0, 0.0])
         model = VmfnModel(mu, 1e6, 5.0, 10.0)

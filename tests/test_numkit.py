@@ -74,6 +74,27 @@ class TestWeightedMoments:
         mean, _ = weighted_moments(x, np.array([-900.0, -100.0, -900.0]))
         assert mean[0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("d", [1, 6, 50])
+    def test_matches_dense_weighted_sum_and_is_exactly_symmetric(self, d):
+        # zero weights (-inf) and a 1e3-nat spread of the finite log-weights
+        rng = np.random.default_rng(3)
+        n = 400
+        x = rng.normal(size=(n, d)) + 2.0
+        lw = 500.0 + 2.0 * rng.normal(size=n)
+        lw[::7] -= 1e3
+        lw[::11] = -np.inf
+        w = np.exp(lw - log_sum_exp(lw))
+        want_mean = w @ x
+        want = np.zeros((d, d))
+        for wj, xj in zip(w, x):
+            want += wj * np.outer(xj - want_mean, xj - want_mean)
+        work = np.empty((2, n, d))
+        mean, scm = weighted_moments(x, lw, work)
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(scm, scm.T)
+        assert np.max(np.abs(scm - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(weighted_moments(x, lw)[1], scm)
+
 
 class TestFactorSpd:
     def test_identity(self):
