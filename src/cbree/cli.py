@@ -107,8 +107,9 @@ def _cmd_run(args) -> int:
     if args.out:
         base = Path(args.out)
         base.parent.mkdir(parents=True, exist_ok=True)
-        record.write_json(base.with_suffix(".json"))
-        record.write_trace_csv(base.with_suffix(".trace.csv"))
+        # appended, not with_suffix: a dotted base such as run.v1 keeps its name
+        record.write_json(base.with_name(base.name + ".json"))
+        record.write_trace_csv(base.with_name(base.name + ".trace.csv"))
     else:
         json.dump(record.to_json_dict(), sys.stdout, indent=2)
         print()

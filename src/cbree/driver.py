@@ -35,8 +35,6 @@ from .stepctl import (
     StepControllerState,
     initial_stepsize,
     moments_of_ensemble,
-    pack_moments,
-    stage_from_coefficients,
 )
 
 __all__ = [
@@ -69,7 +67,7 @@ class CbreeConfig:
         if self.n_particles < 3:
             # the ESS target J/2 must lie strictly between 1 and J
             raise ValueError("n_particles must be at least 3")
-        if self.delta_target <= 0 or self.eps_target <= 0:
+        if not (self.delta_target > 0 and self.eps_target > 0):  # NaN fails too
             raise ValueError("delta_target and eps_target must be positive")
         if self.n_obs != 0 and self.n_obs < 2:
             raise ValueError("n_obs must be 0 (disabled) or >= 2")
@@ -333,15 +331,15 @@ class CbreeMover:
         # moments are the ensemble's; a vMFN ensemble was resampled after
         # its fit
         if self.proposal == "vmfn":
-            theta_now = moments_of_ensemble(ens, work)
+            moments = moments_of_ensemble(ens, work)
         else:
-            theta_now = pack_moments(model.mean, model.covariance)
-        h_next, err = self.ctrl.propose(theta_now, n)
+            moments = model.mean, model.covariance
+        h_next, err = self.ctrl.propose(moments, n)
         s_next = update_smoothing(ens.g_values, self.s, h_next, cfg.delta_target)
         log_w = log_target(ens.g_values, ens.log_phi(), s_next)
         beta, beta_capped = solve_beta(log_w, self.ess_target)
         coeffs = coefficients_from_log_weights(ens.points, beta * log_w, beta, work)
-        self.ctrl.record(theta_now, stage_from_coefficients(coeffs), h_next)
+        self.ctrl.record(moments, coeffs, h_next)
 
         row.s = s_next
         row.beta = beta

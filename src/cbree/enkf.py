@@ -44,7 +44,7 @@ class EnkfConfig:
             raise ValueError("n_particles must be at least 2")
         if not self.h > 0:
             raise ValueError("h must be positive")
-        if self.delta_target <= 0:
+        if not self.delta_target > 0:
             raise ValueError("delta_target must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be non-negative")

@@ -16,6 +16,7 @@ evaluations.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -26,11 +27,9 @@ from .numkit import RandomStream, sample_mean
 
 __all__ = [
     "StepControllerState",
-    "pack_moments",
     "ensemble_coefficients",
     "moments_of_ensemble",
     "moments_rhs",
-    "decay_rates",
     "phi_scalar",
     "bhat_coefficients",
     "local_error",
@@ -41,22 +40,7 @@ __all__ = [
 _SERIES_CUT = 2e-3  # below it 2 (1 - phi) / z loses over 1e-13 to cancellation
 STEP_FACTOR_MIN = 0.2
 STEP_FACTOR_MAX = 5.0
-
-
-def pack_moments(mean, cov) -> np.ndarray:
-    """Stack mean and row-major flattened covariance into one vector."""
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    return np.concatenate([mean, cov.reshape(-1)])
-
-
-def moment_dim(theta) -> int:
-    """Recover the state dimension d from a moment vector of length d + d^2."""
-    m = np.asarray(theta).shape[-1]
-    d = int(round((np.sqrt(1.0 + 4.0 * m) - 1.0) / 2.0))
-    if d + d * d != m:
-        raise ValueError(f"moment vector length {m} is not of the form d + d^2")
-    return d
+_RATES = (1.0, 2.0)  # decay rates of the mean and the covariance block
 
 
 def ensemble_coefficients(ens: Ensemble, beta: float) -> CbsCoefficients:
@@ -71,51 +55,35 @@ def ensemble_coefficients(ens: Ensemble, beta: float) -> CbsCoefficients:
     return coefficients_from_log_weights(ens.points, beta * (ens.log_phi() - np.log(2.0)), beta)
 
 
-def moments_of_ensemble(ens: Ensemble, work=(None, None)) -> np.ndarray:
-    """Sample mean and population covariance of the particle positions; the
-    centered points go into ``work[0]``, or a new array when it is ``None``."""
+def moments_of_ensemble(ens: Ensemble, work=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and population covariance of the particle positions, the
+    ``(mean, cov)`` pair every function here takes as moments; the centered
+    points go into ``work[0]``, or a new array when it is ``None``."""
     pts = ens.points
     if pts.shape[0] < 2:
         raise ValueError("moments need at least two particles")
     mean = sample_mean(pts)
     centered = np.subtract(pts, mean, out=work[0])
-    cov = centered.T @ centered / pts.shape[0]
-    return pack_moments(mean, cov)
+    return mean, centered.T @ centered / pts.shape[0]
 
 
-def moments_rhs(theta, coeffs: CbsCoefficients) -> np.ndarray:
+def moments_rhs(moments, coeffs: CbsCoefficients) -> tuple[np.ndarray, np.ndarray]:
     """Full right-hand side ``(m_beta - E, 2 c_beta^2 - 2 C)`` of the moment
-    ODE at the moments ``theta`` of an ensemble with coefficients ``coeffs``."""
-    return stage_from_coefficients(coeffs) - decay_rates(moment_dim(theta)) * theta
+    ODE at the moments ``(E, C)`` of an ensemble with coefficients ``coeffs``."""
+    mean, cov = moments
+    return coeffs.m_beta - mean, 2.0 * coeffs.c_beta_sq - 2.0 * cov
 
 
-def stage_from_coefficients(coeffs: CbsCoefficients) -> np.ndarray:
-    """Nonlinear part of the semilinear moment ODE, read off the coefficients.
-
-    With the linear decay split out (``d/dt theta + A theta = N(theta)``,
-    ``A = diag(1, 2)`` blockwise), the nonlinearity is ``(m_beta, 2 c_beta^2)``;
-    this is the stage value the embedded comparator reuses, at zero cost.
-    """
-    return pack_moments(coeffs.m_beta, 2.0 * coeffs.c_beta_sq)
-
-
-def decay_rates(d: int) -> np.ndarray:
-    """Diagonal of the linear part: 1 on the mean block, 2 on the covariance."""
-    return np.concatenate([np.ones(d), 2.0 * np.ones(d * d)])
-
-
-def phi_scalar(z):
+def phi_scalar(z: float) -> float:
     """``(1 - exp(-z)) / z`` with the continuous extension 1 at zero.
 
     Formed as ``-expm1(-z) / z``, which keeps full relative accuracy near
     zero and stays finite for every ``z >= 0``, infinity included.
     """
-    z = np.asarray(z, dtype=float)
-    zero = z == 0.0
-    return np.where(zero, 1.0, -np.expm1(-z) / np.where(zero, 1.0, z))
+    return 1.0 if z == 0.0 else -math.expm1(-z) / z
 
 
-def bhat_coefficients(z):
+def bhat_coefficients(z: float) -> tuple[float, float]:
     """Weights of the second-order exponential midpoint rule.
 
     ``b2(z) = 2 (exp(-z) + z - 1) / z^2 = 2 (1 - phi(z)) / z`` and
@@ -124,27 +92,29 @@ def bhat_coefficients(z):
     ``_SERIES_CUT``, where ``1 - phi`` cancels, ``b2`` is its Taylor series.
     No ``z^2`` is formed, so the weights stay finite for every ``z >= 0``.
     """
-    z = np.asarray(z, dtype=float)
     phi = phi_scalar(z)
-    small = np.abs(z) < _SERIES_CUT
-    zt = np.where(small, z, 0.0)
-    series = 1.0 + zt * (-1.0 / 3.0 + zt * (1.0 / 12.0 + zt * (-1.0 / 60.0 + zt / 360.0)))
-    b2 = np.where(small, series, 2.0 * (1.0 - phi) / np.where(small, 1.0, z))
+    if abs(z) < _SERIES_CUT:
+        b2 = 1.0 + z * (-1.0 / 3.0 + z * (1.0 / 12.0 + z * (-1.0 / 60.0 + z / 360.0)))
+    else:
+        b2 = 2.0 * (1.0 - phi) / z
     return phi - b2, b2
 
 
 def error_norm(x, reference, eps: float) -> float:
-    """Tolerance-scaled norm ``sqrt(sum(x_i^2 / gamma_i))`` with the diagonal
-    weights ``gamma_i = m (eps + eps |ref_i|)``, ``m`` the vector length."""
-    x = np.asarray(x, dtype=float)
-    ref = np.abs(np.asarray(reference, dtype=float))
-    gamma = ref.shape[-1] * (eps + eps * ref)
+    """Tolerance-scaled norm ``sqrt(sum(x_i^2 / gamma_i))`` of a moment pair
+    with the diagonal weights ``gamma_i = m (eps + eps |ref_i|)``, ``ref`` a
+    pair of the same shapes and ``m = d + d^2`` the number of entries.  Each
+    pair is flattened into one vector and summed in one call: a sum block by
+    block rounds differently."""
+    x = np.concatenate([np.ravel(block) for block in x])
+    ref = np.abs(np.concatenate([np.ravel(block) for block in reference]))
+    gamma = x.shape[0] * (eps + eps * ref)
     return float(np.sqrt(np.sum(x * x / gamma)))
 
 
 def local_error(
-    theta_prev2,
-    theta_now,
+    moments_prev2,
+    moments_now,
     stage_prev2,
     stage_prev1,
     h: float,
@@ -152,23 +122,24 @@ def local_error(
 ) -> float:
     """Weighted distance between two discretizations of the last double step.
 
-    ``theta_now`` comes from two exponential Euler steps of size ``h`` from
-    ``theta_prev2`` (the first-order route); the comparator applies the
+    ``moments_now`` comes from two exponential Euler steps of size ``h`` from
+    ``moments_prev2`` (the first-order route); the comparator applies the
     second-order exponential midpoint rule over ``hh = 2 h``, reusing the
     stored nonlinear-part evaluations as its stage values (the exponential
     Euler half-step is exactly the midpoint stage), so no new evaluations are
-    needed.  Both methods are exact on pure decay, giving a vanishing error
-    there.
+    needed.  Each block decays at its own rate, so its weights are scalars at
+    ``z = hh`` (mean) and ``z = 2 hh`` (covariance).  Both methods are exact
+    on pure decay, giving a vanishing error there.
     """
-    theta_prev2 = np.asarray(theta_prev2, dtype=float)
-    psi = np.asarray(theta_now, dtype=float)
     hh = 2.0 * h
-    z = hh * decay_rates(moment_dim(psi))
-    b1, b2 = bhat_coefficients(z)
-    comparator = np.exp(-z) * theta_prev2 + hh * (
-        b1 * np.asarray(stage_prev2, dtype=float) + b2 * np.asarray(stage_prev1, dtype=float)
-    )
-    return error_norm(comparator - psi, np.maximum(np.abs(psi), np.abs(theta_prev2)), eps_target)
+    diff, ref = [], []
+    blocks = zip(_RATES, moments_prev2, moments_now, stage_prev2, stage_prev1)
+    for rate, start, now, s2, s1 in blocks:
+        z = hh * rate
+        b1, b2 = bhat_coefficients(z)
+        diff.append(math.exp(-z) * start + hh * (b1 * s2 + b2 * s1) - now)
+        ref.append(np.maximum(np.abs(now), np.abs(start)))
+    return error_norm(diff, ref, eps_target)
 
 
 def next_stepsize(err: float, h: float) -> float:
@@ -200,18 +171,12 @@ def initial_stepsize(ens0: Ensemble, beta1: float, eps_target: float, stream: Ra
     g0 = moments_rhs(theta0, coeffs0)
     norm_theta0 = error_norm(theta0, theta0, eps_target)
     norm_g0 = error_norm(g0, theta0, eps_target)
-    if norm_g0 < 1e-14:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * norm_theta0 / norm_g0
+    h0 = 1e-6 if norm_g0 < 1e-14 else 0.01 * norm_theta0 / norm_g0
     noise = stream.standard_normal(ens0.points.shape)
     probe = cbs_step(ens0, coeffs0, h0, noise, None)
     g1 = moments_rhs(moments_of_ensemble(probe), ensemble_coefficients(probe, beta1))
-    denom = max(error_norm(g1 - g0, theta0, eps_target) / h0, norm_g0)
-    if denom < 1e-14:
-        h1 = 100.0 * h0
-    else:
-        h1 = np.sqrt(0.01 / denom)
+    denom = max(error_norm([a - b for a, b in zip(g1, g0)], theta0, eps_target) / h0, norm_g0)
+    h1 = 100.0 * h0 if denom < 1e-14 else math.sqrt(0.01 / denom)
     return max(100.0 * h0, h1)
 
 
@@ -219,34 +184,32 @@ def initial_stepsize(ens0: Ensemble, beta1: float, eps_target: float, stream: Ra
 class StepControllerState:
     """Bookkeeping for the every-second-step error control.
 
-    Holds the current stepsize and the last two moment vectors and cached
-    stage values.  The controller fires at iteration 2 and every even
-    iteration after that, consuming the just-completed pair of equal-h steps;
-    odd iterations keep the stepsize.  ``record`` runs every iteration, so
-    both deques are full whenever the controller fires.
+    Holds the current stepsize, the last two ``(mean, cov)`` moment pairs
+    and the cached ``(m_beta, 2 c_beta^2)`` stage pairs.  The controller
+    fires at iteration 2 and every even iteration after that, consuming the
+    just-completed pair of equal-h steps; odd iterations keep the stepsize.
+    ``record`` runs every iteration, so both deques are full whenever the
+    controller fires.
     """
 
     h_current: float
     eps_target: float
-    thetas: deque = field(default_factory=lambda: deque(maxlen=2))
+    moments: deque = field(default_factory=lambda: deque(maxlen=2))
     stages: deque = field(default_factory=lambda: deque(maxlen=2))
 
-    def propose(self, theta_now, n: int) -> tuple[float, float]:
+    def propose(self, moments_now, n: int) -> tuple[float, float]:
         """Stepsize for the upcoming step and the error estimate, NaN when
         the controller does not fire."""
         if n >= 2 and n % 2 == 0:
             err = local_error(
-                self.thetas[-2],
-                theta_now,
-                self.stages[-2],
-                self.stages[-1],
-                self.h_current,
-                self.eps_target,
+                self.moments[0], moments_now, *self.stages, self.h_current, self.eps_target
             )
             return next_stepsize(err, self.h_current), err
         return self.h_current, np.nan
 
-    def record(self, theta_now, stage_now, h_next: float) -> None:
-        self.thetas.append(np.asarray(theta_now, dtype=float))
-        self.stages.append(np.asarray(stage_now, dtype=float))
+    def record(self, moments_now, coeffs: CbsCoefficients, h_next: float) -> None:
+        """Keep the moments and the coefficients' stage, the nonlinear part
+        ``(m_beta, 2 c_beta^2)`` of the moment ODE, of the step just taken."""
+        self.moments.append(moments_now)
+        self.stages.append((coeffs.m_beta, 2.0 * coeffs.c_beta_sq))
         self.h_current = h_next

@@ -149,13 +149,13 @@ def test_c6_integrator_orders():
         steps = round(t_end / h)
         x = 0.5
         for n in range(steps):
-            x = math.exp(-h) * x + h * float(phi_scalar(h)) * forcing(n * h)
+            x = math.exp(-h) * x + h * phi_scalar(h) * forcing(n * h)
         return abs(x - exact(t_end))
 
     def midpoint_error(h):
         steps = round(t_end / h)
         x = 0.5
-        b1, b2 = (float(v) for v in bhat_coefficients(h))
+        b1, b2 = bhat_coefficients(h)
         for n in range(steps):
             t = n * h
             x = math.exp(-h) * x + h * (b1 * forcing(t) + b2 * forcing(t + 0.5 * h))

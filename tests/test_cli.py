@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -98,6 +99,19 @@ class TestCommands:
         assert trace[0] == "iter,s,beta,beta_capped,h,err,cv,pf_estimate,ess,cost_cum"
         assert len(trace) == data["iterations"] + 2
 
+    def test_run_dotted_base_name_keeps_its_suffix(self, tmp_path, capsys):
+        # the outputs append to the base name: seed.1 and seed.2 must not
+        # both collapse to seed.json
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("n_particles = 300\nmax_iter = 2\n")
+        for seed in (1, 2):
+            out = tmp_path / "runs" / f"seed.{seed}"
+            argv = ["run", "--problem", "linear", "--method", "cbree", "--config", str(cfg)]
+            assert main(argv + ["--seed", str(seed), "--out", str(out)]) == EXIT_OK
+        names = sorted(p.name for p in (tmp_path / "runs").iterdir())
+        assert names == ["seed.1.json", "seed.1.trace.csv", "seed.2.json", "seed.2.trace.csv"]
+        assert json.loads((tmp_path / "runs" / "seed.2.json").read_text())["seed"] == 2
+
     def test_run_stdout_json(self, capsys, run_config):
         code = main(
             ["run", "--problem", "linear", "--method", "cbree", "--config", str(run_config)]
@@ -147,6 +161,22 @@ class TestCommands:
         code = main(["run", "--problem", "linear-4", "--method", method, "--config", str(cfg)])
         assert code == EXIT_CONFIG
         assert stale.split()[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method, key",
+        [("cbree", "delta_target"), ("cbree", "eps_target"), ("enkf", "delta_target"), ("enkf", "h")],
+    )
+    def test_nan_tolerance_is_config_error(self, tmp_path, capsys, method, key):
+        # NaN compares false with everything, so it must not pass as positive
+        config = METHODS[method][0]()
+        setattr(config, key, math.nan)
+        with pytest.raises(ValueError, match=key):
+            config.validate()
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(f"n_particles = 200\nmax_iter = 5\n{key} = nan\n")
+        code = main(["run", "--problem", "linear", "--method", method, "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
     def test_run_uses_the_config_file_seed(self, tmp_path, capsys):
         cfg = tmp_path / "seeded.cfg"

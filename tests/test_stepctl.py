@@ -5,13 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cbree.cbs import Ensemble, coefficients_from_log_weights
+from cbree.cbs import CbsCoefficients, Ensemble, coefficients_from_log_weights
+from cbree.densities import gaussian_fit
 from cbree.numkit import RandomStream
 from cbree.smoothing import log_target
 from cbree.stepctl import (
     StepControllerState,
     bhat_coefficients,
-    decay_rates,
     ensemble_coefficients,
     error_norm,
     initial_stepsize,
@@ -19,9 +19,7 @@ from cbree.stepctl import (
     moments_of_ensemble,
     moments_rhs,
     next_stepsize,
-    pack_moments,
     phi_scalar,
-    stage_from_coefficients,
 )
 from cbree.stepctl import STEP_FACTOR_MIN
 
@@ -42,29 +40,47 @@ def split(theta, d):
     return theta[:d], theta[d:].reshape(d, d)
 
 
+def pack(pair):
+    """The packed ``d + d^2`` vector of a ``(mean, cov)`` pair, as the
+    oracles below transcribe the moment ODE."""
+    mean, cov = pair
+    return np.concatenate([mean, np.reshape(cov, -1)])
+
+
+def decay_rates(d):
+    """Packed diagonal of the linear part: 1 on the mean, 2 on the covariance."""
+    return np.concatenate([np.ones(d), 2.0 * np.ones(d * d)])
+
+
 class TestMoments:
     def test_two_points_1d(self):
         ens = Ensemble(np.array([[0.0], [2.0]]), np.zeros(2))
-        assert np.allclose(moments_of_ensemble(ens), [1.0, 1.0])
+        mean, cov = moments_of_ensemble(ens)
+        assert mean.shape == (1,) and cov.shape == (1, 1)
+        assert np.allclose(pack((mean, cov)), [1.0, 1.0])
 
     def test_repeated_point(self):
         ens = Ensemble(np.full((5, 2), 1.5), np.zeros(5))
-        theta = moments_of_ensemble(ens)
-        mean, cov = split(theta, 2)
+        mean, cov = moments_of_ensemble(ens)
         assert np.allclose(mean, 1.5)
         assert np.allclose(cov, 0.0)
 
     def test_statistical(self):
         pts = RandomStream(0).standard_normal((1000, 2))
-        theta = moments_of_ensemble(Ensemble(pts, np.zeros(1000)))
-        assert np.max(np.abs(theta - pack_moments(np.zeros(2), np.eye(2)))) < 0.15
+        mean, cov = moments_of_ensemble(Ensemble(pts, np.zeros(1000)))
+        assert np.max(np.abs(mean)) < 0.15
+        assert np.max(np.abs(cov - np.eye(2))) < 0.15
 
-    def test_pack_round_trip(self):
-        mean = np.array([1.0, -2.0, 0.5])
-        cov = np.arange(9.0).reshape(3, 3)
-        m, c = split(pack_moments(mean, cov), 3)
-        assert np.array_equal(m, mean)
-        assert np.array_equal(c, cov)
+    @pytest.mark.parametrize("d", [1, 6, 50])
+    def test_gaussian_fit_moments_match_bit_for_bit(self, d):
+        # the driver hands the Gaussian proposal's mean and covariance to the
+        # step controller in place of the ensemble's moments; the fit's
+        # symmetrization must leave the exactly symmetric SYRK product as is
+        pts = RandomStream(d).standard_normal((300, d)) * np.linspace(0.5, 2.0, d) + 0.3
+        model = gaussian_fit(pts)
+        mean, cov = moments_of_ensemble(Ensemble(pts, None))
+        assert np.array_equal(model.mean, mean)
+        assert np.array_equal(model.covariance, cov)
 
 
 class TestMomentsRhs:
@@ -74,7 +90,7 @@ class TestMomentsRhs:
         pts = RandomStream(1).standard_normal((40, 2))
         ens = Ensemble(pts, linear_g(pts))
         rhs = moments_rhs(moments_of_ensemble(ens), coefficients_at(ens, s=1.0, beta=0.0))
-        assert np.max(np.abs(rhs)) < 1e-12
+        assert np.max(np.abs(pack(rhs))) < 1e-12
 
     def test_1d_hand_case(self):
         # points {0, 2}, explicitly equal weights, beta = 1:
@@ -82,39 +98,45 @@ class TestMomentsRhs:
         ens = Ensemble(np.array([[0.0], [2.0]]), np.zeros(2))
         coeffs = coefficients_from_log_weights(ens.points, np.zeros(2), beta=1.0)
         rhs = moments_rhs(moments_of_ensemble(ens), coeffs)
-        assert np.allclose(rhs, [0.0, 2.0])
+        assert np.allclose(pack(rhs), [0.0, 2.0])
 
     def test_stage_reads_coefficients(self):
         pts = RandomStream(2).standard_normal((30, 2))
         ens = Ensemble(pts, linear_g(pts))
         coeffs = coefficients_at(ens, 0.5, 2.0)
-        stage = stage_from_coefficients(coeffs)
-        mean, cov2 = split(stage, 2)
+        ctrl = StepControllerState(h_current=0.5, eps_target=1.0)
+        ctrl.record(moments_of_ensemble(ens), coeffs, 0.5)
+        mean, cov2 = ctrl.stages[-1]
         assert np.allclose(mean, coeffs.m_beta)
         assert np.allclose(cov2, 2.0 * coeffs.c_beta_sq)
 
 
 class TestScalarFunctions:
     def test_phi_values(self):
-        assert float(phi_scalar(0.0)) == pytest.approx(1.0)
-        assert float(phi_scalar(1.0)) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
-        assert float(phi_scalar(1.0)) == pytest.approx(0.632121, abs=1e-6)
-        assert float(phi_scalar(2.0)) == pytest.approx(0.432332, abs=1e-6)
+        assert phi_scalar(0.0) == pytest.approx(1.0)
+        assert phi_scalar(1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+        assert phi_scalar(1.0) == pytest.approx(0.632121, abs=1e-6)
+        assert phi_scalar(2.0) == pytest.approx(0.432332, abs=1e-6)
 
     def test_bhat_values(self):
         b1, b2 = bhat_coefficients(0.0)
-        assert float(b1) == pytest.approx(0.0, abs=1e-12)
-        assert float(b2) == pytest.approx(1.0, abs=1e-12)
+        assert b1 == pytest.approx(0.0, abs=1e-12)
+        assert b2 == pytest.approx(1.0, abs=1e-12)
         b1, b2 = bhat_coefficients(1.0)
-        assert float(b2) == pytest.approx(2.0 * math.exp(-1.0), abs=1e-12)
-        assert float(b2) == pytest.approx(0.735759, abs=1e-6)
-        assert float(b1) == pytest.approx(1.0 - 3.0 * math.exp(-1.0), abs=1e-12)
-        assert float(b1) == pytest.approx(-0.103638, abs=1e-6)
+        assert b2 == pytest.approx(2.0 * math.exp(-1.0), abs=1e-12)
+        assert b2 == pytest.approx(0.735759, abs=1e-6)
+        assert b1 == pytest.approx(1.0 - 3.0 * math.exp(-1.0), abs=1e-12)
+        assert b1 == pytest.approx(-0.103638, abs=1e-6)
+
+    @pytest.mark.parametrize("z", [0.0, 1e-5, 0.5, 3.0, math.inf])
+    def test_python_floats(self, z):
+        assert type(phi_scalar(z)) is float
+        assert [type(b) for b in bhat_coefficients(z)] == [float, float]
 
     def test_consistency_identity(self):
-        z = np.linspace(-3.0, 8.0, 61)
-        b1, b2 = bhat_coefficients(z)
-        assert np.allclose(b1 + b2, phi_scalar(z), atol=1e-12)
+        for z in np.linspace(-3.0, 8.0, 61).tolist():
+            b1, b2 = bhat_coefficients(z)
+            assert b1 + b2 == pytest.approx(phi_scalar(z), abs=1e-12)
 
     def test_taylor_branch_continuity(self):
         # the series and the closed form both match the exact weights just
@@ -126,12 +148,12 @@ class TestScalarFunctions:
 
     def test_matches_exact_series(self):
         grid = np.geomspace(1e-9, 3.0, 120)
-        for z in np.concatenate([[0.0], grid, -grid]):
+        for z in np.concatenate([[0.0], grid, -grid]).tolist():
             phi, b2 = exact_phi(z), exact_b2(z)
             b1_got, b2_got = bhat_coefficients(z)
             assert rel_error(phi_scalar(z), phi) <= 1e-12, z
             assert rel_error(b2_got, b2) <= 1e-12, z
-            assert abs(float(Fraction(float(b1_got)) - (phi - b2))) <= 1e-12, z
+            assert abs(float(Fraction(b1_got) - (phi - b2))) <= 1e-12, z
 
     @pytest.mark.parametrize("z", [1e154, 1e200, 1e300, 1e308, 1.7e308, math.inf])
     def test_huge_argument_stays_finite(self, z):
@@ -140,8 +162,8 @@ class TestScalarFunctions:
             warnings.simplefilter("error")
             b1, b2 = bhat_coefficients(z)
             phi = phi_scalar(z)
-        assert float(b2) == pytest.approx(2.0 / z, rel=1e-12, abs=0.0)
-        assert float(b1 + b2) == float(phi)
+        assert b2 == pytest.approx(2.0 / z, rel=1e-12, abs=0.0)
+        assert b1 + b2 == phi
 
 
 def exact_series(z, offset: int) -> Fraction:
@@ -172,7 +194,7 @@ def rel_error(got, exact: Fraction) -> float:
 
 
 def exp_euler_trajectory(theta0, stage_fn, h, steps, rates):
-    """Reference exponential Euler recursion on the semilinear moment ODE."""
+    """Reference exponential Euler recursion on the packed moment ODE."""
     thetas = [np.asarray(theta0, dtype=float)]
     stages = []
     for k in range(steps):
@@ -180,8 +202,15 @@ def exp_euler_trajectory(theta0, stage_fn, h, steps, rates):
         stage = stage_fn(k * h, theta)
         stages.append(stage)
         z = h * rates
-        thetas.append(np.exp(-z) * theta + h * phi_scalar(z) * stage)
+        thetas.append(np.exp(-z) * theta - h * np.expm1(-z) / z * stage)
     return thetas, stages
+
+
+def block_local_error(thetas, stages, d, h, eps):
+    """``local_error`` on the block pairs of packed oracle vectors."""
+    return local_error(
+        split(thetas[0], d), split(thetas[2], d), split(stages[0], d), split(stages[1], d), h, eps
+    )
 
 
 class TestLocalError:
@@ -190,7 +219,7 @@ class TestLocalError:
         rates = decay_rates(1)
         theta0 = np.array([1.0, 2.0])
         thetas, stages = exp_euler_trajectory(theta0, lambda t, x: np.zeros(2), 0.3, 2, rates)
-        err = local_error(thetas[0], thetas[2], stages[0], stages[1], 0.3, 1.0)
+        err = block_local_error(thetas, stages, 1, 0.3, 1.0)
         assert err < 1e-14
 
     def test_matches_from_scratch_oracle(self):
@@ -207,7 +236,7 @@ class TestLocalError:
                 return np.sin(t + x[:m] * 0.1) + 0.5
 
             thetas, stages = exp_euler_trajectory(rng.normal(size=m), stage_fn, h, 2, rates)
-            got = local_error(thetas[0], thetas[2], stages[0], stages[1], h, eps)
+            got = block_local_error(thetas, stages, d, h, eps)
 
             hh = 2.0 * h
             z = hh * rates
@@ -229,7 +258,7 @@ class TestLocalError:
 
         h = 0.25
         thetas, stages = exp_euler_trajectory(np.array([0.5, 1.0]), stage_fn, h, 2, rates)
-        got = local_error(thetas[0], thetas[2], stages[0], stages[1], h, 1.0)
+        got = block_local_error(thetas, stages, 1, h, 1.0)
         hh, z = 2.0 * h, 2.0 * h * rates
         b2 = 2.0 * (np.exp(-z) + z - 1.0) / z**2
         b1 = (1.0 - np.exp(-z)) / z - b2
@@ -240,8 +269,8 @@ class TestLocalError:
 
     def test_eps_homogeneity(self):
         rng = np.random.default_rng(4)
-        t0, _, t2 = rng.normal(size=(3, 6))
-        s0, s1 = rng.normal(size=(2, 6))
+        t0, _, t2 = (split(v, 2) for v in rng.normal(size=(3, 6)))
+        s0, s1 = (split(v, 2) for v in rng.normal(size=(2, 6)))
         base = local_error(t0, t2, s0, s1, 0.4, 1.0)
         double = local_error(t0, t2, s0, s1, 0.4, 2.0)
         assert double == pytest.approx(base / math.sqrt(2.0), rel=1e-12)
@@ -282,15 +311,17 @@ class TestExpEulerIdentity:
         h = 0.37
         alpha = math.exp(-h)
         coeffs = coefficients_at(ens, 1.2, 2.5)
-        theta = moments_of_ensemble(ens)
-        mean, cov = split(theta, 2)
-        recursion = pack_moments(
+        mean, cov = moments_of_ensemble(ens)
+        recursion = (
             alpha * mean + (1.0 - alpha) * coeffs.m_beta,
             alpha**2 * cov + (1.0 - alpha**2) * coeffs.c_beta_sq,
         )
-        z = h * decay_rates(2)
-        euler = np.exp(-z) * theta + h * phi_scalar(z) * stage_from_coefficients(coeffs)
-        assert np.max(np.abs(recursion - euler)) < 1e-14
+        stage = (coeffs.m_beta, 2.0 * coeffs.c_beta_sq)
+        euler = [
+            math.exp(-h * rate) * block + h * phi_scalar(h * rate) * s
+            for rate, block, s in zip((1.0, 2.0), (mean, cov), stage)
+        ]
+        assert np.max(np.abs(pack(recursion) - pack(euler))) < 1e-14
 
 
 class TestInitialStepsize:
@@ -364,22 +395,28 @@ class TestInitialStepsize:
             assert h >= 100.0 * h0 - 1e-12
 
 
+def random_coeffs(rng):
+    """d = 1 coefficients with random entries; the controller reads no factor."""
+    return CbsCoefficients(
+        m_beta=rng.normal(size=1), c_beta_sq=rng.normal(size=(1, 1)), c_beta_factor=None
+    )
+
+
 class TestControllerState:
     def test_fires_only_on_even_iterations_from_two(self):
         ctrl = StepControllerState(h_current=0.5, eps_target=1.0)
         rng = np.random.default_rng(11)
         fired = []
         for n in range(6):
-            theta = rng.normal(size=2)
-            h_next, err = ctrl.propose(theta, n)
+            moments = split(rng.normal(size=2), 1)
+            h_next, err = ctrl.propose(moments, n)
             fired.append(not math.isnan(err))
-            ctrl.record(theta, rng.normal(size=2), h_next)
+            ctrl.record(moments, random_coeffs(rng), h_next)
         assert fired == [False, False, True, False, True, False]
 
     def test_odd_iterations_keep_h(self):
         ctrl = StepControllerState(h_current=0.5, eps_target=1.0)
         rng = np.random.default_rng(12)
-        theta = rng.normal(size=2)
-        ctrl.record(theta, rng.normal(size=2), 0.5)
-        h_next, err = ctrl.propose(rng.normal(size=2), 1)
+        ctrl.record(split(rng.normal(size=2), 1), random_coeffs(rng), 0.5)
+        h_next, err = ctrl.propose(split(rng.normal(size=2), 1), 1)
         assert math.isnan(err) and h_next == 0.5
