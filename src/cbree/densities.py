@@ -113,12 +113,16 @@ def gaussian_logpdf(model: GaussianModel, x, work=(None, None)) -> np.ndarray:
 
 
 def gaussian_sample(
-    model: GaussianModel, stream: RandomStream, n: int, out=None, work=(None, None)
+    model: GaussianModel, stream: RandomStream, n: int, out=None, work=(None, None),
+    normals=None,
 ) -> np.ndarray:
     """Draw ``n`` points into ``out``, with ``work`` as scratch (see
-    :func:`gaussian_fit`); a ``None`` makes numpy allocate."""
-    xi = stream.standard_normal((n, model.dim), out=work[0])
-    return np.add(model.mean, np.matmul(xi, model.factor.T, out=work[1]), out=out)
+    :func:`gaussian_fit`); a ``None`` makes numpy allocate.  The ``(n, d)``
+    standard normals are the stream's only draws; ``normals`` passes them in
+    already drawn, and is only read."""
+    if normals is None:
+        normals = stream.standard_normal((n, model.dim), out=work[0])
+    return np.add(model.mean, np.matmul(normals, model.factor.T, out=work[1]), out=out)
 
 
 @dataclass(frozen=True)
@@ -267,7 +271,8 @@ def _sample_vmf_cosines(d: int, kappa: float, stream: RandomStream, n: int) -> n
 
 
 def vmfn_sample(
-    model: VmfnModel, stream: RandomStream, n: int, out=None, work=(None, None)
+    model: VmfnModel, stream: RandomStream, n: int, out=None, work=(None, None),
+    normals=None,
 ) -> np.ndarray:
     """Draw ``n`` points, a vMF direction times a Nakagami radius, into
     ``out``; a ``None`` makes numpy allocate.  No ``(n, d)`` temporary is
@@ -278,13 +283,20 @@ def vmfn_sample(
     ``t_j = xi_j - (xi_j . mu) mu`` of a standard normal ``xi_j``.  It is
     assembled in place as ``a_j t_j + b_j mu``: one rank-1 BLAS update
     (``dger``) forms the tangents, one row scale applies ``a_j`` and a
-    second ``dger`` adds ``b_j mu``.  The stream gives the cosines' betas
-    and uniforms first, then the normals, then the radii's gammas.
+    second ``dger`` adds ``b_j mu``.  The stream gives the ``(n, d)``
+    normals first, then the cosines' betas and uniforms, then the radii's
+    gammas.  ``normals`` passes the first of these in already drawn, with
+    ``stream`` advanced past them; they are copied into ``out``, never
+    written.
     """
     mu = model.mean_direction
     d = mu.shape[0]
+    xi = np.empty((n, d)) if out is None else out
+    if normals is None:
+        stream.standard_normal((n, d), out=xi)
+    else:
+        np.copyto(xi, normals)
     w = _sample_vmf_cosines(d, model.kappa, stream, n)
-    xi = stream.standard_normal((n, d), out=out)
     m, om = model.nakagami_shape, model.nakagami_spread
     r = np.sqrt(stream.gamma(m, om / m, size=n))
     # xi is C-contiguous, so xi.T is F-contiguous and dger updates it in place

@@ -201,14 +201,20 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
 
     While the main thread works through iteration ``n`` up to the particle
     step, one worker thread draws the noise of that step into a buffer
-    allocated once per run.  It only calls the random generator, and the
-    draws depend on nothing the iteration computes, so the records are the
-    same as with draws made in line.  The run also owns its other large
-    arrays: two position arrays, one holding the ensemble and one spare that
-    a fresh batch or the particle step is written into (the two swap roles
-    when the ensemble is replaced), and the pair of scratch arrays for the
-    ``(J, d)`` temporaries of the fit, the sampler, the estimate and the
-    move.  Nothing is shared between runs.
+    allocated once per run.  With a fresh batch, the same worker also draws
+    the batch's ``(J, d)`` standard normals, the first draws of
+    ``substream(2, n)``, into a second buffer: batch ``n + 1``'s once
+    iteration ``n`` has passed its stopping checks, so the draw runs during
+    the move and the next fit.  It hands back that stream, advanced past the
+    normals, and the sampler takes its remaining draws from it.  The worker
+    only calls the random generator, and the draws depend on nothing the
+    iteration computes, so the records are the same as with draws made in
+    line.  The run also owns its other large arrays: two position arrays,
+    one holding the ensemble and one spare that a fresh batch or the
+    particle step is written into (the two swap roles when the ensemble is
+    replaced), and the pair of scratch arrays for the ``(J, d)`` temporaries
+    of the fit, the sampler, the estimate and the move.  Nothing is shared
+    between runs.
 
     The cost is counted here from the batch sizes evaluated: the initial
     sweep, each fresh batch and one sweep per move that gets ``lsf``.
@@ -225,14 +231,22 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
     lsf = problem.lsf
     root = RandomStream(config.seed)
     noise = np.empty(mover.noise_shape(J, d))
+    normals = None if mover.batch is None else np.empty((J, d))
 
     def draw_noise(n: int) -> np.ndarray:
         return root.substream(3, n).standard_normal(noise.shape, out=noise)
+
+    def draw_normals(n: int) -> tuple[RandomStream, np.ndarray]:
+        stream = root.substream(2, n)
+        stream.standard_normal(normals.shape, out=normals)
+        return stream, normals
 
     # leaving the block joins the worker on every exit path, errors included
     with ThreadPoolExecutor(max_workers=1) as worker:
         # no noise is drawn for the step at max_iter, which is never taken
         pending = worker.submit(draw_noise, 0) if config.max_iter > 0 else None
+        # iteration 0 always runs, so its batch is always drawn
+        batch = None if normals is None else worker.submit(draw_normals, 0)
         points = root.substream(0).standard_normal((J, d))
         ens = Ensemble(points=points, g_values=np.asarray(lsf(points), dtype=float))
         cost = J
@@ -247,9 +261,10 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
         while True:
             model = vmfn_fit(ens.points) if vmfn else gaussian_fit(ens.points, work)
             sample = ens
-            if mover.batch is not None:
+            if batch is not None:
+                stream, xi = batch.result()
                 sampler = vmfn_sample if vmfn else gaussian_sample
-                new_pts = sampler(model, root.substream(2, n), J, spare, work)
+                new_pts = sampler(model, stream, J, spare, work, normals=xi)
                 sample = Ensemble(points=new_pts, g_values=np.asarray(lsf(new_pts), dtype=float))
                 cost += J
                 if mover.batch == "replace":
@@ -284,6 +299,9 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
                     final_ensemble=ens,
                 )
 
+            # the sampler has consumed the normals, so they may be redrawn
+            if batch is not None:
+                batch = worker.submit(draw_normals, n + 1)
             moved = mover.move(ens, model, n, pending, step_lsf, row, spare, work)
             if moved.points is spare:
                 spare = ens.points

@@ -129,15 +129,21 @@ def local_error(
     Euler half-step is exactly the midpoint stage), so no new evaluations are
     needed.  Each block decays at its own rate, so its weights are scalars at
     ``z = hh`` (mean) and ``z = 2 hh`` (covariance).  Both methods are exact
-    on pure decay, giving a vanishing error there.
+    on pure decay, giving a vanishing error there.  Where ``z`` overflows,
+    ``hh b1`` and ``hh b2`` take their limits ``-1/rate`` and ``2/rate``
+    instead of the product ``inf * 0``.
     """
     hh = 2.0 * h
     diff, ref = [], []
     blocks = zip(_RATES, moments_prev2, moments_now, stage_prev2, stage_prev1)
     for rate, start, now, s2, s1 in blocks:
         z = hh * rate
-        b1, b2 = bhat_coefficients(z)
-        diff.append(math.exp(-z) * start + hh * (b1 * s2 + b2 * s1) - now)
+        if math.isinf(z):
+            step = (2.0 * s1 - s2) / rate
+        else:
+            b1, b2 = bhat_coefficients(z)
+            step = hh * (b1 * s2 + b2 * s1)
+        diff.append(math.exp(-z) * start + step - now)
         ref.append(np.maximum(np.abs(now), np.abs(start)))
     return error_norm(diff, ref, eps_target)
 

@@ -108,6 +108,16 @@ class TestGaussian:
         assert np.max(np.abs(refit.mean - truth.mean)) < 0.02
         assert np.max(np.abs(refit.covariance - truth.covariance)) < 0.05
 
+    def test_predrawn_normals_reproduce_the_stream_draw(self):
+        truth = make_gaussian(np.arange(6.0), np.eye(6) + 0.3)
+        inline = gaussian_sample(truth, RandomStream(6), 500)
+        normals = RandomStream(6).standard_normal((500, 6))
+        kept = normals.copy()
+        work = np.empty((2, 500, 6))
+        ahead = gaussian_sample(truth, None, 500, np.empty((500, 6)), work, normals=normals)
+        assert np.array_equal(ahead, inline)
+        assert np.array_equal(normals, kept)
+
     def test_round_trip_error_shrinks_with_sample_size(self):
         truth = make_gaussian([0.0, 0.0], np.eye(2))
 
@@ -245,10 +255,12 @@ class TestVmfnDensity:
 
     @staticmethod
     def reference_vmfn_sample(model, stream, n):
-        # the sampler as first written: Wood's rejection scheme, the unit
-        # tangent scaled by sqrt(1 - w^2) plus w mu, then the radius
+        # the sampler as first written, with the draws in the stream's order:
+        # the normals, Wood's rejection scheme, the unit tangent scaled by
+        # sqrt(1 - w^2) plus w mu, then the radius
         mu, kappa = model.mean_direction, model.kappa
         d = mu.shape[0]
+        xi = stream.standard_normal((n, d))
         b = (d - 1.0) / (2.0 * kappa + math.sqrt(4.0 * kappa**2 + (d - 1.0) ** 2))
         x0 = (1.0 - b) / (1.0 + b)
         c = kappa * x0 + (d - 1.0) * math.log1p(-x0 * x0)
@@ -259,7 +271,6 @@ class TestVmfnDensity:
             logu = np.log(stream.uniform(size=n - w.size))
             accept = kappa * cand + (d - 1.0) * np.log(1.0 - x0 * cand) - c >= logu
             w = np.concatenate([w, cand[accept]])
-        xi = stream.standard_normal((n, d))
         tangent = xi - np.outer(xi @ mu, mu)
         length = np.linalg.norm(tangent, axis=1)
         dirs = tangent / length[:, None]
@@ -285,6 +296,52 @@ class TestVmfnDensity:
         assert np.max(err) <= 1e-13
         # the same number of draws: the streams go on in step
         assert got_stream.random() == ref_stream.random()
+
+    @pytest.mark.parametrize("kappa", [0.0, 40.0, 1e6])
+    def test_stream_gives_normals_then_cosines_then_radii(self, kappa):
+        calls = []
+
+        class RecordingStream(RandomStream):
+            def standard_normal(self, *args, **kwargs):
+                calls.append("normal")
+                return super().standard_normal(*args, **kwargs)
+
+            def beta(self, *args, **kwargs):
+                calls.append("beta")
+                return super().beta(*args, **kwargs)
+
+            def uniform(self, *args, **kwargs):
+                calls.append("uniform")
+                return super().uniform(*args, **kwargs)
+
+            def gamma(self, *args, **kwargs):
+                calls.append("gamma")
+                return super().gamma(*args, **kwargs)
+
+        model = VmfnModel(np.eye(50)[0], kappa, 2.5, 50.0)
+        vmfn_sample(model, RecordingStream(18), 2000)
+        rounds = (len(calls) - 2) // 2
+        assert rounds >= 1
+        assert calls == ["normal"] + ["beta", "uniform"] * rounds + ["gamma"]
+
+    @pytest.mark.parametrize("d,kappa", [(2, 3.0), (50, 40.0)])
+    def test_predrawn_normals_reproduce_the_stream_draw(self, d, kappa):
+        # the run loop draws a batch's normals ahead of time from the batch's
+        # stream and passes that stream on; the points are the same bit for bit
+        mu = RandomStream(19).standard_normal(d)
+        model = VmfnModel(mu / np.linalg.norm(mu), kappa, 2.5, float(d))
+        inline_stream = RandomStream(20)
+        inline = vmfn_sample(model, inline_stream, 1000)
+        next_draw = inline_stream.random()
+        for out in (np.empty((1000, d)), None):
+            ahead_stream = RandomStream(20)
+            normals = ahead_stream.standard_normal((1000, d))
+            kept = normals.copy()
+            ahead = vmfn_sample(model, ahead_stream, 1000, out, normals=normals)
+            assert out is None or ahead is out
+            assert np.array_equal(ahead, inline)
+            assert np.array_equal(normals, kept)
+            assert ahead_stream.random() == next_draw
 
     def test_high_kappa_concentrates(self):
         mu = np.array([1.0, 0.0, 0.0])

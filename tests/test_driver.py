@@ -1,6 +1,6 @@
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -246,20 +246,24 @@ class TestNoiseWorker:
         assert threading.active_count() == before
 
     def test_worker_joined_when_the_limit_state_fails(self):
-        calls = []
+        # sweeps with the Gaussian proposal: initial ensemble, first particle
+        # step, second particle step; with the vMFN proposal: initial
+        # ensemble (the first batch's normals are drawn meanwhile), first
+        # batch, second batch
+        for runner, bad_sweep in ((run_cbree, 3), (run_cbree_vmfn, 1), (run_cbree_vmfn, 3)):
+            calls = []
 
-        def nan_on_third_sweep(x):
-            calls.append(len(x))
-            g = 3.5 - x.sum(axis=1) / 2.0
-            return np.full(len(x), np.nan) if len(calls) == 3 else g
+            def nan_on_one_sweep(x):
+                calls.append(len(x))
+                g = 3.5 - x.sum(axis=1) / 2.0
+                return np.full(len(x), np.nan) if len(calls) == bad_sweep else g
 
-        problem = ProblemSpec(name="nan-on-third", dim=4, lsf=CountedLsf(nan_on_third_sweep))
-        before = threading.active_count()
-        # sweeps: initial ensemble, first particle step, second particle step
-        with pytest.raises(ValueError, match="non-finite"):
-            run_cbree(problem, CbreeConfig(n_particles=300, seed=24))
-        assert len(calls) == 3
-        assert threading.active_count() == before
+            problem = ProblemSpec(name="nan-on-one", dim=4, lsf=CountedLsf(nan_on_one_sweep))
+            before = threading.active_count()
+            with pytest.raises(ValueError, match="non-finite"):
+                runner(problem, CbreeConfig(n_particles=300, seed=24))
+            assert len(calls) == bad_sweep
+            assert threading.active_count() == before
 
     @pytest.mark.parametrize(
         "runner, config",
@@ -268,23 +272,59 @@ class TestNoiseWorker:
             (run_enkf, EnkfConfig(n_particles=300, delta_target=0.01, max_iter=3, seed=26)),
             (run_cbree, CbreeConfig(n_particles=300, delta_target=0.01, n_obs=0, max_iter=0, seed=25)),
             (run_enkf, EnkfConfig(n_particles=300, delta_target=0.01, max_iter=0, seed=26)),
+            (run_cbree_vmfn, CbreeConfig(n_particles=300, delta_target=0.01, n_obs=0, max_iter=3, seed=27)),
+            (run_cbree_vmfn, CbreeConfig(n_particles=300, delta_target=0.01, n_obs=0, max_iter=0, seed=27)),
         ],
     )
     def test_no_draw_for_the_step_max_iter_never_takes(self, monkeypatch, runner, config):
         # steps are taken at iterations 0 .. max_iter - 1; the run stops at
-        # max_iter without one
-        draws = []
+        # max_iter without one.  A fresh batch is drawn for every iteration
+        # that runs, 0 .. max_iter, and for no other
+        draws = {2: [], 3: []}
 
         class CountingStream(RandomStream):
             def substream(self, *index):
-                if index[0] == 3:
-                    draws.append(index)
+                if index[0] in draws:
+                    draws[index[0]].append(index)
                 return super().substream(*index)
 
         monkeypatch.setattr(cbree.driver, "RandomStream", CountingStream)
         record = runner(get_problem("linear-4"), config)
         assert record.termination == "max_iter"
-        assert draws == [(3, n) for n in range(config.max_iter)]
+        assert draws[3] == [(3, n) for n in range(config.max_iter)]
+        batches = runner is not run_cbree
+        assert draws[2] == [(2, n) for n in range(record.iterations + 1) if batches]
+
+    @pytest.mark.parametrize(
+        "runner, config",
+        [
+            (run_cbree_vmfn, CbreeConfig(n_particles=300, delta_target=2.0, seed=28)),
+            (run_enkf, EnkfConfig(n_particles=300, seed=29)),
+        ],
+    )
+    def test_draws_on_the_worker_match_draws_in_line(self, monkeypatch, runner, config):
+        class InlineExecutor:
+            # runs each task at submission, on the calling thread
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        threaded = runner(get_problem("linear-4"), config)
+        monkeypatch.setattr(cbree.driver, "ThreadPoolExecutor", InlineExecutor)
+        inline = runner(get_problem("linear-4"), config)
+        assert inline.iterations >= 2
+        assert inline.to_json_dict() == threaded.to_json_dict()
+        assert np.array_equal(inline.final_ensemble.points, threaded.final_ensemble.points)
 
     def test_runs_in_a_thread_pool_match_serial_runs(self):
         cells = [("linear", seed) for seed in (31, 32, 33)] + [("linear-4", 34)]

@@ -275,6 +275,18 @@ class TestLocalError:
         double = local_error(t0, t2, s0, s1, 0.4, 2.0)
         assert double == pytest.approx(base / math.sqrt(2.0), rel=1e-12)
 
+    @pytest.mark.parametrize("h", [6e307, 1e308, math.inf])
+    def test_overflowed_step_takes_the_limit_weights(self, h):
+        # z = 2 h rate overflows in the covariance block at 6e307 and in both
+        # blocks above; hh b1 and hh b2 are then -1/rate and 2/rate, the
+        # values they already have to rounding at h = 1e300
+        rng = np.random.default_rng(5)
+        t0, _, t2 = (split(v, 2) for v in rng.normal(size=(3, 6)))
+        s0, s1 = (split(v, 2) for v in rng.normal(size=(2, 6)))
+        err = local_error(t0, t2, s0, s1, h, 1.0)
+        assert math.isfinite(err)
+        assert err == pytest.approx(local_error(t0, t2, s0, s1, 1e300, 1.0), rel=1e-12)
+
 
 class TestNextStepsize:
     def test_unit_error_keeps_h(self):
