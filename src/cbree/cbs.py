@@ -170,7 +170,7 @@ def ess_from_log_weights(log_w, beta: float, slope: bool = False):
     return ess, float(2.0 * (np.sum(vc) / total - (vc @ v) / sq))
 
 
-def solve_beta(log_target_values, target: float) -> tuple[float, bool]:
+def solve_beta(log_target_values, target: float) -> tuple[float, bool, float | None]:
     """Inverse temperature with ``ESS(beta) = target``, by safeguarded Newton.
 
     ``log_target_values`` holds the per-particle ``log(I(g, s) phi(x))`` (see
@@ -192,6 +192,11 @@ def solve_beta(log_target_values, target: float) -> tuple[float, bool]:
     is narrower than ``1e-10 max(1, hi)``.  If even :data:`BETA_CAP` leaves
     the weights too uniform (``ESS > target``, e.g. identical log-weights)
     the cap is returned with ``capped=True``.
+
+    Returns ``(beta, capped, ess)``, where ``ess`` is the ESS the solve
+    evaluated at the returned ``beta``, bit for bit
+    ``ess_from_log_weights(log_target_values, beta)``; it is ``None`` on
+    the bracket-midpoint exit, whose ``beta`` was never evaluated.
     """
     lw = np.asarray(log_target_values, dtype=float)
     n = lw.shape[0]
@@ -207,10 +212,10 @@ def solve_beta(log_target_values, target: float) -> tuple[float, bool]:
     for _ in range(200):
         ess, slope = ess_from_log_weights(lw, beta, slope=True)
         if abs(ess - target) <= 0.01:
-            return beta, False
+            return beta, False, ess
         if ess > target:
             if beta >= BETA_CAP:
-                return BETA_CAP, True
+                return BETA_CAP, True, ess
             lo = beta
         else:
             hi = beta
@@ -224,7 +229,7 @@ def solve_beta(log_target_values, target: float) -> tuple[float, bool]:
         if not lo < nxt < hi:  # also taken when the step is NaN
             nxt = min(2.0 * beta, BETA_CAP) if hi == math.inf else 0.5 * (lo + hi)
         beta = min(nxt, BETA_CAP)
-    return 0.5 * (lo + hi), False
+    return 0.5 * (lo + hi), False, None
 
 
 def write_ensemble_csv(ens: Ensemble, path) -> None:

@@ -145,7 +145,9 @@ class RunRecord:
                 writer.writerow([getattr(row, col) for col in TRACE_COLUMNS])
 
 
-def is_estimate(ens: Ensemble, proposal, work=(None, None)) -> tuple[float, np.ndarray]:
+def is_estimate(
+    ens: Ensemble, proposal, work=(None, None), centered: bool = False
+) -> tuple[float, np.ndarray]:
     """Importance-sampling estimate with the fitted proposal as sampler.
 
     Weights are ``exp(log phi(x) - log mu(x))`` on failure particles and zero
@@ -153,11 +155,18 @@ def is_estimate(ens: Ensemble, proposal, work=(None, None)) -> tuple[float, np.n
     downstream becomes infinite.  ``log phi`` is the ensemble's shared one;
     ``log mu`` is evaluated on every particle, with ``work`` (a pair of
     arrays shaped like the points) as scratch, so that no subset is copied.
+    ``centered=True`` says that ``work[0]`` holds the points minus the mean
+    of the Gaussian ``proposal``, as :func:`gaussian_fit` leaves them when
+    it fits that very ensemble; ``log mu`` then whitens them as they are.
     """
     fail = ens.g_values <= 0.0
     weights = np.zeros(ens.size)
     if np.any(fail):
-        log_ratio = ens.log_phi() - proposal.logpdf(ens.points, work)
+        if centered:
+            log_mu = proposal.logpdf(work[0], work, centered=True)
+        else:
+            log_mu = proposal.logpdf(ens.points, work)
+        log_ratio = ens.log_phi() - log_mu
         weights[fail] = np.exp(log_ratio[fail])
     return float(weights.mean()), weights
 
@@ -255,6 +264,9 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
         spare = np.empty((J, d))
         work = np.empty((2, J, d))
         step_lsf = None if mover.batch == "replace" else lsf
+        # a Gaussian fitted to the very points it weighs leaves them centred
+        # in work[0] (see gaussian_fit), and the estimate whitens them there
+        centered = mover.batch is None and not vmfn
         trace: list[IterationRecord] = []
 
         n = 0
@@ -270,7 +282,7 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
                 if mover.batch == "replace":
                     spare, ens = ens.points, sample
 
-            pf, weights = is_estimate(sample, model, work)
+            pf, weights = is_estimate(sample, model, work, centered)
             cv = empirical_cv(weights)
             row = IterationRecord(iter=n, cv=cv, pf_estimate=pf, cost_cum=cost)
             trace.append(row)
@@ -336,7 +348,7 @@ class CbreeMover:
         self.s = 0.0
         self.ess_target = ens.size / 2.0
         # provisional temperature at the initial smoothing level drives the probe
-        beta0, _ = solve_beta(log_target(ens.g_values, ens.log_phi(), self.s), self.ess_target)
+        beta0, _, _ = solve_beta(log_target(ens.g_values, ens.log_phi(), self.s), self.ess_target)
         h1 = initial_stepsize(ens, beta0, cfg.eps_target, root.substream(1))
         self.ctrl = StepControllerState(h_current=h1, eps_target=cfg.eps_target)
 
@@ -353,9 +365,12 @@ class CbreeMover:
         else:
             moments = model.mean, model.covariance
         h_next, err = self.ctrl.propose(moments, n)
-        s_next = update_smoothing(ens.g_values, self.s, h_next, cfg.delta_target)
-        log_w = log_target(ens.g_values, ens.log_phi(), s_next)
-        beta, beta_capped = solve_beta(log_w, self.ess_target)
+        s_next, log_w = update_smoothing(ens.g_values, self.s, h_next, cfg.delta_target)
+        # log_target(g, log phi, s_next), from the indicator logs at s_next
+        log_w += ens.log_phi()
+        beta, beta_capped, ess = solve_beta(log_w, self.ess_target)
+        if ess is None:  # the solve stopped at a midpoint it did not evaluate
+            ess = ess_from_log_weights(log_w, beta)
         coeffs = coefficients_from_log_weights(ens.points, beta * log_w, beta, work)
         self.ctrl.record(moments, coeffs, h_next)
 
@@ -364,7 +379,7 @@ class CbreeMover:
         row.beta_capped = beta_capped
         row.h = h_next
         row.err = err
-        row.ess = ess_from_log_weights(log_w, beta)
+        row.ess = ess
         self.s = s_next
         return cbs_step(ens, coeffs, h_next, noise.result(), lsf, out)
 

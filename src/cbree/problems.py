@@ -123,18 +123,41 @@ def oscillator_lsf(u):
     Inputs are standard normal and mapped through the affine transform onto
     the physical variables (M, c1, c2, r, F1, t1).  Physically impossible
     draws (non-positive mass or total stiffness, ~20 sigma events) return a
-    large safe value instead of aborting a whole run.
+    large safe value instead of aborting a whole run; their mass and
+    stiffness are replaced by 1 first, so they raise no floating-point
+    warning.
+
+    The inputs are mapped one column at a time, from one transposed copy,
+    so every variable is a contiguous row; the arithmetic is elementwise
+    and rounds as the row-wise formula does.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.shape[1] != 6:
         raise ValueError("oscillator_lsf is defined for dimension 6")
-    x = OSCILLATOR_MEAN + OSCILLATOR_STD * u
-    mass, c1, c2, r, f1, t1 = (x[:, i] for i in range(6))
-    bad = (mass <= 0.0) | (c1 + c2 <= 0.0)
-    safe_mass = np.where(bad, 1.0, mass)
-    omega0 = np.sqrt((c1 + c2) / safe_mass)
-    g = 3.0 * r - np.abs(2.0 * f1 / (safe_mass * omega0**2) * np.sin(0.5 * t1 * omega0))
-    return np.where(bad, GUARD_VALUE, g)
+    x = u.T.copy()
+    x *= OSCILLATOR_STD[:, None]
+    x += OSCILLATOR_MEAN[:, None]
+    mass, c1, c2, r, f1, t1 = x
+    stiffness = c1 + c2
+    bad = (mass <= 0.0) | (stiffness <= 0.0)
+    guarded = bool(bad.any())
+    if guarded:
+        mass = np.where(bad, 1.0, mass)
+        stiffness = np.where(bad, 1.0, stiffness)
+    omega0 = np.sqrt(stiffness / mass)
+    # |2 F1 / (M omega0^2) * sin(t1 omega0 / 2)|, in place
+    denom = np.square(omega0)
+    denom *= mass
+    amp = np.multiply(2.0, f1)
+    amp /= denom
+    phase = np.multiply(0.5, t1)
+    phase *= omega0
+    amp *= np.sin(phase, out=phase)
+    g = np.multiply(3.0, r)
+    g -= np.abs(amp, out=amp)
+    if guarded:
+        g[bad] = GUARD_VALUE
+    return g
 
 
 # --- lognormal diffusion / flowrate problem ------------------------------------

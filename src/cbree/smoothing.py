@@ -76,7 +76,9 @@ def empirical_cv(weights) -> float:
     return sd / mean
 
 
-def update_smoothing(g_values, s: float, h: float, delta_target: float) -> float:
+def update_smoothing(
+    g_values, s: float, h: float, delta_target: float
+) -> tuple[float, np.ndarray]:
     """Choose the next smoothing level on ``[s, s + LIP_S * h]``.
 
     The accuracy target is the coefficient of variation of the indicator
@@ -88,14 +90,25 @@ def update_smoothing(g_values, s: float, h: float, delta_target: float) -> float
     target at ``hi``, and bisection finds a level where it crosses the
     target, to the tolerance ``1e-6 * max(1, s)``, which stays above the
     spacing of floats near ``s`` at any level.
+
+    Returns ``(s_next, log_smooth_indicator(g_values, s_next))``.  The
+    indicator logs are the ones the search computed at ``s_next``; only a
+    search that ends at a bracket midpoint it never evaluated computes them
+    once more.
     """
     g = np.asarray(g_values, dtype=float)
     hi = s + LIP_S * h
     log_i0 = log_smooth_indicator(g, s)
+    tried = None, None  # the latest level evaluated and its indicator logs
 
     def cv_at(level):
-        return empirical_cv(np.exp(log_smooth_indicator(g, level) - log_i0))
+        nonlocal tried
+        tried = level, log_smooth_indicator(g, level)
+        return empirical_cv(np.exp(tried[1] - log_i0))
 
     if cv_at(hi) <= delta_target:
-        return hi
-    return bisect(lambda level: cv_at(level) - delta_target, s, hi, 1e-6 * max(1.0, s))
+        return tried
+    level = bisect(lambda level: cv_at(level) - delta_target, s, hi, 1e-6 * max(1.0, s))
+    if level == tried[0]:
+        return tried
+    return level, log_smooth_indicator(g, level)

@@ -279,7 +279,7 @@ def test_c8_invariant_suite():
     pts = RandomStream(3).standard_normal((400, 3))
     g_vals = 3.5 - pts.sum(axis=1) / math.sqrt(3.0)
     log_w = log_target(g_vals, std_normal_logpdf(pts), 1.0)
-    beta, capped = solve_beta(log_w, 200.0)
+    beta, capped, _ = solve_beta(log_w, 200.0)
     ess_val = ess_from_log_weights(log_w, beta)
     checks.append(("beta-solve self-consistency", (not capped) and abs(ess_val - 200.0) <= 0.01))
 

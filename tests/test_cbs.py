@@ -297,7 +297,7 @@ class TestSolveBeta:
         pts = RandomStream(15).standard_normal((12, 2))
         norm = np.linalg.norm(pts, axis=1, keepdims=True)
         pts = pts / norm  # same radius
-        beta, capped = solve_beta(log_target(np.full(12, 1.0), std_normal_logpdf(pts), 0.0), 6.0)
+        beta, capped, _ = solve_beta(log_target(np.full(12, 1.0), std_normal_logpdf(pts), 0.0), 6.0)
         assert capped
         assert beta == 1e8
 
@@ -308,7 +308,7 @@ class TestSolveBeta:
         root = bisect(lambda b: 2.0 - ess_from_log_weights(lw, b), 0.0, 4.0, 1e-12)
         assert root == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(0.8105082, abs=1e-6)
-        beta, capped = solve_beta(lw, 2.0)
+        beta, capped, _ = solve_beta(lw, 2.0)
         assert not capped
         assert abs(ess_from_log_weights(lw, beta) - 2.0) <= 0.01
 
@@ -317,15 +317,27 @@ class TestSolveBeta:
             ens = make_ensemble(seed + 20, 400, 3)
             target = 200.0
             lw = log_target(ens.g_values, ens.log_phi(), 1.3)
-            beta, capped = solve_beta(lw, target)
+            beta, capped, _ = solve_beta(lw, target)
             assert not capped
             assert abs(ess_from_log_weights(lw, beta) - target) <= 0.01
+
+    def test_returned_ess_is_the_evaluated_one_bitwise(self):
+        for seed in range(5):
+            ens = make_ensemble(seed + 20, 400, 3)
+            lw = log_target(ens.g_values, ens.log_phi(), 1.3)
+            beta, capped, ess = solve_beta(lw, 200.0)
+            assert not capped
+            assert ess == ess_from_log_weights(lw, beta)
+        ties = np.full(6, -4.2)
+        beta, capped, ess = solve_beta(ties, 3.0)
+        assert capped
+        assert ess == ess_from_log_weights(ties, beta)
 
     def test_matches_dense_grid_oracle(self):
         ens = make_ensemble(30, 200, 2)
         target = 100.0
         lw = log_target(ens.g_values, ens.log_phi(), 0.8)
-        beta, _ = solve_beta(lw, target)
+        beta, _, _ = solve_beta(lw, target)
         grid = np.linspace(max(beta - 0.5, 0.0), beta + 0.5, 20001)
         vals = np.abs([ess_from_log_weights(lw, b) - target for b in grid])
         best = grid[int(np.argmin(vals))]
@@ -345,7 +357,7 @@ class TestSolveBeta:
 
     @pytest.mark.parametrize("n", [3, 6000])
     def test_identical_log_weights_capped(self, n):
-        assert solve_beta(np.full(n, -4.2), n / 2.0) == (BETA_CAP, True)
+        assert solve_beta(np.full(n, -4.2), n / 2.0)[:2] == (BETA_CAP, True)
 
     @staticmethod
     def oscillator_log_targets(iterations):
@@ -378,7 +390,7 @@ class TestSolveBeta:
         monkeypatch.setattr(cbree.cbs, "ess_from_log_weights", counted)
         for lw in log_targets:
             calls.append(0)
-            beta, capped = solve_beta(lw, 3000.0)
+            beta, capped, _ = solve_beta(lw, 3000.0)
             assert not capped
             assert abs(original(lw, beta) - 3000.0) <= 0.01
         assert max(calls) <= 6
@@ -393,8 +405,8 @@ class TestSolveBeta:
         ties = np.concatenate([np.zeros(2100), -1e3 * rng.uniform(size=1900)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            beta, capped = solve_beta(spread, 2001.0)
-            assert solve_beta(ties, 2000.0) == (BETA_CAP, True)
+            beta, capped, _ = solve_beta(spread, 2001.0)
+            assert solve_beta(ties, 2000.0)[:2] == (BETA_CAP, True)
         assert not capped
         assert abs(ess_from_log_weights(spread, beta) - 2001.0) <= 0.01
 

@@ -130,6 +130,21 @@ class TestGaussian:
         # quadrupling J twice should cut the error ~4x; allow generous noise
         assert large < 0.6 * small
 
+    @pytest.mark.parametrize("d", [6, 50])
+    def test_centred_sample_of_the_fit_gives_the_fresh_logpdf_bitwise(self, d):
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=(700, d)) @ rng.normal(size=(d, d)) + rng.normal(size=d)
+        work = np.empty((2, 700, d))
+        model = gaussian_fit(x, work)
+        shared = gaussian_logpdf(model, work[0], work, centered=True)
+        assert np.array_equal(shared, gaussian_logpdf(model, x))
+        assert np.array_equal(shared, gaussian_logpdf(model, x, np.empty((2, 700, d))))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_covariance_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make_gaussian([0.0, 0.0], [[bad, 0.0], [0.0, 1.0]])
+
     def test_fit_needs_two_points(self):
         with pytest.raises(ValueError):
             gaussian_fit(np.ones((1, 2)))

@@ -5,9 +5,10 @@ from concurrent.futures import Future, ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import cbree.densities
 import cbree.driver
 from cbree.cbs import Ensemble
-from cbree.densities import gaussian_sample, make_gaussian
+from cbree.densities import gaussian_fit, gaussian_sample, make_gaussian
 from cbree.driver import (
     CbreeConfig,
     divergence_check,
@@ -54,6 +55,30 @@ class TestIsEstimate:
         assert weights[1] == 0.0
         assert weights[0] == pytest.approx(1.0)
         assert pf == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("d", [6, 50])
+    def test_estimate_on_the_fit_centred_sample_is_bitwise_the_same(self, d):
+        pts = RandomStream(d).standard_normal((800, d)) * 1.3 + 0.4
+        ens = Ensemble(pts, 1.0 - pts[:, 0])
+        work = np.empty((2, 800, d))
+        model = gaussian_fit(pts, work)
+        pf, weights = is_estimate(ens, model, work, centered=True)
+        fresh_pf, fresh_weights = is_estimate(ens, model)
+        assert 0.0 < pf == fresh_pf
+        assert np.array_equal(weights, fresh_weights)
+
+    def test_gaussian_run_takes_log_mu_through_the_densities_module(self, monkeypatch):
+        # the benchmark's tracer times log mu by wrapping this module name
+        calls = []
+        inner = cbree.densities.gaussian_logpdf
+
+        def counted(model, x, work=(None, None), centered=False):
+            calls.append(centered)
+            return inner(model, x, work, centered)
+
+        monkeypatch.setattr(cbree.densities, "gaussian_logpdf", counted)
+        run_cbree(get_problem("linear"), CbreeConfig(n_particles=400, seed=31))
+        assert calls and all(calls)
 
 
 class TestChecks:
@@ -229,6 +254,19 @@ class TestRunCbree:
             if not math.isnan(row.ess) and not row.beta_capped:
                 assert row.ess == pytest.approx(300.0, abs=0.02)
 
+    def test_trace_ess_is_the_one_a_fresh_evaluation_gives(self, monkeypatch):
+        # the trace takes the ESS the beta solve returns; a solve that
+        # returns none makes the mover evaluate it, with the same bits
+        problem, config = get_problem("oscillator"), CbreeConfig(n_particles=1000, seed=13)
+        solved = run_cbree(problem, config)
+        solve_beta = cbree.driver.solve_beta
+        monkeypatch.setattr(
+            cbree.driver, "solve_beta", lambda lw, target: (*solve_beta(lw, target)[:2], None)
+        )
+        evaluated = run_cbree(get_problem("oscillator"), config)
+        assert solved.iterations >= 3
+        assert evaluated.to_json_dict() == solved.to_json_dict()
+
 
 class TestNoiseWorker:
     # each run draws its step noise on one worker thread of its own
@@ -327,7 +365,7 @@ class TestNoiseWorker:
         assert np.array_equal(inline.final_ensemble.points, threaded.final_ensemble.points)
 
     def test_runs_in_a_thread_pool_match_serial_runs(self):
-        cells = [("linear", seed) for seed in (31, 32, 33)] + [("linear-4", 34)]
+        cells = [("linear", seed) for seed in (31, 32, 33)] + [("linear-4", 34), ("oscillator", 35)]
 
         def one(cell):
             name, seed = cell

@@ -43,6 +43,16 @@ CELLS = (
         15,
         dict(n_particles=400, delta_target=4.0, eps_target=0.5, n_obs=0, max_iter=12),
     ),
+    # the cell above sees at most one failing point per batch, so it pins
+    # the steps but hardly the weights; with J=4000, 12 of this cell's 13
+    # batches have a finite CV and a nonzero estimate
+    (
+        "cbree-vmfn-linear50-weights",
+        "cbree-vmfn",
+        "linear-50",
+        18,
+        dict(n_particles=4000, delta_target=4.0, eps_target=0.5, n_obs=0, max_iter=12),
+    ),
     ("enkf-linear", "enkf", "linear", 16, dict(n_particles=500, max_iter=30)),
     ("mc-linear", "mc", "linear", 17, dict(n_particles=50_000)),
 )

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,36 @@ class TestOscillator:
         u = np.zeros(6)
         u[0] = -25.0  # mass goes negative at ~20 sigma
         assert float(oscillator_lsf(u)[0]) == GUARD_VALUE
+
+    def test_impossible_stiffness_guarded_without_warning(self):
+        u = np.zeros(6)
+        u[1] = -12.0  # c1 + c2 = -0.1 with the mean mass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert float(oscillator_lsf(u)[0]) == GUARD_VALUE
+
+    def test_columns_match_the_row_wise_formula_bitwise(self):
+        u = RandomStream(4).standard_normal((5000, 6)) * 3.0
+        u[7, 0] = -25.0   # non-positive mass
+        u[8, 1] = -12.0   # non-positive stiffness
+        u[9, :2] = -25.0  # both
+        expected = rowwise_oscillator(u)
+        assert np.array_equal(oscillator_lsf(u), expected)
+        assert np.count_nonzero(expected == GUARD_VALUE) == 3
+        assert np.array_equal(oscillator_lsf(u[10]), expected[10:11])
+
+
+def rowwise_oscillator(u):
+    """The oscillator formula over ``(n, 6)`` rows, read column by column
+    from the mapped rows, with impossible rows masked only at the end."""
+    x = OSCILLATOR_MEAN + OSCILLATOR_STD * u
+    mass, c1, c2, r, f1, t1 = (x[:, i] for i in range(6))
+    bad = (mass <= 0.0) | (c1 + c2 <= 0.0)
+    safe_mass = np.where(bad, 1.0, mass)
+    with np.errstate(invalid="ignore"):
+        omega0 = np.sqrt((c1 + c2) / safe_mass)
+        g = 3.0 * r - np.abs(2.0 * f1 / (safe_mass * omega0**2) * np.sin(0.5 * t1 * omega0))
+    return np.where(bad, GUARD_VALUE, g)
 
 
 class TestKlExpansion:

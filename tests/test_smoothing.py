@@ -141,21 +141,21 @@ class TestDeltaDistance:
 class TestUpdateSmoothing:
     def test_flat_objective_hits_upper_bound(self):
         g = np.full(6, 1.3)  # identical values -> constant ratio -> flat objective
-        assert update_smoothing(g, 0.5, 2.0, 1.0) == pytest.approx(2.5, abs=1e-5)
+        assert update_smoothing(g, 0.5, 2.0, 1.0)[0] == pytest.approx(2.5, abs=1e-5)
 
     def test_result_inside_domain(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             g = rng.normal(size=30)
             h = float(rng.uniform(0.01, 5.0))
-            s_new = update_smoothing(g, 0.2, h, 1.0)
+            s_new = update_smoothing(g, 0.2, h, 1.0)[0]
             assert 0.2 <= s_new <= 0.2 + LIP_S * h + 1e-12
 
     def test_monotone_non_decreasing(self):
         g = np.random.default_rng(6).normal(size=25)
         s = 0.0
         for _ in range(10):
-            s_new = update_smoothing(g, s, 0.5, 0.8)
+            s_new = update_smoothing(g, s, 0.5, 0.8)[0]
             assert s_new >= s
             s = s_new
 
@@ -163,12 +163,12 @@ class TestUpdateSmoothing:
         # frozen from a 1e6-point scan on [0, 10]: cv(q) approaches the
         # target 1 from below, so the minimizer sits at the upper bound
         g = np.array([-1.0, -0.5, 0.5, 1.0])
-        assert update_smoothing(g, 0.0, 10.0, 1.0) == pytest.approx(10.0, abs=1e-3)
+        assert update_smoothing(g, 0.0, 10.0, 1.0)[0] == pytest.approx(10.0, abs=1e-3)
 
     def test_grid_scan_oracle_interior_case(self):
         # frozen from a refined 1e6-point scan: cv crosses 0.5 at s = 0.7685488
         g = np.array([-1.0, -0.5, 0.5, 1.0])
-        assert update_smoothing(g, 0.0, 10.0, 0.5) == pytest.approx(0.7685488214, abs=1e-3)
+        assert update_smoothing(g, 0.0, 10.0, 0.5)[0] == pytest.approx(0.7685488214, abs=1e-3)
 
 
 def ratio_cv(g, s0, s):
@@ -205,7 +205,7 @@ class TestCapFirstRule:
         # both particles fail, so both ratios tend to 2 as s grows: cv(q)
         # rises from 0 and falls again, staying below delta throughout
         g = np.array([-4.0, -1.0])
-        assert update_smoothing(g, 0.0, 1.0, 4.0) == 1.0
+        assert update_smoothing(g, 0.0, 1.0, 4.0)[0] == 1.0
         assert ratio_cv(g, 0.0, 1.0) <= 4.0
 
     def test_non_monotone_search_meets_delta(self):
@@ -214,7 +214,7 @@ class TestCapFirstRule:
         # minimizer of (cv - delta)^2 that assumes one minimum stops in
         # that dip with a CV 4 % over the target
         g = np.array([-0.709, -6.442, -6.183, -7.945, -0.584, -3.374, 0.152])
-        s_next = update_smoothing(g, 0.0, 8.5, 0.2238)
+        s_next = update_smoothing(g, 0.0, 8.5, 0.2238)[0]
         assert abs(ratio_cv(g, 0.0, s_next) - 0.2238) <= 1e-6
 
     @pytest.mark.parametrize(
@@ -235,12 +235,41 @@ class TestCapFirstRule:
         capped = 0
         for g, s, h, delta in calls:
             hi = s + LIP_S * h
+            s_next, logs = update_smoothing(g, s, h, delta)
             if ratio_cv(g, s, hi) <= delta:
                 capped += 1
-                assert update_smoothing(g, s, h, delta) == hi
+                assert s_next == hi
             else:
-                assert update_smoothing(g, s, h, delta) == search_only(g, s, h, delta)
+                assert s_next == search_only(g, s, h, delta)
+            assert np.array_equal(logs, log_smooth_indicator(g, s_next))
         assert capped > 0
+
+    @pytest.mark.parametrize(
+        "s,h,delta,exit_",
+        [(0.0, 1.0, 4.0, "cap"), (0.0, 10.0, 0.5, "bracket"), (0.0, 10.0, None, "crossing")],
+    )
+    def test_returned_logs_are_the_indicator_at_the_new_level(self, monkeypatch, s, h, delta, exit_):
+        g = np.array([-1.0, -0.5, 0.5, 1.0])
+        if delta is None:
+            # the CV at the first midpoint: the search returns that
+            # midpoint, whose indicator logs it has already computed
+            delta = ratio_cv(g, s, s + 0.5 * LIP_S * h)
+        calls = [0]
+        indicator = cbree.smoothing.log_smooth_indicator
+
+        def counted_indicator(g, s):
+            calls[0] += 1
+            return indicator(g, s)
+
+        monkeypatch.setattr(cbree.smoothing, "log_smooth_indicator", counted_indicator)
+        s_next, logs = update_smoothing(g, s, h, delta)
+        assert (s_next == s + LIP_S * h) == (exit_ == "cap")
+        assert np.array_equal(logs, indicator(g, s_next))
+        # the level s, the cap, then one per midpoint tried, and one more
+        # only where the search stops at a midpoint it never tried
+        expected = {"cap": 2, "crossing": 3}.get(exit_)
+        if expected is not None:
+            assert calls[0] == expected
 
     def test_search_at_large_s_meets_its_tolerance(self, monkeypatch):
         # near s = 1e12 floats are spaced wider than 1e-6, so only a
@@ -255,7 +284,7 @@ class TestCapFirstRule:
             return indicator(g, s)
 
         monkeypatch.setattr(cbree.smoothing, "log_smooth_indicator", counted_indicator)
-        s_next = update_smoothing(g, 1e12, 1e12, 0.1)
+        s_next = update_smoothing(g, 1e12, 1e12, 0.1)[0]
         assert calls[0] <= 40
         assert abs(ratio_cv(g, 1e12, s_next) - 0.1) <= 1e-6
 
