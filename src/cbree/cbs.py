@@ -21,11 +21,6 @@ import numpy as np
 from .densities import std_normal_logpdf
 from .numkit import factor_spd, spd_jitter, weighted_moments
 
-# after .densities, which imports scipy.linalg first: with this import
-# ahead of it, a fresh `import cbree` took about 20 ms longer (median of
-# 80 alternating fresh-process imports, 2-CPU x86-64 VM)
-from scipy.linalg.blas import dgemm
-
 __all__ = [
     "Ensemble",
     "CbsCoefficients",
@@ -101,6 +96,7 @@ def cbs_step(
     noise: np.ndarray,
     lsf,
     out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> Ensemble:
     """Advance every particle by one exponential Euler--Maruyama step.
 
@@ -111,13 +107,16 @@ def cbs_step(
     the ensemble is resampled immediately afterwards, saving one sweep of
     evaluations).
 
-    The new positions are written into ``out`` when it is given (a
-    C-contiguous array shaped like the points that shares no memory with
-    them or with ``noise``); a ``None`` allocates one.  The drift
-    ``alpha x + (1 - alpha) m`` is formed in ``out`` and one BLAS ``dgemm``
-    adds the diffusion ``noise @ (sqrt(1 - alpha^2) L).T`` to it in place,
-    so no ``(J, d)`` temporary is made.  This rounds like the formula, not
-    bit for bit like its left-to-right sum.
+    The new positions are written into ``out`` when it is given (an array
+    shaped like the points that shares no memory with them or with
+    ``noise``); a ``None`` allocates one.  The diffusion
+    ``noise @ (sqrt(1 - alpha^2) L).T`` is one matrix product.  Once
+    ``alpha = exp(-h)`` underflows to 0 the step is exactly
+    ``m + noise @ L.T``: the product goes straight into ``out`` and the mean
+    is added to it.  Otherwise the drift ``alpha x + (1 - alpha) m`` is
+    formed in ``out``, the product goes into ``scratch`` (an array like
+    ``out``, sharing no memory with it; a ``None`` allocates one) and is
+    added to the drift, so with both given no ``(J, d)`` temporary is made.
     """
     if h <= 0:
         raise ValueError("stepsize h must be positive")
@@ -127,15 +126,16 @@ def cbs_step(
         out = np.empty(ens.points.shape)
     elif np.shares_memory(out, ens.points) or np.shares_memory(out, noise):
         raise ValueError("out must not share memory with the points or the noise")
-    elif not out.flags.c_contiguous:
-        # BLAS writes in place only into an F-contiguous out.T
-        raise ValueError("out must be C-contiguous")
     alpha = np.exp(-h)
-    new_pts = np.multiply(alpha, ens.points, out=out)
-    new_pts += (1.0 - alpha) * coeffs.m_beta
-    # out.T (d, J) += (sqrt(1 - alpha^2) L) @ noise.T
-    dgemm(1.0, np.sqrt(1.0 - alpha * alpha) * coeffs.c_beta_factor, noise.T,
-          beta=1.0, c=new_pts.T, overwrite_c=True)
+    factor = coeffs.c_beta_factor
+    if alpha == 0.0:
+        new_pts = np.matmul(noise, factor.T, out=out)
+        new_pts += coeffs.m_beta
+    else:
+        diffusion = np.matmul(noise, (np.sqrt(1.0 - alpha * alpha) * factor).T, out=scratch)
+        new_pts = np.multiply(alpha, ens.points, out=out)
+        new_pts += (1.0 - alpha) * coeffs.m_beta
+        new_pts += diffusion
     new_g = np.asarray(lsf(new_pts), dtype=float) if lsf is not None else None
     return Ensemble(points=new_pts, g_values=new_g)
 

@@ -3,7 +3,8 @@
 Standard normal input density, Gaussian proposals fitted by empirical
 moments, and a von Mises--Fisher / Nakagami (vMFN) model whose radial
 component has heavier tails than a Gaussian shell, which keeps importance
-weights usable in high dimensions.
+weights usable in high dimensions.  The vMFN functions import scipy on
+first use; everything else here needs numpy alone.
 """
 
 from __future__ import annotations
@@ -12,13 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# a name from scipy.linalg itself first: with `from scipy.linalg.lapack
-# import dtrtrs` (or .blas) as the first import, a fresh `import cbree` took
-# about 50 ms longer (median of 30 alternating fresh-process imports, 2-CPU
-# x86-64 VM)
-from scipy.linalg import lapack
-from scipy.linalg.blas import dger
-from scipy.special import gammaln, ive
 
 from .numkit import RandomStream, factor_spd, sample_mean
 
@@ -85,16 +79,11 @@ def make_gaussian(mean, covariance, jitter: float = 0.0) -> GaussianModel:
     factor = factor_spd(cov, jitter)
     if not np.all(np.isfinite(factor)):
         raise ValueError("covariance must be finite")
+    # LU with partial pivoting never swaps rows of the upper triangular
+    # factor.T, so this is back substitution and the inverse is exactly upper
+    # triangular; a singular factor raises LinAlgError
+    whiten = np.linalg.inv(factor.T)
     log_det = 2.0 * float(np.sum(np.log(np.diag(factor))))
-    # LAPACK's triangular solve for factor^-1, as scipy's solve_triangular
-    # calls it for a C-contiguous factor (the only kind factor_spd returns):
-    # the upper factor.T, transposed, against the identity
-    inv, info = lapack.dtrtrs(
-        factor.T, np.eye(mean.shape[0], order="F"), lower=0, trans=1, overwrite_b=1
-    )
-    if info != 0:
-        raise np.linalg.LinAlgError(f"singular covariance factor (dtrtrs info {info})")
-    whiten = inv.T
     return GaussianModel(mean=mean, covariance=cov, factor=factor, log_det=log_det, whiten=whiten)
 
 
@@ -225,6 +214,8 @@ def vmfn_fit(sample) -> VmfnModel:
 
 def _log_vmf_normalizer(d: int, kappa: float) -> float:
     """log C_d(kappa) with C_d(k) = k^(d/2-1) / ((2 pi)^(d/2) I_(d/2-1)(k))."""
+    from scipy.special import gammaln, ive
+
     nu = 0.5 * d - 1.0
     if kappa < 1e-6:
         # series limit: k^nu / I_nu(k) -> 2^nu Gamma(nu+1) (1 + k^2/(4(nu+1)))^-1
@@ -241,6 +232,8 @@ def _log_vmf_normalizer(d: int, kappa: float) -> float:
 def vmfn_logpdf(model: VmfnModel, x) -> np.ndarray:
     """Log-density on R^d at the rows of ``x`` ``(n, d)``; returns ``(n,)``.
     Undefined at the origin."""
+    from scipy.special import gammaln
+
     pts = np.asarray(x, dtype=float)
     d = model.dim
     r = _row_norms(pts)
@@ -309,6 +302,8 @@ def vmfn_sample(
     ``stream`` advanced past them; they are copied into ``out``, never
     written.
     """
+    from scipy.linalg.blas import dger
+
     mu = model.mean_direction
     d = mu.shape[0]
     xi = np.empty((n, d)) if out is None else out

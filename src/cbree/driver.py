@@ -381,7 +381,8 @@ class CbreeMover:
         row.err = err
         row.ess = ess
         self.s = s_next
-        return cbs_step(ens, coeffs, h_next, noise.result(), lsf, out)
+        # the moments are taken, so work[0] is free for the step's product
+        return cbs_step(ens, coeffs, h_next, noise.result(), lsf, out, work[0])
 
 
 def run_cbree(problem: ProblemSpec, config: CbreeConfig) -> RunRecord:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -158,12 +159,11 @@ class TestCbsStep:
         assert stepped.g_values is None
 
     def test_step_into_out_matches_the_allocating_step_and_the_formula(self):
-        # the BLAS update adds the diffusion to the drift in its own order, so
-        # the step rounds like the formula, not bit for bit like its sum:
-        # compared entrywise against the sum of the terms' magnitudes, two
-        # sums of d + 2 products differ by at most (d + 3) eps; measured at
-        # most 1.4e-15 at d = 50 and 3.8e-16 at d = 1 (30 seeds, h from
-        # 1e-8 to 50, one BLAS thread)
+        # the step scales the factor before the product and BLAS sums the
+        # product in its own order, so it rounds like the formula, not bit
+        # for bit like its sum: compared entrywise against the sum of the
+        # terms' magnitudes, two sums of d + 2 products differ by at most
+        # (d + 3) eps
         for d in (1, 6, 50):
             ens = make_ensemble(33, 300, d)
             coeffs = coefficients_at(ens, 0.9, 2.0)
@@ -187,6 +187,50 @@ class TestCbsStep:
             err = np.max(np.abs(out - expected) / magnitude)
             assert err <= (d + 3) * np.finfo(float).eps, (d, err)
 
+    @pytest.mark.parametrize("d", [1, 6, 50])
+    def test_forgetting_step_is_the_product_plus_the_mean_bitwise(self, d):
+        # exp(-800) underflows to 0: the step is an exact draw at the
+        # coefficients, with no trace of the positions
+        ens = make_ensemble(41, 300, d)
+        coeffs = coefficients_at(ens, 0.9, 2.0)
+        noise = noise_for(ens, 42)
+        expected = np.matmul(noise, coeffs.c_beta_factor.T) + coeffs.m_beta
+        assert np.array_equal(cbs_step(ens, coeffs, 800.0, noise, None).points, expected)
+
+    @pytest.mark.parametrize("h", [0.4, 800.0])
+    def test_step_result_does_not_depend_on_the_buffers(self, h):
+        ens = make_ensemble(43, 300, 6)
+        coeffs = coefficients_at(ens, 0.9, 2.0)
+        noise = noise_for(ens, 44)
+        reference = cbs_step(ens, coeffs, h, noise, None).points
+        for out in (None, np.empty_like(ens.points)):
+            for scratch in (None, np.full_like(ens.points, np.nan)):
+                stepped = cbs_step(ens, coeffs, h, noise, None, out, scratch)
+                assert np.array_equal(stepped.points, reference), (out is None, scratch is None)
+
+    @pytest.mark.parametrize("h", [0.4, 800.0])
+    def test_step_with_buffers_allocates_no_ensemble_sized_array(self, h):
+        J, d = 4000, 50
+        ens = make_ensemble(45, J, d)
+        coeffs = coefficients_at(ens, 0.9, 2.0)
+        noise = noise_for(ens, 46)
+        out, scratch = np.empty((J, d)), np.empty((J, d))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            cbs_step(ens, coeffs, h, noise, None, out, scratch)
+            given = tracemalloc.get_traced_memory()[1] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            cbs_step(ens, coeffs, h, noise, None)
+            allocating = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the allocating step shows that numpy's arrays are traced
+        assert allocating >= J * d * 8
+        assert given < J * d * 8 // 4, given
+
     def test_step_returns_out_and_leaves_its_inputs_alone(self):
         ens = make_ensemble(37, 200, 6)
         points = ens.points.copy()
@@ -199,14 +243,18 @@ class TestCbsStep:
         assert np.array_equal(noise, noise_before)
 
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
-    def test_non_c_contiguous_out_rejected(self, layout):
+    @pytest.mark.parametrize("h", [0.5, 800.0])
+    def test_non_c_contiguous_out_gives_the_same_step(self, layout, h):
         ens = make_ensemble(39, 40, 3)
+        coeffs = coefficients_at(ens, 1.0, 1.0)
+        noise = noise_for(ens, 40)
         out = {
             "fortran": np.empty((40, 3), order="F"),
             "strided": np.empty((40, 6))[:, ::2],
         }[layout]
-        with pytest.raises(ValueError, match="C-contiguous"):
-            cbs_step(ens, coefficients_at(ens, 1.0, 1.0), 0.5, noise_for(ens, 40), linear_g, out)
+        stepped = cbs_step(ens, coeffs, h, noise, linear_g, out)
+        assert stepped.points is out
+        assert np.array_equal(out, cbs_step(ens, coeffs, h, noise, linear_g).points)
 
     @pytest.mark.parametrize("target", ["points", "noise"])
     def test_out_sharing_memory_rejected(self, target):

@@ -313,3 +313,34 @@ class TestCommands:
         )
         assert proc.returncode == EXIT_OK
         assert "oscillator" in proc.stdout
+
+
+# run in a fresh interpreter, so that no other test has imported scipy yet
+NUMPY_ONLY_SCRIPT = """
+import json, sys
+import cbree
+from cbree import CbreeConfig, EnkfConfig, McConfig, get_problem
+from cbree.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+linear = get_problem("linear")
+cbree.run_cbree(linear, CbreeConfig(n_particles=200, max_iter=3, seed=1))
+cbree.run_enkf(linear, EnkfConfig(n_particles=200, max_iter=3, seed=1))
+cbree.run_mc(linear, McConfig(n_particles=1000, seed=1))
+assert main(["list"]) == 0
+gaussian = scipy_modules()
+cbree.run_cbree_vmfn(get_problem("linear-4"), CbreeConfig(n_particles=200, max_iter=3, seed=1))
+print(json.dumps([gaussian, scipy_modules()]))
+"""
+
+
+def test_gaussian_path_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY_SCRIPT], capture_output=True, text=True, check=True
+    )
+    gaussian, after_vmfn = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert gaussian == []
+    # the vMFN sampler imports scipy's BLAS on first use
+    assert "scipy.linalg" in after_vmfn

@@ -144,6 +144,30 @@ class TestGaussian:
     def test_non_finite_covariance_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             make_gaussian([0.0, 0.0], [[bad, 0.0], [0.0, 1.0]])
+        cov = np.eye(50)
+        cov[3, 7] = cov[7, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            make_gaussian(np.zeros(50), cov)
+
+    def test_whitening_inverts_the_factor_d50(self):
+        d = 50
+        a = np.random.default_rng(41).normal(size=(d, d))
+        model = make_gaussian(np.zeros(d), a @ a.T / d + 0.1 * np.eye(d))
+        assert np.max(np.abs(model.factor.T @ model.whiten - np.eye(d))) < 1e-13
+        assert np.array_equal(np.triu(model.whiten), model.whiten)
+
+    @pytest.mark.parametrize("kind", ["zero_row", "pairs"])
+    def test_singular_factor_rejected_d50(self, kind):
+        # rank-deficient covariances whose factor has an exactly zero pivot
+        d = 50
+        if kind == "pairs":
+            cov = np.kron(np.eye(d // 2), np.ones((2, 2)))
+        else:
+            a = np.random.default_rng(42).normal(size=(d, d))
+            cov = a @ a.T / d
+            cov[-1, :] = cov[:, -1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            make_gaussian(np.zeros(d), cov, jitter=0.0)
 
     def test_fit_needs_two_points(self):
         with pytest.raises(ValueError):
