@@ -108,15 +108,16 @@ def cbs_step(
     evaluations).
 
     The new positions are written into ``out`` when it is given (an array
-    shaped like the points that shares no memory with them or with
-    ``noise``); a ``None`` allocates one.  The diffusion
+    shaped like the points); a ``None`` allocates one.  The diffusion
     ``noise @ (sqrt(1 - alpha^2) L).T`` is one matrix product.  Once
     ``alpha = exp(-h)`` underflows to 0 the step is exactly
     ``m + noise @ L.T``: the product goes straight into ``out`` and the mean
-    is added to it.  Otherwise the drift ``alpha x + (1 - alpha) m`` is
-    formed in ``out``, the product goes into ``scratch`` (an array like
-    ``out``, sharing no memory with it; a ``None`` allocates one) and is
-    added to the drift, so with both given no ``(J, d)`` temporary is made.
+    is added to it, which gives the general formula's bits with two passes
+    fewer.  Otherwise the drift ``alpha x + (1 - alpha) m`` is formed in
+    ``out``, the product goes into ``scratch`` (an array like ``out``; a
+    ``None`` allocates one) and is added to the drift, so with both given no
+    ``(J, d)`` temporary is made.  ``out`` and ``scratch`` must share no
+    memory with each other, the points or ``noise``.
     """
     if h <= 0:
         raise ValueError("stepsize h must be positive")
@@ -126,6 +127,8 @@ def cbs_step(
         out = np.empty(ens.points.shape)
     elif np.shares_memory(out, ens.points) or np.shares_memory(out, noise):
         raise ValueError("out must not share memory with the points or the noise")
+    if scratch is not None and any(np.shares_memory(scratch, a) for a in (ens.points, noise, out)):
+        raise ValueError("scratch must not share memory with the points, the noise or out")
     alpha = np.exp(-h)
     factor = coeffs.c_beta_factor
     if alpha == 0.0:

@@ -190,7 +190,10 @@ class TestCbsStep:
     @pytest.mark.parametrize("d", [1, 6, 50])
     def test_forgetting_step_is_the_product_plus_the_mean_bitwise(self, d):
         # exp(-800) underflows to 0: the step is an exact draw at the
-        # coefficients, with no trace of the positions
+        # coefficients, with no trace of the positions.  The general formula
+        # gives the same bits (the factor is scaled by exactly 1, the drift
+        # is 0 x + 1 m = m, and m + p rounds like p + m), so the closed form
+        # only skips passes
         ens = make_ensemble(41, 300, d)
         coeffs = coefficients_at(ens, 0.9, 2.0)
         noise = noise_for(ens, 42)
@@ -263,6 +266,15 @@ class TestCbsStep:
         out = {"points": ens.points, "noise": noise}[target][::-1]
         with pytest.raises(ValueError, match="share memory"):
             cbs_step(ens, coefficients_at(ens, 1.0, 1.0), 0.5, noise, linear_g, out)
+
+    @pytest.mark.parametrize("target", ["points", "noise", "out"])
+    def test_scratch_sharing_memory_rejected(self, target):
+        ens = make_ensemble(35, 40, 3)
+        noise = noise_for(ens, 36)
+        out = np.empty_like(ens.points)
+        scratch = {"points": ens.points, "noise": noise, "out": out}[target][::-1]
+        with pytest.raises(ValueError, match="scratch must not share memory"):
+            cbs_step(ens, coefficients_at(ens, 1.0, 1.0), 0.5, noise, linear_g, out, scratch)
 
     @pytest.mark.parametrize("shape", [(50,), (49, 2), (50, 3), (2, 50)])
     def test_wrong_noise_shape_rejected(self, shape):
