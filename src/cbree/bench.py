@@ -99,11 +99,14 @@ def rel_eff(mse: float, mean_cost: float, pf_ref: float) -> float:
     return pf_ref * (1.0 - pf_ref) / (mse * mean_cost)
 
 
-def run_mc(problem, config: McConfig, batch: int = 200_000) -> RunRecord:
+MC_BATCH = 200_000  # points per crude Monte Carlo evaluation, to bound memory
+
+
+def run_mc(problem, config: McConfig) -> RunRecord:
     """Plain Monte Carlo estimate of the failure probability.
 
-    Evaluates in batches to bound memory; the estimate is the failure
-    fraction and the cost equals the sample size.
+    Evaluates in batches of :data:`MC_BATCH` points; the estimate is the
+    failure fraction and the cost equals the sample size.
     """
     config.validate()
     stream = RandomStream(config.seed, (0,))
@@ -111,9 +114,9 @@ def run_mc(problem, config: McConfig, batch: int = 200_000) -> RunRecord:
     fails = 0
     done = 0
     while done < n:
-        take = min(batch, n - done)
+        take = min(MC_BATCH, n - done)
         pts = stream.standard_normal((take, problem.dim))
-        fails += int(np.count_nonzero(np.asarray(problem.lsf(pts)) <= 0.0))
+        fails += int(np.count_nonzero(problem.lsf(pts) <= 0.0))
         done += take
     estimate = fails / n
     row = IterationRecord(
@@ -162,12 +165,11 @@ def audited_run(method: str, problem_name: str, config) -> RunRecord:
     return record
 
 
-def _one_rep(args) -> tuple[int, int, RunRecord]:
+def _one_rep(args) -> RunRecord:
     method, problem_name, config, master_seed, rep = args
-    seed = rep_seed(master_seed, rep)
-    record = audited_run(method, problem_name, replace(config, seed=seed))
+    record = audited_run(method, problem_name, replace(config, seed=rep_seed(master_seed, rep)))
     record.final_ensemble = None  # keep results light for transport
-    return rep, seed, record
+    return record
 
 
 def run_benchmark(
@@ -182,7 +184,8 @@ def run_benchmark(
 
     Runs that never triggered a stopping criterion (``max_iter``) count as
     failures and are excluded from the error statistics.  Output ordering is
-    fixed by repetition index regardless of worker scheduling.
+    fixed by repetition index regardless of worker scheduling, since
+    ``pool.map`` returns results in input order.
     """
     if method not in METHODS:
         raise KeyError(f"unknown method: {method!r}")
@@ -196,16 +199,15 @@ def run_benchmark(
             outcomes = list(pool.map(_one_rep, work))
     else:
         outcomes = [_one_rep(w) for w in work]
-    outcomes.sort(key=lambda t: t[0])
 
     run_rows = []
     good_estimates = []
     good_costs = []
-    for rep, seed, record in outcomes:
+    for rep, record in enumerate(outcomes):
         run_rows.append(
             {
                 "rep": rep,
-                "seed": seed,
+                "seed": record.seed,
                 "estimate": record.estimate,
                 "cost": record.cost,
                 "iterations": record.iterations,

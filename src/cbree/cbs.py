@@ -40,9 +40,9 @@ _LOG_BETA_CAP = math.log(BETA_CAP)
 class Ensemble:
     """Particle positions with cached limit-state values.
 
-    ``g_values[j]`` always equals the limit state evaluated at ``points[j]``;
-    a step taken with ``lsf=None`` leaves the cache unset (``None``) for
-    callers that immediately replace the ensemble anyway.  The input
+    ``g_values[j]`` equals the limit state evaluated at ``points[j]``, or is
+    ``None`` where nothing reads it: the start-up probe's ensemble and a
+    moved ensemble that the next fresh batch replaces.  The input
     log-density of the points is computed on first use and kept as well
     (see :meth:`log_phi`); the points are never changed in place.
     """
@@ -81,9 +81,9 @@ class CbsCoefficients:
 
 
 def coefficients_from_log_weights(
-    points, log_weights, beta: float, work=(None, None)
+    points, log_weights, beta: float, scratch=None
 ) -> CbsCoefficients:
-    mean, scm = weighted_moments(points, log_weights, work)
+    mean, scm = weighted_moments(points, log_weights, scratch)
     c_sq = (1.0 + beta) * scm
     factor = factor_spd(c_sq, spd_jitter(c_sq))
     return CbsCoefficients(m_beta=mean, c_beta_sq=c_sq, c_beta_factor=factor)
@@ -94,18 +94,15 @@ def cbs_step(
     coeffs: CbsCoefficients,
     h: float,
     noise: np.ndarray,
-    lsf,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
-) -> Ensemble:
-    """Advance every particle by one exponential Euler--Maruyama step.
+) -> np.ndarray:
+    """Advance every particle by one exponential Euler--Maruyama step and
+    return the new positions; the limit state is not evaluated here.
 
     ``coeffs`` are the weighted moments the step relaxes toward; ``noise``
     holds the step's standard-normal draws, one row per particle; it is read,
-    never kept.  Evaluates ``lsf`` once per particle to refresh the cached
-    limit-state values; with ``lsf=None`` the cache is left unset (used when
-    the ensemble is resampled immediately afterwards, saving one sweep of
-    evaluations).
+    never kept.
 
     The new positions are written into ``out`` when it is given (an array
     shaped like the points); a ``None`` allocates one.  The diffusion
@@ -139,8 +136,7 @@ def cbs_step(
         new_pts = np.multiply(alpha, ens.points, out=out)
         new_pts += (1.0 - alpha) * coeffs.m_beta
         new_pts += diffusion
-    new_g = np.asarray(lsf(new_pts), dtype=float) if lsf is not None else None
-    return Ensemble(points=new_pts, g_values=new_g)
+    return new_pts
 
 
 def ess_from_log_weights(log_w, beta: float, slope: bool = False):
@@ -176,10 +172,9 @@ def ess_from_log_weights(log_w, beta: float, slope: bool = False):
 def solve_beta(log_target_values, target: float) -> tuple[float, bool, float | None]:
     """Inverse temperature with ``ESS(beta) = target``, by safeguarded Newton.
 
-    ``log_target_values`` holds the per-particle ``log(I(g, s) phi(x))`` (see
-    :func:`cbree.smoothing.log_target`), all finite; the weights are their
-    ``beta``-th powers.  ESS is non-increasing in ``beta`` with
-    ``ESS(0) = J``.
+    ``log_target_values`` holds the per-particle ``log(I(g, s) phi(x))``, all
+    finite; the weights are their ``beta``-th powers.  ESS is non-increasing
+    in ``beta`` with ``ESS(0) = J``.
 
     Newton's method runs in ``u = log beta`` on ``log ESS = log target``,
     written as ``log(log J - log ESS) = log(log J - log target)``: for

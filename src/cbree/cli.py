@@ -159,8 +159,6 @@ def _cmd_export(args) -> int:
     entries = parse_kv_file(args.config) if args.config else {}
     config = build_config(args.method, entries, seed=args.seed)
     record = audited_run(args.method, args.problem, config)
-    if record.final_ensemble is None:
-        raise RuntimeError(f"method {args.method!r} does not keep a final ensemble")
     out = Path(args.out) if args.out else Path(f"{args.method}_{args.problem}_ensemble.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     write_ensemble_csv(record.final_ensemble, out)
@@ -192,7 +190,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("export-ensemble", help="final ensemble as CSV")
     p_exp.add_argument("--problem", required=True)
-    p_exp.add_argument("--method", required=True, choices=("cbree", "cbree-vmfn", "enkf", "enkf-vmfn"))
+    # crude Monte Carlo keeps no ensemble
+    p_exp.add_argument("--method", required=True, choices=[m for m in METHODS if m != "mc"])
     p_exp.add_argument("--seed", type=int, help="overrides the config file's seed")
     p_exp.add_argument("--config", help="flat key = value config file")
     p_exp.add_argument("--out")

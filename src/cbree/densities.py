@@ -87,18 +87,18 @@ def make_gaussian(mean, covariance, jitter: float = 0.0) -> GaussianModel:
     return GaussianModel(mean=mean, covariance=cov, factor=factor, log_det=log_det, whiten=whiten)
 
 
-def gaussian_fit(sample, work=(None, None)) -> GaussianModel:
+def gaussian_fit(sample, scratch=None) -> GaussianModel:
     """Fit mean and population covariance (divisor J) to a sample.
 
     Degenerate spreads are handled by the factorization: a fully collapsed
     sample yields the effective covariance ``FIT_JITTER * I``.  The centered
-    sample goes into ``work[0]``, and a ``None`` there makes numpy allocate.
+    sample goes into ``scratch``, and a ``None`` makes numpy allocate.
     """
     x = np.asarray(sample, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("gaussian_fit needs at least two sample points")
     mean = sample_mean(x)
-    centered = np.subtract(x, mean, out=work[0])
+    centered = np.subtract(x, mean, out=scratch)
     cov = centered.T @ centered / x.shape[0]
     return make_gaussian(mean, cov, FIT_JITTER)
 
@@ -109,10 +109,10 @@ def gaussian_logpdf(
     """Log-density at the rows of ``x`` ``(n, d)``; returns ``(n,)``.
 
     The rows are whitened by one product with the cached ``whiten``; the
-    centered rows go into ``work[0]`` and the whitened ones into ``work[1]``
-    (see :func:`gaussian_fit`).  ``centered=True`` says that ``x`` already
-    holds the rows minus ``model.mean``, as :func:`gaussian_fit` leaves its
-    sample in ``work[0]``; they are then whitened as they are.
+    centered rows go into ``work[0]`` and the whitened ones into ``work[1]``.
+    ``centered=True`` says that ``x`` already holds the rows minus
+    ``model.mean``, as :func:`gaussian_fit` leaves its sample in its
+    scratch; they are then whitened as they are.
     """
     if not centered:
         x = np.subtract(x, model.mean, out=work[0])
@@ -122,16 +122,18 @@ def gaussian_logpdf(
 
 
 def gaussian_sample(
-    model: GaussianModel, stream: RandomStream, n: int, out=None, work=(None, None),
-    normals=None,
+    model: GaussianModel, stream: RandomStream, n: int, out=None, normals=None
 ) -> np.ndarray:
-    """Draw ``n`` points into ``out``, with ``work`` as scratch (see
-    :func:`gaussian_fit`); a ``None`` makes numpy allocate.  The ``(n, d)``
+    """Draw ``n`` points into ``out``; a ``None`` makes numpy allocate.  The
+    product ``normals @ factor.T`` goes into ``out`` and the mean is added in
+    place, as in the particle step once ``exp(-h)`` is 0.  The ``(n, d)``
     standard normals are the stream's only draws; ``normals`` passes them in
     already drawn, and is only read."""
     if normals is None:
-        normals = stream.standard_normal((n, model.dim), out=work[0])
-    return np.add(model.mean, np.matmul(normals, model.factor.T, out=work[1]), out=out)
+        normals = stream.standard_normal((n, model.dim))
+    pts = np.matmul(normals, model.factor.T, out=out)
+    pts += model.mean
+    return pts
 
 
 @dataclass(frozen=True)
@@ -284,12 +286,11 @@ def _sample_vmf_cosines(d: int, kappa: float, stream: RandomStream, n: int) -> n
 
 
 def vmfn_sample(
-    model: VmfnModel, stream: RandomStream, n: int, out=None, work=(None, None),
-    normals=None,
+    model: VmfnModel, stream: RandomStream, n: int, out=None, normals=None
 ) -> np.ndarray:
     """Draw ``n`` points, a vMF direction times a Nakagami radius, into
     ``out``; a ``None`` makes numpy allocate.  No ``(n, d)`` temporary is
-    formed: ``work`` is only taken so that both samplers share one signature.
+    formed.
 
     Point ``j`` is ``r_j (sqrt(1 - w_j^2) t_j / |t_j| + w_j mu)``, with the
     vMF cosine ``w_j``, the Nakagami radius ``r_j`` and the tangent

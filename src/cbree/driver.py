@@ -30,7 +30,7 @@ from .cbs import (
 from .densities import gaussian_fit, gaussian_sample, vmfn_fit, vmfn_sample
 from .numkit import RandomStream, ls_slope
 from .problems import ProblemSpec
-from .smoothing import empirical_cv, log_target, update_smoothing
+from .smoothing import empirical_cv, update_smoothing
 from .stepctl import (
     StepControllerState,
     initial_stepsize,
@@ -199,14 +199,13 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
     - ``n_obs``: the divergence window, 0 to disable it;
     - ``start(ens, root)``: set-up on the initial ensemble;
     - ``noise_shape(J, d)``: the shape of one step's standard-normal noise;
-    - ``move(ens, model, n, noise, lsf, row, out, work)``: the next
-      ensemble, with the step's parameters written into ``row``; ``noise``
-      is a future whose ``result()`` is the step's draw from
-      ``substream(3, n)``, which must not be kept past the call, since its
-      buffer is refilled for the next step; ``lsf`` is ``None`` when the
-      next fresh batch replaces the points anyway; ``out`` is a ``(J, d)``
-      array the mover may write the new positions into, and ``work`` a
-      pair of ``(J, d)`` scratch arrays.
+    - ``move(ens, model, n, noise, row, out, work)``: the next positions,
+      with the step's parameters written into ``row``; ``noise`` is a
+      future whose ``result()`` is the step's draw from ``substream(3, n)``,
+      which must not be kept past the call, since its buffer is refilled
+      for the next step; ``out`` is a ``(J, d)`` array the mover may write
+      the new positions into, and ``work`` a pair of ``(J, d)`` scratch
+      arrays.
 
     While the main thread works through iteration ``n`` up to the particle
     step, one worker thread draws the noise of that step into a buffer
@@ -222,11 +221,11 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
     one holding the ensemble and one spare that a fresh batch or the
     particle step is written into (the two swap roles when the ensemble is
     replaced), and the pair of scratch arrays for the ``(J, d)`` temporaries
-    of the fit, the sampler, the estimate and the move.  Nothing is shared
-    between runs.
+    of the fit, the estimate and the move.  Nothing is shared between runs.
 
-    The cost is counted here from the batch sizes evaluated: the initial
-    sweep, each fresh batch and one sweep per move that gets ``lsf``.
+    Only this loop calls the limit state, and each call adds its J
+    evaluations to the cost: the initial ensemble, each fresh batch and each
+    moved ensemble, except a moved one that the next fresh batch replaces.
     """
     config.validate()
     d = problem.dim
@@ -237,7 +236,7 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
         raise ValueError("the vMFN proposal requires dimension >= 2")
 
     J = config.n_particles
-    lsf = problem.lsf
+    cost = 0
     root = RandomStream(config.seed)
     noise = np.empty(mover.noise_shape(J, d))
     normals = None if mover.batch is None else np.empty((J, d))
@@ -250,20 +249,22 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
         stream.standard_normal(normals.shape, out=normals)
         return stream, normals
 
+    def evaluated(points: np.ndarray) -> Ensemble:
+        nonlocal cost
+        cost += J
+        return Ensemble(points=points, g_values=problem.lsf(points))
+
     # leaving the block joins the worker on every exit path, errors included
     with ThreadPoolExecutor(max_workers=1) as worker:
         # no noise is drawn for the step at max_iter, which is never taken
         pending = worker.submit(draw_noise, 0) if config.max_iter > 0 else None
         # iteration 0 always runs, so its batch is always drawn
         batch = None if normals is None else worker.submit(draw_normals, 0)
-        points = root.substream(0).standard_normal((J, d))
-        ens = Ensemble(points=points, g_values=np.asarray(lsf(points), dtype=float))
-        cost = J
+        ens = evaluated(root.substream(0).standard_normal((J, d)))
         mover.start(ens, root)
         # allocated after the start-up probe has freed its temporaries
         spare = np.empty((J, d))
         work = np.empty((2, J, d))
-        step_lsf = None if mover.batch == "replace" else lsf
         # a Gaussian fitted to the very points it weighs leaves them centred
         # in work[0] (see gaussian_fit), and the estimate whitens them there
         centered = mover.batch is None and not vmfn
@@ -271,14 +272,12 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
 
         n = 0
         while True:
-            model = vmfn_fit(ens.points) if vmfn else gaussian_fit(ens.points, work)
+            model = vmfn_fit(ens.points) if vmfn else gaussian_fit(ens.points, work[0])
             sample = ens
             if batch is not None:
                 stream, xi = batch.result()
                 sampler = vmfn_sample if vmfn else gaussian_sample
-                new_pts = sampler(model, stream, J, spare, work, normals=xi)
-                sample = Ensemble(points=new_pts, g_values=np.asarray(lsf(new_pts), dtype=float))
-                cost += J
+                sample = evaluated(sampler(model, stream, J, spare, normals=xi))
                 if mover.batch == "replace":
                     spare, ens = ens.points, sample
 
@@ -314,15 +313,15 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
             # the sampler has consumed the normals, so they may be redrawn
             if batch is not None:
                 batch = worker.submit(draw_normals, n + 1)
-            moved = mover.move(ens, model, n, pending, step_lsf, row, spare, work)
-            if moved.points is spare:
+            moved = mover.move(ens, model, n, pending, row, spare, work)
+            if moved is spare:
                 spare = ens.points
-            ens = moved
+            # the next fit reads only the positions of an ensemble that the
+            # next fresh batch replaces, so its limit state is not evaluated
+            ens = Ensemble(moved, None) if mover.batch == "replace" else evaluated(moved)
             # the move has consumed the buffer, so it may be refilled
             if n + 1 < config.max_iter:
                 pending = worker.submit(draw_noise, n + 1)
-            if step_lsf is not None:
-                cost += J
             row.cost_cum = cost
             n += 1
 
@@ -332,9 +331,9 @@ class CbreeMover:
     temperature and stepsize.
 
     With the vMFN proposal every ensemble is resampled through the fitted
-    model, which doubles as the importance-sampling proposal; the particle
-    step then skips its evaluation sweep since the resampled ensemble is
-    evaluated instead (one sweep of J evaluations per iteration either way).
+    model, which doubles as the importance-sampling proposal; the run loop
+    then evaluates the resampled ensemble instead of the moved one (one
+    sweep of J evaluations per iteration either way).
     """
 
     def __init__(self, config: CbreeConfig, proposal: str):
@@ -347,31 +346,32 @@ class CbreeMover:
         cfg = self.config
         self.s = 0.0
         self.ess_target = ens.size / 2.0
-        # provisional temperature at the initial smoothing level drives the probe
-        beta0, _, _ = solve_beta(log_target(ens.g_values, ens.log_phi(), self.s), self.ess_target)
+        # provisional temperature at s = 0, where every indicator is 1/2 and
+        # the log-target is log phi - log 2, drives the probe
+        beta0, _, _ = solve_beta(ens.log_phi() - math.log(2.0), self.ess_target)
         h1 = initial_stepsize(ens, beta0, cfg.eps_target, root.substream(1))
         self.ctrl = StepControllerState(h_current=h1, eps_target=cfg.eps_target)
 
     def noise_shape(self, J: int, d: int) -> tuple[int, ...]:
         return (J, d)
 
-    def move(self, ens: Ensemble, model, n: int, noise: Future, lsf, row, out, work) -> Ensemble:
+    def move(self, ens: Ensemble, model, n: int, noise: Future, row, out, work) -> np.ndarray:
         cfg = self.config
         # the Gaussian proposal was fitted to this very ensemble, so its
         # moments are the ensemble's; a vMFN ensemble was resampled after
         # its fit
         if self.proposal == "vmfn":
-            moments = moments_of_ensemble(ens, work)
+            moments = moments_of_ensemble(ens, work[0])
         else:
             moments = model.mean, model.covariance
         h_next, err = self.ctrl.propose(moments, n)
         s_next, log_w = update_smoothing(ens.g_values, self.s, h_next, cfg.delta_target)
-        # log_target(g, log phi, s_next), from the indicator logs at s_next
+        # the log-target log I(g, s_next) + log phi
         log_w += ens.log_phi()
         beta, beta_capped, ess = solve_beta(log_w, self.ess_target)
         if ess is None:  # the solve stopped at a midpoint it did not evaluate
             ess = ess_from_log_weights(log_w, beta)
-        coeffs = coefficients_from_log_weights(ens.points, beta * log_w, beta, work)
+        coeffs = coefficients_from_log_weights(ens.points, beta * log_w, beta, work[0])
         self.ctrl.record(moments, coeffs, h_next)
 
         row.s = s_next
@@ -382,7 +382,7 @@ class CbreeMover:
         row.ess = ess
         self.s = s_next
         # the moments are taken, so work[0] is free for the step's product
-        return cbs_step(ens, coeffs, h_next, noise.result(), lsf, out, work[0])
+        return cbs_step(ens, coeffs, h_next, noise.result(), out, work[0])
 
 
 def run_cbree(problem: ProblemSpec, config: CbreeConfig) -> RunRecord:

@@ -52,15 +52,15 @@ class EnkfConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-def enkf_step(ens: Ensemble, h: float, noise: np.ndarray, lsf) -> Ensemble:
-    """One perturbed-observation Kalman update of the whole ensemble.
+def enkf_step(ens: Ensemble, h: float, noise: np.ndarray) -> np.ndarray:
+    """One perturbed-observation Kalman update of the whole ensemble; returns
+    the new positions.
 
     Observations are ``max(g, 0)`` plus ``noise / sqrt(h)`` per particle,
     where ``noise`` holds one standard-normal draw per particle; the
     update subtracts ``C_xg (c_gg + eps)^-1`` times each particle's
     observation, with a relative floor on the scalar variance to guard
-    against a collapsed observation spread.  Refreshes the cached limit-state
-    values (one evaluation per particle).
+    against a collapsed observation spread.
     """
     if ens.size < 2:
         raise ValueError("enkf_step needs at least two particles")
@@ -74,8 +74,7 @@ def enkf_step(ens: Ensemble, h: float, noise: np.ndarray, lsf) -> Ensemble:
     c_xg = (ens.points - x_bar).T @ centered_g / ens.size
     c_gg = float(np.mean(centered_g**2))
     eps = 1e-12 * max(1.0, c_gg)
-    new_pts = ens.points - np.outer(g_tilde, c_xg) / (c_gg + eps)
-    return Ensemble(points=new_pts, g_values=np.asarray(lsf(new_pts), dtype=float))
+    return ens.points - np.outer(g_tilde, c_xg) / (c_gg + eps)
 
 
 class EnkfMover:
@@ -95,9 +94,9 @@ class EnkfMover:
     def noise_shape(self, J: int, d: int) -> tuple[int, ...]:
         return (J,)
 
-    def move(self, ens, model, n, noise, lsf, row, out, work) -> Ensemble:
+    def move(self, ens, model, n, noise, row, out, work) -> np.ndarray:
         row.h = self.h
-        return enkf_step(ens, self.h, noise.result(), lsf)
+        return enkf_step(ens, self.h, noise.result())
 
 
 def run_enkf(problem: ProblemSpec, config: EnkfConfig) -> RunRecord:

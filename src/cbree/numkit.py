@@ -68,7 +68,7 @@ def sample_mean(points) -> np.ndarray:
     return np.ones(points.shape[0]) @ points / points.shape[0]
 
 
-def weighted_moments(points, log_weights, work=(None, None)):
+def weighted_moments(points, log_weights, scratch=None):
     """Weighted mean and central second moment with log-domain weights.
 
     Parameters
@@ -78,10 +78,9 @@ def weighted_moments(points, log_weights, work=(None, None)):
     log_weights : ndarray, shape (J,)
         Unnormalized log-weights; normalization happens internally via
         :func:`log_sum_exp` so entries may span hundreds of nats.
-    work : pair of ndarrays shaped like ``points``, optional
-        ``work[0]`` is scratch space for the centred points scaled by the
-        square roots of the weights (``work[1]`` is not used); a ``None``
-        makes numpy allocate that temporary.
+    scratch : ndarray shaped like ``points``, optional
+        Receives the centred points scaled by the square roots of the
+        weights; a ``None`` makes numpy allocate that temporary.
 
     Returns
     -------
@@ -101,7 +100,7 @@ def weighted_moments(points, log_weights, work=(None, None)):
         raise ValueError("degenerate weights: zero total mass")
     w = np.exp(lw - total)
     mean = w @ x
-    scaled = np.subtract(x, mean, out=work[0])
+    scaled = np.subtract(x, mean, out=scratch)
     scaled *= np.sqrt(w)[:, None]
     return mean, scaled.T @ scaled
 

@@ -17,7 +17,6 @@ from .numkit import bisect
 __all__ = [
     "smooth_indicator",
     "log_smooth_indicator",
-    "log_target",
     "empirical_cv",
     "update_smoothing",
 ]
@@ -43,17 +42,6 @@ def log_smooth_indicator(g, s):
     t = np.clip(np.multiply(s, np.asarray(g, dtype=float)), -1e150, 1e150)
     u = np.sqrt(t * t + 1.0)
     return -np.log(2.0) - np.log(u) - np.sign(t) * np.log(u + np.abs(t))
-
-
-def log_target(g, log_phi, s):
-    """Log of the unnormalized smoothed target ``I(g, s) * phi(x)``, given
-    the input log-density ``log_phi = log phi(x)`` at the same points (see
-    :meth:`cbree.cbs.Ensemble.log_phi`).
-
-    Finite for all finite inputs since the logistic surrogate is strictly
-    positive.
-    """
-    return log_smooth_indicator(g, s) + log_phi
 
 
 def empirical_cv(weights) -> float:

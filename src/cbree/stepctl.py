@@ -55,15 +55,15 @@ def ensemble_coefficients(ens: Ensemble, beta: float) -> CbsCoefficients:
     return coefficients_from_log_weights(ens.points, beta * (ens.log_phi() - np.log(2.0)), beta)
 
 
-def moments_of_ensemble(ens: Ensemble, work=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+def moments_of_ensemble(ens: Ensemble, scratch=None) -> tuple[np.ndarray, np.ndarray]:
     """Sample mean and population covariance of the particle positions, the
     ``(mean, cov)`` pair every function here takes as moments; the centered
-    points go into ``work[0]``, or a new array when it is ``None``."""
+    points go into ``scratch``, or a new array when it is ``None``."""
     pts = ens.points
     if pts.shape[0] < 2:
         raise ValueError("moments need at least two particles")
     mean = sample_mean(pts)
-    centered = np.subtract(pts, mean, out=work[0])
+    centered = np.subtract(pts, mean, out=scratch)
     return mean, centered.T @ centered / pts.shape[0]
 
 
@@ -179,7 +179,7 @@ def initial_stepsize(ens0: Ensemble, beta1: float, eps_target: float, stream: Ra
     norm_g0 = error_norm(g0, theta0, eps_target)
     h0 = 1e-6 if norm_g0 < 1e-14 else 0.01 * norm_theta0 / norm_g0
     noise = stream.standard_normal(ens0.points.shape)
-    probe = cbs_step(ens0, coeffs0, h0, noise, None)
+    probe = Ensemble(cbs_step(ens0, coeffs0, h0, noise), None)
     g1 = moments_rhs(moments_of_ensemble(probe), ensemble_coefficients(probe, beta1))
     denom = max(error_norm([a - b for a, b in zip(g1, g0)], theta0, eps_target) / h0, norm_g0)
     h1 = 100.0 * h0 if denom < 1e-14 else math.sqrt(0.01 / denom)

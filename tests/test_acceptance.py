@@ -18,7 +18,7 @@ from cbree.cbs import coefficients_from_log_weights, ess_from_log_weights, solve
 from cbree.densities import gaussian_logpdf, gaussian_sample, make_gaussian, std_normal_logpdf
 from cbree.numkit import RandomStream
 from cbree.problems import get_problem, kl_eigenpairs, make_flowrate_lsf
-from cbree.smoothing import empirical_cv, log_target, smooth_indicator
+from cbree.smoothing import empirical_cv, log_smooth_indicator, smooth_indicator
 from cbree.stepctl import bhat_coefficients, phi_scalar
 
 PF_LINEAR = 0.5 * math.erfc(3.5 / math.sqrt(2.0))  # 2.3263e-4
@@ -278,7 +278,7 @@ def test_c8_invariant_suite():
     # temperature solve self-consistency
     pts = RandomStream(3).standard_normal((400, 3))
     g_vals = 3.5 - pts.sum(axis=1) / math.sqrt(3.0)
-    log_w = log_target(g_vals, std_normal_logpdf(pts), 1.0)
+    log_w = log_smooth_indicator(g_vals, 1.0) + std_normal_logpdf(pts)
     beta, capped, _ = solve_beta(log_w, 200.0)
     ess_val = ess_from_log_weights(log_w, beta)
     checks.append(("beta-solve self-consistency", (not capped) and abs(ess_val - 200.0) <= 0.01))

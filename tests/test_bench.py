@@ -48,10 +48,11 @@ class TestRunMc:
         se = math.sqrt(p * (1.0 - p) / 300_000)
         assert abs(record.estimate - p) < 4.0 * se
 
-    def test_batching_invariant(self):
-        problem = get_problem("linear")
-        a = run_mc(problem, McConfig(n_particles=250_000, seed=5), batch=100_000)
-        b = run_mc(get_problem("linear"), McConfig(n_particles=250_000, seed=5), batch=250_000)
+    def test_batching_invariant(self, monkeypatch):
+        monkeypatch.setattr(cbree.bench, "MC_BATCH", 100_000)
+        a = run_mc(get_problem("linear"), McConfig(n_particles=250_000, seed=5))
+        monkeypatch.setattr(cbree.bench, "MC_BATCH", 250_000)
+        b = run_mc(get_problem("linear"), McConfig(n_particles=250_000, seed=5))
         assert a.estimate == b.estimate
 
     def test_negative_seed_rejected(self):

@@ -20,7 +20,7 @@ from cbree.densities import std_normal_logpdf
 from cbree.driver import CbreeConfig, run_cbree
 from cbree.numkit import RandomStream, bisect, log_sum_exp
 from cbree.problems import get_problem
-from cbree.smoothing import log_target
+from cbree.smoothing import log_smooth_indicator
 from cbree.stepctl import ensemble_coefficients
 
 
@@ -36,7 +36,7 @@ def make_ensemble(seed=0, n=50, d=2):
 
 def coefficients_at(ens, s, beta):
     """Coefficients at smoothing level ``s``, formed as the driver forms them."""
-    log_w = log_target(ens.g_values, ens.log_phi(), s)
+    log_w = log_smooth_indicator(ens.g_values, s) + ens.log_phi()
     return coefficients_from_log_weights(ens.points, beta * log_w, beta)
 
 
@@ -83,6 +83,11 @@ class TestCoefficients:
             want = coefficients_at(ens, 0.0, beta)
             assert np.array_equal(got.m_beta, want.m_beta)
             assert np.array_equal(got.c_beta_sq, want.c_beta_sq)
+        # the start-up temperature solve takes log phi - log 2 as its
+        # log-target; it has the same bits at the extremes of g
+        g = np.concatenate([ens.g_values[:-6], [0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324]])
+        want = log_smooth_indicator(g, 0.0) + ens.log_phi()
+        assert np.array_equal(ens.log_phi() - math.log(2.0), want)
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
@@ -99,7 +104,7 @@ class TestCoefficients:
     def test_laplace_principle(self):
         # unique maximal weight pulls the weighted mean onto that particle
         ens = make_ensemble(3, 40, 3)
-        lw = log_target(ens.g_values, ens.log_phi(), 1.0)
+        lw = log_smooth_indicator(ens.g_values, 1.0) + ens.log_phi()
         k = int(np.argmax(lw))
         coeffs = coefficients_from_log_weights(ens.points, 1e8 * lw, beta=1.0)
         assert np.max(np.abs(coeffs.m_beta - ens.points[k])) < 1e-8
@@ -111,16 +116,16 @@ class TestCbsStep:
         ens = make_ensemble(4, 60, 2)
         for h in (1e-6, 1e-10):
             coeffs = coefficients_at(ens, 1.0, 1.0)
-            stepped = cbs_step(ens, coeffs, h, noise_for(ens, 5), linear_g)
-            assert np.max(np.abs(stepped.points - ens.points)) < 8.0 * math.sqrt(2.0 * h)
+            stepped = cbs_step(ens, coeffs, h, noise_for(ens, 5))
+            assert np.max(np.abs(stepped - ens.points)) < 8.0 * math.sqrt(2.0 * h)
 
     def test_huge_h_draws_iid_at_coefficients(self):
         ens = make_ensemble(6, 100_000, 2)
         coeffs = coefficients_at(ens, 0.5, 2.0)
-        stepped = cbs_step(ens, coeffs, 1e3, noise_for(ens, 7), linear_g)
-        assert np.max(np.abs(stepped.points.mean(axis=0) - coeffs.m_beta)) < 0.02
-        centered = stepped.points - stepped.points.mean(axis=0)
-        cov = centered.T @ centered / stepped.size
+        stepped = cbs_step(ens, coeffs, 1e3, noise_for(ens, 7))
+        assert np.max(np.abs(stepped.mean(axis=0) - coeffs.m_beta)) < 0.02
+        centered = stepped - stepped.mean(axis=0)
+        cov = centered.T @ centered / ens.size
         assert np.max(np.abs(cov - coeffs.c_beta_sq)) < 0.05
 
     def test_affine_mean_statistics(self):
@@ -129,34 +134,26 @@ class TestCbsStep:
         h = 0.35
         alpha = math.exp(-h)
         coeffs = coefficients_at(ens, 1.0, 1.5)
-        stepped = cbs_step(ens, coeffs, h, noise_for(ens, 9), linear_g)
+        stepped = cbs_step(ens, coeffs, h, noise_for(ens, 9))
         expected = alpha * ens.points.mean(axis=0) + (1.0 - alpha) * coeffs.m_beta
         noise_cov = (1.0 - alpha**2) * coeffs.c_beta_sq
         se = np.sqrt(np.diag(noise_cov) / ens.size)
-        assert np.all(np.abs(stepped.points.mean(axis=0) - expected) < 3.0 * se)
+        assert np.all(np.abs(stepped.mean(axis=0) - expected) < 3.0 * se)
 
     def test_cache_coherence(self):
-        ens = make_ensemble(10, 200, 3)
-
-        def g3(x):
-            x = np.atleast_2d(x)
-            return 3.5 - x.sum(axis=1) / math.sqrt(3.0)
-
-        ens3 = Ensemble(ens.points, g3(ens.points))
-        coeffs = coefficients_at(ens3, 0.7, 1.0)
-        stepped = cbs_step(ens3, coeffs, 0.5, noise_for(ens, 11), g3)
-        idx = RandomStream(12).integers(0, 200, size=5)
-        assert np.array_equal(stepped.g_values[idx], g3(stepped.points[idx]))
+        # the step only moves particles; the run loop evaluates the moved
+        # ensemble, so the final ensemble's cached values are the limit state
+        # at its points
+        problem = get_problem("linear-3")
+        record = run_cbree(problem, CbreeConfig(n_particles=200, max_iter=3, seed=10))
+        final = record.final_ensemble
+        assert record.iterations == 3
+        assert np.array_equal(final.g_values, problem.lsf(final.points))
 
     def test_non_positive_h_rejected(self):
         with pytest.raises(ValueError):
             ens = make_ensemble()
-            cbs_step(ens, coefficients_at(ens, 1.0, 1.0), 0.0, noise_for(ens, 0), linear_g)
-
-    def test_skip_refresh_leaves_cache_unset(self):
-        ens = make_ensemble()
-        stepped = cbs_step(ens, coefficients_at(ens, 1.0, 1.0), 0.5, noise_for(ens, 0), None)
-        assert stepped.g_values is None
+            cbs_step(ens, coefficients_at(ens, 1.0, 1.0), 0.0, noise_for(ens, 0))
 
     def test_step_into_out_matches_the_allocating_step_and_the_formula(self):
         # the step scales the factor before the product and BLAS sums the
@@ -181,9 +178,8 @@ class TestCbsStep:
                 + scale * (np.abs(noise) @ np.abs(factor.T))
             )
             out = np.empty_like(ens.points)
-            stepped = cbs_step(ens, coeffs, h, noise, linear_g, out)
-            assert stepped.points is out
-            assert np.array_equal(cbs_step(ens, coeffs, h, noise, linear_g).points, out)
+            assert cbs_step(ens, coeffs, h, noise, out) is out
+            assert np.array_equal(cbs_step(ens, coeffs, h, noise), out)
             err = np.max(np.abs(out - expected) / magnitude)
             assert err <= (d + 3) * np.finfo(float).eps, (d, err)
 
@@ -198,18 +194,18 @@ class TestCbsStep:
         coeffs = coefficients_at(ens, 0.9, 2.0)
         noise = noise_for(ens, 42)
         expected = np.matmul(noise, coeffs.c_beta_factor.T) + coeffs.m_beta
-        assert np.array_equal(cbs_step(ens, coeffs, 800.0, noise, None).points, expected)
+        assert np.array_equal(cbs_step(ens, coeffs, 800.0, noise), expected)
 
     @pytest.mark.parametrize("h", [0.4, 800.0])
     def test_step_result_does_not_depend_on_the_buffers(self, h):
         ens = make_ensemble(43, 300, 6)
         coeffs = coefficients_at(ens, 0.9, 2.0)
         noise = noise_for(ens, 44)
-        reference = cbs_step(ens, coeffs, h, noise, None).points
+        reference = cbs_step(ens, coeffs, h, noise)
         for out in (None, np.empty_like(ens.points)):
             for scratch in (None, np.full_like(ens.points, np.nan)):
-                stepped = cbs_step(ens, coeffs, h, noise, None, out, scratch)
-                assert np.array_equal(stepped.points, reference), (out is None, scratch is None)
+                stepped = cbs_step(ens, coeffs, h, noise, out, scratch)
+                assert np.array_equal(stepped, reference), (out is None, scratch is None)
 
     @pytest.mark.parametrize("h", [0.4, 800.0])
     def test_step_with_buffers_allocates_no_ensemble_sized_array(self, h):
@@ -222,11 +218,11 @@ class TestCbsStep:
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            cbs_step(ens, coeffs, h, noise, None, out, scratch)
+            cbs_step(ens, coeffs, h, noise, out, scratch)
             given = tracemalloc.get_traced_memory()[1] - before
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            cbs_step(ens, coeffs, h, noise, None)
+            cbs_step(ens, coeffs, h, noise)
             allocating = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -240,8 +236,7 @@ class TestCbsStep:
         noise = noise_for(ens, 38)
         noise_before = noise.copy()
         out = np.empty_like(ens.points)
-        stepped = cbs_step(ens, coefficients_at(ens, 1.0, 1.0), 0.5, noise, linear_g, out)
-        assert stepped.points is out
+        assert cbs_step(ens, coefficients_at(ens, 1.0, 1.0), 0.5, noise, out) is out
         assert np.array_equal(ens.points, points)
         assert np.array_equal(noise, noise_before)
 
@@ -255,9 +250,8 @@ class TestCbsStep:
             "fortran": np.empty((40, 3), order="F"),
             "strided": np.empty((40, 6))[:, ::2],
         }[layout]
-        stepped = cbs_step(ens, coeffs, h, noise, linear_g, out)
-        assert stepped.points is out
-        assert np.array_equal(out, cbs_step(ens, coeffs, h, noise, linear_g).points)
+        assert cbs_step(ens, coeffs, h, noise, out) is out
+        assert np.array_equal(out, cbs_step(ens, coeffs, h, noise))
 
     @pytest.mark.parametrize("target", ["points", "noise"])
     def test_out_sharing_memory_rejected(self, target):
@@ -265,7 +259,7 @@ class TestCbsStep:
         noise = noise_for(ens, 36)
         out = {"points": ens.points, "noise": noise}[target][::-1]
         with pytest.raises(ValueError, match="share memory"):
-            cbs_step(ens, coefficients_at(ens, 1.0, 1.0), 0.5, noise, linear_g, out)
+            cbs_step(ens, coefficients_at(ens, 1.0, 1.0), 0.5, noise, out)
 
     @pytest.mark.parametrize("target", ["points", "noise", "out"])
     def test_scratch_sharing_memory_rejected(self, target):
@@ -274,19 +268,19 @@ class TestCbsStep:
         out = np.empty_like(ens.points)
         scratch = {"points": ens.points, "noise": noise, "out": out}[target][::-1]
         with pytest.raises(ValueError, match="scratch must not share memory"):
-            cbs_step(ens, coefficients_at(ens, 1.0, 1.0), 0.5, noise, linear_g, out, scratch)
+            cbs_step(ens, coefficients_at(ens, 1.0, 1.0), 0.5, noise, out, scratch)
 
     @pytest.mark.parametrize("shape", [(50,), (49, 2), (50, 3), (2, 50)])
     def test_wrong_noise_shape_rejected(self, shape):
         ens = make_ensemble()
         with pytest.raises(ValueError, match="noise has shape"):
-            cbs_step(ens, coefficients_at(ens, 1.0, 1.0), 0.5, np.zeros(shape), linear_g)
+            cbs_step(ens, coefficients_at(ens, 1.0, 1.0), 0.5, np.zeros(shape))
 
 
 class TestEss:
     def test_beta_zero_gives_J(self):
         ens = make_ensemble(13, 35, 2)
-        lw = log_target(ens.g_values, ens.log_phi(), 1.0)
+        lw = log_smooth_indicator(ens.g_values, 1.0) + ens.log_phi()
         assert ess_from_log_weights(lw, 0.0) == pytest.approx(35.0)
 
     def test_equal_weights_any_beta(self):
@@ -357,7 +351,7 @@ class TestSolveBeta:
         pts = RandomStream(15).standard_normal((12, 2))
         norm = np.linalg.norm(pts, axis=1, keepdims=True)
         pts = pts / norm  # same radius
-        beta, capped, _ = solve_beta(log_target(np.full(12, 1.0), std_normal_logpdf(pts), 0.0), 6.0)
+        beta, capped, _ = solve_beta(log_smooth_indicator(np.full(12, 1.0), 0.0) + std_normal_logpdf(pts), 6.0)
         assert capped
         assert beta == 1e8
 
@@ -376,7 +370,7 @@ class TestSolveBeta:
         for seed in range(5):
             ens = make_ensemble(seed + 20, 400, 3)
             target = 200.0
-            lw = log_target(ens.g_values, ens.log_phi(), 1.3)
+            lw = log_smooth_indicator(ens.g_values, 1.3) + ens.log_phi()
             beta, capped, _ = solve_beta(lw, target)
             assert not capped
             assert abs(ess_from_log_weights(lw, beta) - target) <= 0.01
@@ -384,7 +378,7 @@ class TestSolveBeta:
     def test_returned_ess_is_the_evaluated_one_bitwise(self):
         for seed in range(5):
             ens = make_ensemble(seed + 20, 400, 3)
-            lw = log_target(ens.g_values, ens.log_phi(), 1.3)
+            lw = log_smooth_indicator(ens.g_values, 1.3) + ens.log_phi()
             beta, capped, ess = solve_beta(lw, 200.0)
             assert not capped
             assert ess == ess_from_log_weights(lw, beta)
@@ -396,7 +390,7 @@ class TestSolveBeta:
     def test_matches_dense_grid_oracle(self):
         ens = make_ensemble(30, 200, 2)
         target = 100.0
-        lw = log_target(ens.g_values, ens.log_phi(), 0.8)
+        lw = log_smooth_indicator(ens.g_values, 0.8) + ens.log_phi()
         beta, _, _ = solve_beta(lw, target)
         grid = np.linspace(max(beta - 0.5, 0.0), beta + 0.5, 20001)
         vals = np.abs([ess_from_log_weights(lw, b) - target for b in grid])
@@ -406,9 +400,9 @@ class TestSolveBeta:
     def test_invalid_target(self):
         ens = make_ensemble(31, 10, 2)
         with pytest.raises(ValueError):
-            solve_beta(log_target(ens.g_values, ens.log_phi(), 1.0), 0.5)
+            solve_beta(log_smooth_indicator(ens.g_values, 1.0) + ens.log_phi(), 0.5)
         with pytest.raises(ValueError):
-            solve_beta(log_target(ens.g_values, ens.log_phi(), 1.0), 10.0)
+            solve_beta(log_smooth_indicator(ens.g_values, 1.0) + ens.log_phi(), 10.0)
 
     def test_non_finite_log_target_rejected(self):
         lw = np.array([0.0, -1.0, -np.inf, -2.0])

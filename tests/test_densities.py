@@ -113,10 +113,14 @@ class TestGaussian:
         inline = gaussian_sample(truth, RandomStream(6), 500)
         normals = RandomStream(6).standard_normal((500, 6))
         kept = normals.copy()
-        work = np.empty((2, 500, 6))
-        ahead = gaussian_sample(truth, None, 500, np.empty((500, 6)), work, normals=normals)
+        out = np.empty((500, 6))
+        ahead = gaussian_sample(truth, None, 500, out, normals=normals)
+        assert ahead is out
         assert np.array_equal(ahead, inline)
         assert np.array_equal(normals, kept)
+        # the product is formed in out and the mean added to it, which
+        # rounds as mean + product does
+        assert np.array_equal(ahead, truth.mean + normals @ truth.factor.T)
 
     def test_round_trip_error_shrinks_with_sample_size(self):
         truth = make_gaussian([0.0, 0.0], np.eye(2))
@@ -135,7 +139,7 @@ class TestGaussian:
         rng = np.random.default_rng(d)
         x = rng.normal(size=(700, d)) @ rng.normal(size=(d, d)) + rng.normal(size=d)
         work = np.empty((2, 700, d))
-        model = gaussian_fit(x, work)
+        model = gaussian_fit(x, work[0])
         shared = gaussian_logpdf(model, work[0], work, centered=True)
         assert np.array_equal(shared, gaussian_logpdf(model, x))
         assert np.array_equal(shared, gaussian_logpdf(model, x, np.empty((2, 700, d))))

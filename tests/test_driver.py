@@ -1,6 +1,7 @@
 import math
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from cbree.driver import (
     run_cbree,
     run_cbree_vmfn,
 )
-from cbree.enkf import EnkfConfig, run_enkf
+from cbree.enkf import EnkfConfig, run_enkf, run_enkf_vmfn
 from cbree.numkit import RandomStream
 from cbree.problems import CountedLsf, ProblemSpec, get_problem
 from cbree.smoothing import LIP_S, empirical_cv
@@ -61,7 +62,7 @@ class TestIsEstimate:
         pts = RandomStream(d).standard_normal((800, d)) * 1.3 + 0.4
         ens = Ensemble(pts, 1.0 - pts[:, 0])
         work = np.empty((2, 800, d))
-        model = gaussian_fit(pts, work)
+        model = gaussian_fit(pts, work[0])
         pf, weights = is_estimate(ens, model, work, centered=True)
         fresh_pf, fresh_weights = is_estimate(ens, model)
         assert 0.0 < pf == fresh_pf
@@ -136,19 +137,33 @@ class TestRunCbree:
             assert (ra.s, ra.beta, ra.h, ra.pf_estimate) == (rb.s, rb.beta, rb.h, rb.pf_estimate)
         assert np.array_equal(a.final_ensemble.points, b.final_ensemble.points)
 
-    def test_cost_audit_gaussian(self):
-        problem = get_problem("linear")
-        record = run_cbree(problem, CbreeConfig(n_particles=300, seed=5))
-        assert record.cost == problem.evaluations
-        # initial sample + one sweep per completed step
-        assert record.cost == 300 * (record.iterations + 1)
-
-    def test_cost_audit_vmfn(self):
+    @pytest.mark.parametrize("max_iter", [0, 1, 3])
+    @pytest.mark.parametrize(
+        "runner, config, sweeps",
+        [
+            # the initial ensemble and one moved ensemble per step
+            (run_cbree, CbreeConfig(n_particles=300, delta_target=0.01, n_obs=0, seed=5),
+             lambda n: 1 + n),
+            # the initial ensemble and one fresh batch per iteration row; a
+            # moved ensemble is replaced by the next batch unevaluated
+            (run_cbree_vmfn, CbreeConfig(n_particles=300, delta_target=0.01, n_obs=0, seed=6),
+             lambda n: 1 + (n + 1)),
+            # the initial ensemble, one fresh batch per iteration row and one
+            # moved ensemble per step
+            (run_enkf, EnkfConfig(n_particles=300, delta_target=0.01, seed=7),
+             lambda n: 1 + (n + 1) + n),
+            (run_enkf_vmfn, EnkfConfig(n_particles=300, delta_target=0.01, seed=8),
+             lambda n: 1 + (n + 1) + n),
+        ],
+        ids=["cbree", "cbree-vmfn", "enkf", "enkf-vmfn"],
+    )
+    def test_cost_audit(self, runner, config, sweeps, max_iter):
+        # the run loop is the only caller of the limit state, and it counts
+        # J evaluations per sweep
         problem = get_problem("linear-4")
-        record = run_cbree_vmfn(problem, CbreeConfig(n_particles=300, delta_target=2.0, seed=6))
-        assert record.cost == problem.evaluations
-        # initial sample + one resample sweep per iteration row
-        assert record.cost == 300 * (record.iterations + 2)
+        record = runner(problem, replace(config, max_iter=max_iter))
+        assert record.iterations == max_iter
+        assert record.cost == problem.evaluations == 300 * sweeps(max_iter)
 
     def test_trace_shape_and_termination(self):
         record = run_cbree(get_problem("linear"), CbreeConfig(n_particles=300, seed=7))

@@ -88,8 +88,7 @@ class TestWeightedMoments:
         want = np.zeros((d, d))
         for wj, xj in zip(w, x):
             want += wj * np.outer(xj - want_mean, xj - want_mean)
-        work = np.empty((2, n, d))
-        mean, scm = weighted_moments(x, lw, work)
+        mean, scm = weighted_moments(x, lw, np.empty((n, d)))
         assert np.array_equal(mean, want_mean)
         assert np.array_equal(scm, scm.T)
         assert np.max(np.abs(scm - want)) <= 1e-13 * np.max(np.abs(want))

@@ -13,7 +13,6 @@ from cbree.smoothing import (
     LIP_S,
     empirical_cv,
     log_smooth_indicator,
-    log_target,
     smooth_indicator,
     update_smoothing,
 )
@@ -73,17 +72,17 @@ class TestLogTarget:
     def test_zero_smoothing(self):
         x = np.array([0.7])
         expected = math.log(0.5) + float(std_normal_logpdf(x))
-        assert float(log_target(np.array(2.0), std_normal_logpdf(x), 0.0)) == pytest.approx(expected, abs=1e-12)
+        assert float(log_smooth_indicator(np.array(2.0), 0.0) + std_normal_logpdf(x)) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_g(self):
         x = np.array([0.2, -0.4])
         expected = math.log(0.5) + float(std_normal_logpdf(x))
-        assert float(log_target(np.array(0.0), std_normal_logpdf(x), 7.0)) == pytest.approx(expected, abs=1e-12)
+        assert float(log_smooth_indicator(np.array(0.0), 7.0) + std_normal_logpdf(x)) == pytest.approx(expected, abs=1e-12)
 
     def test_composition_value(self):
         # oracle: ln(0.5 (1 - 1/sqrt(2))) - 0.5 ln(2 pi) = -2.8400323
         expected = math.log(0.5 * (1.0 - 1.0 / math.sqrt(2.0))) - 0.5 * math.log(2.0 * math.pi)
-        val = float(log_target(np.array(1.0), std_normal_logpdf(np.zeros(1)), 1.0))
+        val = float(log_smooth_indicator(np.array(1.0), 1.0) + std_normal_logpdf(np.zeros(1)))
         assert val == pytest.approx(expected, abs=1e-12)
         assert val == pytest.approx(-2.8400323, abs=1e-6)
 
@@ -91,7 +90,7 @@ class TestLogTarget:
         rng = np.random.default_rng(2)
         g = rng.normal(size=50) * 10
         x = rng.normal(size=(50, 3))
-        assert np.all(np.isfinite(log_target(g, std_normal_logpdf(x), 1e6)))
+        assert np.all(np.isfinite(log_smooth_indicator(g, 1e6) + std_normal_logpdf(x)))
 
 
 class TestEmpiricalCv:

@@ -8,7 +8,7 @@ import pytest
 from cbree.cbs import CbsCoefficients, Ensemble, coefficients_from_log_weights
 from cbree.densities import gaussian_fit
 from cbree.numkit import RandomStream
-from cbree.smoothing import log_target
+from cbree.smoothing import log_smooth_indicator
 from cbree.stepctl import (
     StepControllerState,
     bhat_coefficients,
@@ -31,7 +31,7 @@ def linear_g(x):
 
 def coefficients_at(ens, s, beta):
     """Coefficients at smoothing level ``s``, formed as the driver forms them."""
-    log_w = log_target(ens.g_values, ens.log_phi(), s)
+    log_w = log_smooth_indicator(ens.g_values, s) + ens.log_phi()
     return coefficients_from_log_weights(ens.points, beta * log_w, beta)
 
 
