@@ -11,8 +11,6 @@ as a serial run.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -31,28 +29,8 @@ __all__ = [
     "run_mc",
     "audited_run",
     "run_benchmark",
-    "write_runs_csv",
-    "write_aggregate_json",
-    "write_aggregate_csv",
     "METHODS",
 ]
-
-RUN_CSV_COLUMNS = ("rep", "seed", "estimate", "cost", "iterations", "termination")
-
-AGGREGATE_COLUMNS = (
-    "method",
-    "problem",
-    "n_particles",
-    "delta_target",
-    "eps_target",
-    "n_obs",
-    "reps",
-    "success_rate",
-    "mse",
-    "rel_rmse",
-    "mean_cost",
-    "rel_eff",
-)
 
 
 @dataclass
@@ -242,47 +220,3 @@ def run_benchmark(
         pf_ref=pf_ref,
     )
     return result, run_rows
-
-
-def write_runs_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RUN_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c] for c in RUN_CSV_COLUMNS])
-
-
-def _aggregate_dict(result: BenchmarkResult) -> dict:
-    cfg = result.config
-    return {
-        "method": result.method,
-        "problem": result.problem,
-        "n_particles": cfg.get("n_particles"),
-        "delta_target": cfg.get("delta_target"),
-        "eps_target": cfg.get("eps_target"),
-        "n_obs": cfg.get("n_obs"),
-        "reps": result.reps,
-        "success_rate": result.success_rate,
-        "mse": result.mse,
-        "rel_rmse": result.rel_rmse,
-        "mean_cost": result.mean_cost,
-        "rel_eff": None if result.rel_eff is not None and not math.isfinite(result.rel_eff) else result.rel_eff,
-    }
-
-
-def write_aggregate_json(result: BenchmarkResult, path) -> None:
-    data = _aggregate_dict(result)
-    data["pf_ref"] = result.pf_ref
-    data["estimates"] = result.estimates
-    data["config"] = result.config
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
-
-
-def write_aggregate_csv(result: BenchmarkResult, path) -> None:
-    data = _aggregate_dict(result)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGGREGATE_COLUMNS)
-        writer.writerow([data[c] for c in AGGREGATE_COLUMNS])

@@ -12,7 +12,6 @@ temperature solve that pins it at a target.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -28,7 +27,6 @@ __all__ = [
     "cbs_step",
     "ess_from_log_weights",
     "solve_beta",
-    "write_ensemble_csv",
 ]
 
 # largest inverse temperature the beta solve returns (reported as beta_capped)
@@ -228,13 +226,3 @@ def solve_beta(log_target_values, target: float) -> tuple[float, bool, float | N
             nxt = min(2.0 * beta, BETA_CAP) if hi == math.inf else 0.5 * (lo + hi)
         beta = min(nxt, BETA_CAP)
     return 0.5 * (lo + hi), False, None
-
-
-def write_ensemble_csv(ens: Ensemble, path) -> None:
-    """Export one row per particle: coordinates, then the limit-state value."""
-    g = ens.g_values if ens.g_values is not None else np.full(ens.size, np.nan)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(ens.dim)] + ["g"])
-        for row, gv in zip(ens.points, g):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(gv))])

@@ -8,31 +8,32 @@ Subcommands:
 
 Config files are flat ``key = value`` text; keys must match the config
 dataclass fields of the chosen method exactly, unknown keys are errors.
+Only this module writes files: the library returns records and results, and
+:func:`_write_csv` and :func:`_write_json` write every output format.
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
-from .bench import (
-    METHODS,
-    audited_run,
-    run_benchmark,
-    write_aggregate_csv,
-    write_aggregate_json,
-    write_runs_csv,
-)
-from .cbs import write_ensemble_csv
+import numpy as np
+
+from .bench import METHODS, BenchmarkResult, audited_run, run_benchmark
+from .driver import TRACE_COLUMNS, RunRecord
 from .problems import list_problems
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+RUN_CSV_COLUMNS = ("rep", "seed", "estimate", "cost", "iterations", "termination")
 
 
 class ConfigError(Exception):
@@ -89,6 +90,51 @@ def build_config(method: str, entries: dict[str, str], seed: int | None = None):
     return config
 
 
+def _write_csv(path, header, rows) -> None:
+    """One header line, then one line per row; csv writes each value as
+    ``str(value)``, which for a Python float is its shortest round-trip
+    repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path, data) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+
+
+def _aggregate(result: BenchmarkResult) -> dict:
+    """The aggregate CSV's columns and values, in order; the aggregate JSON
+    is this dict plus the reference, the estimates and the config.  An
+    infinite relative efficiency (zero MSE) is written as empty/null."""
+    cfg = result.config
+    return {
+        "method": result.method,
+        "problem": result.problem,
+        "n_particles": cfg.get("n_particles"),
+        "delta_target": cfg.get("delta_target"),
+        "eps_target": cfg.get("eps_target"),
+        "n_obs": cfg.get("n_obs"),
+        "reps": result.reps,
+        "success_rate": result.success_rate,
+        "mse": result.mse,
+        "rel_rmse": result.rel_rmse,
+        "mean_cost": result.mean_cost,
+        "rel_eff": None if result.rel_eff is not None and not math.isfinite(result.rel_eff) else result.rel_eff,
+    }
+
+
+def _audited_run(args) -> RunRecord:
+    """The run that ``run`` and ``export-ensemble`` share: the config file,
+    if any, with the ``--seed`` override, on one audited run."""
+    entries = parse_kv_file(args.config) if args.config else {}
+    config = build_config(args.method, entries, seed=args.seed)
+    return audited_run(args.method, args.problem, config)
+
+
 def _cmd_list(_args) -> int:
     print("problems:")
     for row in list_problems():
@@ -101,15 +147,14 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
-    entries = parse_kv_file(args.config) if args.config else {}
-    config = build_config(args.method, entries, seed=args.seed)
-    record = audited_run(args.method, args.problem, config)
+    record = _audited_run(args)
     if args.out:
         base = Path(args.out)
         base.parent.mkdir(parents=True, exist_ok=True)
         # appended, not with_suffix: a dotted base such as run.v1 keeps its name
-        record.write_json(base.with_name(base.name + ".json"))
-        record.write_trace_csv(base.with_name(base.name + ".trace.csv"))
+        _write_json(base.with_name(base.name + ".json"), record.to_json_dict())
+        trace_rows = map(dataclasses.astuple, record.trace)
+        _write_csv(base.with_name(base.name + ".trace.csv"), TRACE_COLUMNS, trace_rows)
     else:
         json.dump(record.to_json_dict(), sys.stdout, indent=2)
         print()
@@ -144,9 +189,14 @@ def _cmd_bench(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{method}_{problem}"
-    write_runs_csv(rows, out_dir / f"{stem}_runs.csv")
-    write_aggregate_json(result, out_dir / f"{stem}_aggregate.json")
-    write_aggregate_csv(result, out_dir / f"{stem}_aggregate.csv")
+    run_rows = ([row[c] for c in RUN_CSV_COLUMNS] for row in rows)
+    _write_csv(out_dir / f"{stem}_runs.csv", RUN_CSV_COLUMNS, run_rows)
+    aggregate = _aggregate(result)
+    _write_json(
+        out_dir / f"{stem}_aggregate.json",
+        {**aggregate, "pf_ref": result.pf_ref, "estimates": result.estimates, "config": result.config},
+    )
+    _write_csv(out_dir / f"{stem}_aggregate.csv", aggregate.keys(), [aggregate.values()])
     eff = f"{result.rel_eff:.3g}" if result.rel_eff is not None else "n/a"
     print(
         f"{method} on {problem}: reps={reps} success={result.success_rate:.0%} "
@@ -156,13 +206,14 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    entries = parse_kv_file(args.config) if args.config else {}
-    config = build_config(args.method, entries, seed=args.seed)
-    record = audited_run(args.method, args.problem, config)
+    record = _audited_run(args)
+    ens = record.final_ensemble
     out = Path(args.out) if args.out else Path(f"{args.method}_{args.problem}_ensemble.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_ensemble_csv(record.final_ensemble, out)
-    print(f"wrote {out} ({record.final_ensemble.size} particles, termination={record.termination})")
+    # one row per particle: its coordinates, then its limit-state value
+    header = [f"x{i + 1}" for i in range(ens.dim)] + ["g"]
+    _write_csv(out, header, np.column_stack((ens.points, ens.g_values)).tolist())
+    print(f"wrote {out} ({ens.size} particles, termination={record.termination})")
     return EXIT_OK
 
 

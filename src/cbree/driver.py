@@ -12,8 +12,6 @@ estimating.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -132,18 +130,6 @@ class RunRecord:
             ],
         }
 
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-
-    def write_trace_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for row in self.trace:
-                writer.writerow([getattr(row, col) for col in TRACE_COLUMNS])
-
 
 def is_estimate(
     ens: Ensemble, proposal, work=(None, None), centered: bool = False
@@ -199,13 +185,13 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
     - ``n_obs``: the divergence window, 0 to disable it;
     - ``start(ens, root)``: set-up on the initial ensemble;
     - ``noise_shape(J, d)``: the shape of one step's standard-normal noise;
-    - ``move(ens, model, n, noise, row, out, work)``: the next positions,
-      with the step's parameters written into ``row``; ``noise`` is a
-      future whose ``result()`` is the step's draw from ``substream(3, n)``,
-      which must not be kept past the call, since its buffer is refilled
-      for the next step; ``out`` is a ``(J, d)`` array the mover may write
-      the new positions into, and ``work`` a pair of ``(J, d)`` scratch
-      arrays.
+    - ``move(ens, model, n, noise, row, out, scratch)``: the next
+      positions, with the step's parameters written into ``row``; ``noise``
+      is a future whose ``result()`` is the step's draw from
+      ``substream(3, n)``, which must not be kept past the call, since its
+      buffer is refilled for the next step; ``out`` is a ``(J, d)`` array
+      the mover may write the new positions into, and ``scratch`` a
+      ``(J, d)`` array for its temporaries.
 
     While the main thread works through iteration ``n`` up to the particle
     step, one worker thread draws the noise of that step into a buffer
@@ -220,8 +206,9 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
     line.  The run also owns its other large arrays: two position arrays,
     one holding the ensemble and one spare that a fresh batch or the
     particle step is written into (the two swap roles when the ensemble is
-    replaced), and the pair of scratch arrays for the ``(J, d)`` temporaries
-    of the fit, the estimate and the move.  Nothing is shared between runs.
+    replaced), and a pair of scratch arrays for the ``(J, d)`` temporaries
+    of the fit and the estimate, the first of which the move reuses.
+    Nothing is shared between runs.
 
     Only this loop calls the limit state, and each call adds its J
     evaluations to the cost: the initial ensemble, each fresh batch and each
@@ -313,7 +300,7 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
             # the sampler has consumed the normals, so they may be redrawn
             if batch is not None:
                 batch = worker.submit(draw_normals, n + 1)
-            moved = mover.move(ens, model, n, pending, row, spare, work)
+            moved = mover.move(ens, model, n, pending, row, spare, work[0])
             if moved is spare:
                 spare = ens.points
             # the next fit reads only the positions of an ensemble that the
@@ -355,13 +342,13 @@ class CbreeMover:
     def noise_shape(self, J: int, d: int) -> tuple[int, ...]:
         return (J, d)
 
-    def move(self, ens: Ensemble, model, n: int, noise: Future, row, out, work) -> np.ndarray:
+    def move(self, ens: Ensemble, model, n: int, noise: Future, row, out, scratch) -> np.ndarray:
         cfg = self.config
         # the Gaussian proposal was fitted to this very ensemble, so its
         # moments are the ensemble's; a vMFN ensemble was resampled after
         # its fit
         if self.proposal == "vmfn":
-            moments = moments_of_ensemble(ens, work[0])
+            moments = moments_of_ensemble(ens, scratch)
         else:
             moments = model.mean, model.covariance
         h_next, err = self.ctrl.propose(moments, n)
@@ -371,7 +358,7 @@ class CbreeMover:
         beta, beta_capped, ess = solve_beta(log_w, self.ess_target)
         if ess is None:  # the solve stopped at a midpoint it did not evaluate
             ess = ess_from_log_weights(log_w, beta)
-        coeffs = coefficients_from_log_weights(ens.points, beta * log_w, beta, work[0])
+        coeffs = coefficients_from_log_weights(ens.points, beta * log_w, beta, scratch)
         self.ctrl.record(moments, coeffs, h_next)
 
         row.s = s_next
@@ -381,8 +368,8 @@ class CbreeMover:
         row.err = err
         row.ess = ess
         self.s = s_next
-        # the moments are taken, so work[0] is free for the step's product
-        return cbs_step(ens, coeffs, h_next, noise.result(), out, work[0])
+        # the moments are taken, so scratch is free for the step's product
+        return cbs_step(ens, coeffs, h_next, noise.result(), out, scratch)
 
 
 def run_cbree(problem: ProblemSpec, config: CbreeConfig) -> RunRecord:

@@ -94,7 +94,7 @@ class EnkfMover:
     def noise_shape(self, J: int, d: int) -> tuple[int, ...]:
         return (J,)
 
-    def move(self, ens, model, n, noise, row, out, work) -> np.ndarray:
+    def move(self, ens, model, n, noise, row, out, scratch) -> np.ndarray:
         row.h = self.h
         return enkf_step(ens, self.h, noise.result())
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,15 +5,11 @@ import pytest
 
 import cbree.bench
 from cbree.bench import (
-    BenchmarkResult,
     McConfig,
     rel_eff,
     rep_seed,
     run_benchmark,
     run_mc,
-    write_aggregate_csv,
-    write_aggregate_json,
-    write_runs_csv,
 )
 from cbree.driver import CbreeConfig
 from cbree.problems import get_problem
@@ -144,29 +139,3 @@ class TestRunBenchmark:
         result, rows = run_benchmark("mc", "linear", McConfig(n_particles=50_000), reps=3, master_seed=12)
         assert result.n_success == 3
         assert all(r["cost"] == 50_000 for r in rows)
-
-
-class TestWriters:
-    def test_runs_csv(self, tmp_path):
-        _, rows = run_benchmark("cbree", "linear", CbreeConfig(n_particles=300), reps=3, master_seed=13)
-        path = tmp_path / "runs.csv"
-        write_runs_csv(rows, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "rep,seed,estimate,cost,iterations,termination"
-        assert len(lines) == 4
-        # estimates round-trip exactly through repr
-        for line, row in zip(lines[1:], rows):
-            assert float(line.split(",")[2]) == row["estimate"]
-
-    def test_aggregate_json_and_csv(self, tmp_path):
-        result, _ = run_benchmark("cbree", "linear", CbreeConfig(n_particles=300), reps=3, master_seed=14)
-        jpath = tmp_path / "agg.json"
-        cpath = tmp_path / "agg.csv"
-        write_aggregate_json(result, jpath)
-        write_aggregate_csv(result, cpath)
-        data = json.loads(jpath.read_text())
-        assert data["method"] == "cbree"
-        assert data["problem"] == "linear"
-        assert data["reps"] == 3
-        header = cpath.read_text().splitlines()[0]
-        assert header.startswith("method,problem,n_particles,delta_target")

@@ -14,10 +14,10 @@ from cbree.cbs import (
     coefficients_from_log_weights,
     ess_from_log_weights,
     solve_beta,
-    write_ensemble_csv,
 )
 from cbree.densities import std_normal_logpdf
-from cbree.driver import CbreeConfig, run_cbree
+from cbree.driver import CbreeConfig, run_cbree, run_cbree_vmfn
+from cbree.enkf import EnkfConfig, run_enkf, run_enkf_vmfn
 from cbree.numkit import RandomStream, bisect, log_sum_exp
 from cbree.problems import get_problem
 from cbree.smoothing import log_smooth_indicator
@@ -141,14 +141,20 @@ class TestCbsStep:
         assert np.all(np.abs(stepped.mean(axis=0) - expected) < 3.0 * se)
 
     def test_cache_coherence(self):
-        # the step only moves particles; the run loop evaluates the moved
-        # ensemble, so the final ensemble's cached values are the limit state
-        # at its points
-        problem = get_problem("linear-3")
-        record = run_cbree(problem, CbreeConfig(n_particles=200, max_iter=3, seed=10))
-        final = record.final_ensemble
-        assert record.iterations == 3
-        assert np.array_equal(final.g_values, problem.lsf(final.points))
+        # the steps only move particles; the run loop evaluates the final
+        # ensemble of every runner, so its cached values are the limit state
+        # at its points (export-ensemble writes them)
+        for runner, config in (
+            (run_cbree, CbreeConfig(n_particles=200, max_iter=3, seed=10)),
+            (run_cbree_vmfn, CbreeConfig(n_particles=200, max_iter=3, seed=10)),
+            (run_enkf, EnkfConfig(n_particles=200, max_iter=3, seed=10)),
+            (run_enkf_vmfn, EnkfConfig(n_particles=200, max_iter=3, seed=10)),
+        ):
+            problem = get_problem("linear-3")
+            record = runner(problem, config)
+            final = record.final_ensemble
+            assert record.iterations == 3, runner.__name__
+            assert np.array_equal(final.g_values, problem.lsf(final.points)), runner.__name__
 
     def test_non_positive_h_rejected(self):
         with pytest.raises(ValueError):
@@ -463,16 +469,3 @@ class TestSolveBeta:
             assert solve_beta(ties, 2000.0)[:2] == (BETA_CAP, True)
         assert not capped
         assert abs(ess_from_log_weights(spread, beta) - 2001.0) <= 0.01
-
-
-class TestExport:
-    def test_csv_round_trip(self, tmp_path):
-        ens = make_ensemble(32, 7, 3)
-        path = tmp_path / "ensemble.csv"
-        write_ensemble_csv(ens, path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "x1,x2,x3,g"
-        assert len(rows) == 8
-        data = np.array([[float(v) for v in line.split(",")] for line in rows[1:]])
-        assert np.array_equal(data[:, :3], ens.points)
-        assert np.array_equal(data[:, 3], ens.g_values)

@@ -1,12 +1,14 @@
+import csv
 import json
 import math
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from cbree.bench import METHODS
+from cbree.bench import METHODS, audited_run, run_benchmark
 from cbree.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_config, main, parse_kv_file
 from cbree.driver import CbreeConfig, run_cbree
 from cbree.problems import get_problem
@@ -313,6 +315,83 @@ class TestCommands:
         )
         assert proc.returncode == EXIT_OK
         assert "oscillator" in proc.stdout
+
+
+class TestOutputs:
+    """The files each command writes, checked against the library's own
+    results for the same seeds."""
+
+    def test_run_json_round_trip(self, tmp_path, capsys):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("n_particles = 300\n")
+        out = tmp_path / "record"
+        argv = ["run", "--problem", "linear", "--method", "cbree", "--config", str(cfg), "--seed", "12"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        record = run_cbree(get_problem("linear"), CbreeConfig(n_particles=300, seed=12))
+        data = json.loads((tmp_path / "record.json").read_text())
+        assert data["termination"] == record.termination
+        assert data["estimate"] == record.estimate
+        assert len(data["trace"]) == len(record.trace)
+        assert data["proposal"]["type"] == "gaussian"
+        assert data == json.loads(json.dumps(record.to_json_dict()))
+
+    def test_run_trace_csv(self, tmp_path, capsys):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("n_particles = 300\n")
+        out = tmp_path / "record"
+        argv = ["run", "--problem", "linear", "--method", "cbree", "--config", str(cfg), "--seed", "13"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        record = run_cbree(get_problem("linear"), CbreeConfig(n_particles=300, seed=13))
+        lines = (tmp_path / "record.trace.csv").read_text().strip().splitlines()
+        assert lines[0] == "iter,s,beta,beta_capped,h,err,cv,pf_estimate,ess,cost_cum"
+        assert len(lines) == len(record.trace) + 1
+        for line, row in zip(lines[1:], record.trace):
+            assert float(line.split(",")[7]) == row.pf_estimate
+
+    def test_bench_runs_csv(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("method = cbree\nproblem = linear\nreps = 3\nseed = 13\nn_particles = 300\n")
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_OK
+        _, rows = run_benchmark("cbree", "linear", CbreeConfig(n_particles=300), reps=3, master_seed=13)
+        lines = (tmp_path / "cbree_linear_runs.csv").read_text().strip().splitlines()
+        assert lines[0] == "rep,seed,estimate,cost,iterations,termination"
+        assert len(lines) == 4
+        # estimates round-trip exactly through the float's repr
+        for line, row in zip(lines[1:], rows):
+            assert float(line.split(",")[2]) == row["estimate"]
+
+    def test_bench_aggregate_json_and_csv(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("method = cbree\nproblem = linear\nreps = 3\nseed = 14\nn_particles = 300\n")
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_OK
+        data = json.loads((tmp_path / "cbree_linear_aggregate.json").read_text())
+        assert data["method"] == "cbree"
+        assert data["problem"] == "linear"
+        assert data["reps"] == 3
+        with open(tmp_path / "cbree_linear_aggregate.csv", newline="") as fh:
+            header, row, *rest = csv.reader(fh)
+        assert rest == []
+        assert ",".join(header).startswith("method,problem,n_particles,delta_target")
+        # the CSV is the JSON's first twelve fields; csv writes None as ""
+        assert header == list(data)[:12]
+        assert row == ["" if v is None else str(v) for v in list(data.values())[:12]]
+        assert list(data)[12:] == ["pf_ref", "estimates", "config"]
+
+    def test_export_ensemble_round_trip(self, tmp_path, capsys):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("n_particles = 200\nmax_iter = 3\nseed = 11\n")
+        for method in ("cbree", "cbree-vmfn", "enkf", "enkf-vmfn"):
+            out = tmp_path / f"{method}.csv"
+            argv = ["export-ensemble", "--problem", "linear-3", "--method", method]
+            assert main(argv + ["--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            rows = out.read_text().strip().splitlines()
+            assert rows[0] == "x1,x2,x3,g"
+            assert len(rows) == 201
+            data = np.array([[float(v) for v in line.split(",")] for line in rows[1:]])
+            config = build_config(method, parse_kv_file(cfg))
+            final = audited_run(method, "linear-3", config).final_ensemble
+            assert np.array_equal(data[:, :3], final.points), method
+            assert np.array_equal(data[:, 3], final.g_values), method
 
 
 # run in a fresh interpreter, so that no other test has imported scipy yet

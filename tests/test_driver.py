@@ -243,26 +243,6 @@ class TestRunCbree:
         assert observed / predicted < 3.0
         assert observed / predicted > 1.0 / 3.0
 
-    def test_json_round_trip(self, tmp_path):
-        record = run_cbree(get_problem("linear"), CbreeConfig(n_particles=300, seed=12))
-        path = tmp_path / "record.json"
-        record.write_json(path)
-        import json
-
-        data = json.loads(path.read_text())
-        assert data["termination"] == record.termination
-        assert data["estimate"] == pytest.approx(record.estimate)
-        assert len(data["trace"]) == len(record.trace)
-        assert data["proposal"]["type"] == "gaussian"
-
-    def test_trace_csv(self, tmp_path):
-        record = run_cbree(get_problem("linear"), CbreeConfig(n_particles=300, seed=13))
-        path = tmp_path / "trace.csv"
-        record.write_trace_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iter,s,beta,beta_capped,h,err,cv,pf_estimate,ess,cost_cum"
-        assert len(lines) == len(record.trace) + 1
-
     def test_ess_pinned_at_half_ensemble(self):
         record = run_cbree(get_problem("linear"), CbreeConfig(n_particles=600, seed=15))
         for row in record.trace:
