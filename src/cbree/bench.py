@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -49,21 +49,43 @@ class McConfig:
 
 @dataclass
 class BenchmarkResult:
+    """Seeded runs of one (method, problem) cell and their aggregates.
+
+    ``records`` are the runs in repetition order, without their final
+    ensembles.  The error and cost statistics cover the runs that stopped
+    before ``max_iter``; they are ``None`` when there are none, and the
+    error statistics also when the problem has no reference probability.
+    """
+
     method: str
     problem: str
     config: dict
-    reps: int
-    n_success: int
-    estimates: list[float]  # successful runs only
-    mse: float | None
-    rel_rmse: float | None
-    mean_cost: float | None
-    rel_eff: float | None
     pf_ref: float | None
+    records: list[RunRecord]
+    mse: float | None = field(init=False, default=None)
+    rel_rmse: float | None = field(init=False, default=None)
+    mean_cost: float | None = field(init=False, default=None)
+    rel_eff: float | None = field(init=False, default=None)
+
+    def __post_init__(self) -> None:
+        good = [r for r in self.records if r.termination != "max_iter"]
+        if not good:
+            return
+        self.mean_cost = float(np.mean([r.cost for r in good]))
+        if self.pf_ref is not None:
+            errors = np.asarray([r.estimate for r in good]) - self.pf_ref
+            self.mse = float(np.mean(errors**2))
+            self.rel_rmse = math.sqrt(self.mse) / self.pf_ref
+            self.rel_eff = rel_eff(self.mse, self.mean_cost, self.pf_ref)
+
+    @property
+    def estimates(self) -> list[float]:
+        """The estimates of the runs that stopped before ``max_iter``."""
+        return [r.estimate for r in self.records if r.termination != "max_iter"]
 
     @property
     def success_rate(self) -> float:
-        return self.n_success / self.reps if self.reps else 0.0
+        return len(self.estimates) / len(self.records)
 
 
 def rel_eff(mse: float, mean_cost: float, pf_ref: float) -> float:
@@ -157,66 +179,29 @@ def run_benchmark(
     reps: int,
     master_seed: int = 0,
     jobs: int = 1,
-) -> tuple[BenchmarkResult, list[dict]]:
-    """K seeded repetitions of one (method, problem) cell plus aggregates.
+) -> BenchmarkResult:
+    """``reps`` seeded repetitions of one (method, problem) cell on up to
+    ``jobs`` worker processes.
 
     Runs that never triggered a stopping criterion (``max_iter``) count as
-    failures and are excluded from the error statistics.  Output ordering is
-    fixed by repetition index regardless of worker scheduling, since
-    ``pool.map`` returns results in input order.
+    failures and are excluded from the error statistics.  The records keep
+    repetition order regardless of worker scheduling, since ``pool.map``
+    returns results in input order.
     """
     if method not in METHODS:
         raise KeyError(f"unknown method: {method!r}")
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     if master_seed < 0:
         raise ValueError(f"master_seed must be non-negative, got {master_seed}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     problem = get_problem(problem_name)  # validates the name eagerly
     work = [(method, problem_name, config, master_seed, rep) for rep in range(reps)]
     workers = min(jobs, reps)  # the pool starts every worker up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_one_rep, work))
+            records = list(pool.map(_one_rep, work))
     else:
-        outcomes = [_one_rep(w) for w in work]
-
-    run_rows = []
-    good_estimates = []
-    good_costs = []
-    for rep, record in enumerate(outcomes):
-        run_rows.append(
-            {
-                "rep": rep,
-                "seed": record.seed,
-                "estimate": record.estimate,
-                "cost": record.cost,
-                "iterations": record.iterations,
-                "termination": record.termination,
-            }
-        )
-        if record.termination != "max_iter":
-            good_estimates.append(record.estimate)
-            good_costs.append(record.cost)
-
-    pf_ref = problem.pf_ref
-    n_success = len(good_estimates)
-    mse = rrmse = eff = mean_cost = None
-    if n_success:
-        mean_cost = float(np.mean(good_costs))
-        if pf_ref is not None:
-            errors = np.asarray(good_estimates) - pf_ref
-            mse = float(np.mean(errors**2))
-            rrmse = math.sqrt(mse) / pf_ref
-            eff = rel_eff(mse, mean_cost, pf_ref)
-    result = BenchmarkResult(
-        method=method,
-        problem=problem_name,
-        config=asdict(config),
-        reps=reps,
-        n_success=n_success,
-        estimates=good_estimates,
-        mse=mse,
-        rel_rmse=rrmse,
-        mean_cost=mean_cost,
-        rel_eff=eff,
-        pf_ref=pf_ref,
-    )
-    return result, run_rows
+        records = [_one_rep(w) for w in work]
+    return BenchmarkResult(method, problem_name, asdict(config), problem.pf_ref, records)

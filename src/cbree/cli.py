@@ -118,7 +118,7 @@ def _aggregate(result: BenchmarkResult) -> dict:
         "delta_target": cfg.get("delta_target"),
         "eps_target": cfg.get("eps_target"),
         "n_obs": cfg.get("n_obs"),
-        "reps": result.reps,
+        "reps": len(result.records),
         "success_rate": result.success_rate,
         "mse": result.mse,
         "rel_rmse": result.rel_rmse,
@@ -183,14 +183,15 @@ def _cmd_bench(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {args.jobs}")
     config = build_config(method, entries)
-    result, rows = run_benchmark(
-        method, problem, config, reps=reps, master_seed=master_seed, jobs=args.jobs
-    )
+    result = run_benchmark(method, problem, config, reps=reps, master_seed=master_seed, jobs=args.jobs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{method}_{problem}"
-    run_rows = ([row[c] for c in RUN_CSV_COLUMNS] for row in rows)
-    _write_csv(out_dir / f"{stem}_runs.csv", RUN_CSV_COLUMNS, run_rows)
+    rows = (
+        (rep, r.seed, r.estimate, r.cost, r.iterations, r.termination)
+        for rep, r in enumerate(result.records)
+    )
+    _write_csv(out_dir / f"{stem}_runs.csv", RUN_CSV_COLUMNS, rows)
     aggregate = _aggregate(result)
     _write_json(
         out_dir / f"{stem}_aggregate.json",

@@ -65,8 +65,8 @@ class CbreeConfig:
         if self.n_particles < 3:
             # the ESS target J/2 must lie strictly between 1 and J
             raise ValueError("n_particles must be at least 3")
-        if not (self.delta_target > 0 and self.eps_target > 0):  # NaN fails too
-            raise ValueError("delta_target and eps_target must be positive")
+        if not (0 < self.delta_target < math.inf and 0 < self.eps_target < math.inf):  # NaN fails too
+            raise ValueError("delta_target and eps_target must be positive and finite")
         if self.n_obs != 0 and self.n_obs < 2:
             raise ValueError("n_obs must be 0 (disabled) or >= 2")
         if self.max_iter < 0:

@@ -42,10 +42,10 @@ class EnkfConfig:
     def validate(self) -> None:
         if self.n_particles < 2:
             raise ValueError("n_particles must be at least 2")
-        if not self.h > 0:
-            raise ValueError("h must be positive")
-        if not self.delta_target > 0:
-            raise ValueError("delta_target must be positive")
+        if not 0 < self.h < math.inf:  # NaN fails too
+            raise ValueError("h must be positive and finite")
+        if not 0 < self.delta_target < math.inf:
+            raise ValueError("delta_target must be positive and finite")
         if self.max_iter < 0:
             raise ValueError("max_iter must be non-negative")
         if self.seed < 0:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import cbree
-from cbree.bench import McConfig, rep_seed, run_benchmark
+from cbree.bench import McConfig, run_benchmark
 from cbree.cbs import coefficients_from_log_weights, ess_from_log_weights, solve_beta
 from cbree.densities import gaussian_logpdf, gaussian_sample, make_gaussian, std_normal_logpdf
 from cbree.numkit import RandomStream
@@ -30,22 +30,13 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}", flush=True)
 
 
-def run_many(runner, problem_name, reps, master, **config):
-    records = []
-    for rep in range(reps):
-        problem = get_problem(problem_name)
-        cfg = cbree.CbreeConfig(seed=rep_seed(master, rep), **config)
-        records.append(runner(problem, cfg))
-    return records
-
-
 def test_c1_linear_2d_median_and_success():
-    records = run_many(
-        cbree.run_cbree, "linear", 20, 11,
-        n_particles=2000, delta_target=1.0, eps_target=1.0, n_obs=2,
+    result = run_benchmark(
+        "cbree", "linear",
+        cbree.CbreeConfig(n_particles=2000, delta_target=1.0, eps_target=1.0, n_obs=2), 20, 11,
     )
-    median = float(np.median([r.estimate for r in records]))
-    success = float(np.mean([r.termination != "max_iter" for r in records]))
+    median = float(np.median([r.estimate for r in result.records]))
+    success = result.success_rate
     rel = median / PF_LINEAR - 1.0
     ok = abs(rel) <= 0.15 and success >= 0.90
     report("C1 linear d=2", ok, f"median={median:.4e} rel={rel:+.1%} success={success:.0%}")
@@ -58,18 +49,18 @@ def test_c2_linear_50d_vmfn_vs_gaussian():
     # reported behavior ("no stopping criterion inside 100 iterations" for
     # the plain-Gaussian variant) and the step tolerance follows the
     # high-dimensional experiment setup
-    vmfn = run_many(
-        cbree.run_cbree_vmfn, "linear-50", 20, 41,
-        n_particles=4000, delta_target=4.0, eps_target=0.5, n_obs=0,
+    vmfn = run_benchmark(
+        "cbree-vmfn", "linear-50",
+        cbree.CbreeConfig(n_particles=4000, delta_target=4.0, eps_target=0.5, n_obs=0), 20, 41,
     )
-    median = float(np.median([r.estimate for r in vmfn]))
+    median = float(np.median([r.estimate for r in vmfn.records]))
     rel = median / PF_LINEAR - 1.0
 
-    gauss = run_many(
-        cbree.run_cbree, "linear-50", 20, 61,
-        n_particles=4000, delta_target=2.0, eps_target=0.5, n_obs=0,
+    gauss = run_benchmark(
+        "cbree", "linear-50",
+        cbree.CbreeConfig(n_particles=4000, delta_target=2.0, eps_target=0.5, n_obs=0), 20, 61,
     )
-    non_converged = float(np.mean([r.termination != "converged" for r in gauss]))
+    non_converged = float(np.mean([r.termination != "converged" for r in gauss.records]))
     ok = abs(rel) <= 0.30 and non_converged >= 0.50
     report(
         "C2 linear d=50", ok,
@@ -91,11 +82,11 @@ def test_c3_flowrate_oracle_and_cbree():
     se = math.sqrt(oracle * (1.0 - oracle) / 1e6)
     oracle_ok = abs(oracle - PF_FLOWRATE_REPORTED) <= 3.0 * se
 
-    records = run_many(
-        cbree.run_cbree, "flowrate", 20, 31,
-        n_particles=4000, delta_target=1.0, eps_target=1.0, n_obs=2,
+    result = run_benchmark(
+        "cbree", "flowrate",
+        cbree.CbreeConfig(n_particles=4000, delta_target=1.0, eps_target=1.0, n_obs=2), 20, 31,
     )
-    median = float(np.median([r.estimate for r in records]))
+    median = float(np.median([r.estimate for r in result.records]))
     rel = median / oracle - 1.0
     ok = oracle_ok and abs(rel) <= 0.30
     report(
@@ -108,26 +99,22 @@ def test_c3_flowrate_oracle_and_cbree():
 
 
 def test_c4_oscillator_median_and_efficiency():
-    records = run_many(
-        cbree.run_cbree, "oscillator", 20, 21,
-        n_particles=6000, delta_target=1.0, eps_target=1.0, n_obs=2,
+    result = run_benchmark(
+        "cbree", "oscillator",
+        cbree.CbreeConfig(n_particles=6000, delta_target=1.0, eps_target=1.0, n_obs=2), 20, 21,
     )
-    estimates = np.array([r.estimate for r in records])
-    median = float(np.median(estimates))
+    median = float(np.median([r.estimate for r in result.records]))
     rel = median / PF_OSCILLATOR - 1.0
-    mse = float(np.mean((estimates - PF_OSCILLATOR) ** 2))
-    mean_cost = float(np.mean([r.cost for r in records]))
-    eff = cbree.rel_eff(mse, mean_cost, PF_OSCILLATOR)
     ok = abs(rel) <= 0.30
     report(
         "C4 oscillator", ok,
-        f"median={median:.4e} rel={rel:+.1%} relEff={eff:.2f} (reported, no hard bound)",
+        f"median={median:.4e} rel={rel:+.1%} relEff={result.rel_eff:.2f} (reported, no hard bound)",
     )
     assert abs(rel) <= 0.30
 
 
 def test_c5_crude_mc_efficiency_calibration():
-    result, _ = run_benchmark(
+    result = run_benchmark(
         "mc", "linear", McConfig(n_particles=100_000), reps=50, master_seed=71
     )
     ok = 0.5 <= result.rel_eff <= 2.0
@@ -291,14 +278,11 @@ def test_c8_invariant_suite():
 
 def test_c9_parameter_study_smoke():
     def cell(delta, n_obs):
-        records = run_many(
-            cbree.run_cbree, "oscillator", 30, 91,
-            n_particles=6000, delta_target=delta, eps_target=1.0, n_obs=n_obs,
+        result = run_benchmark(
+            "cbree", "oscillator",
+            cbree.CbreeConfig(n_particles=6000, delta_target=delta, eps_target=1.0, n_obs=n_obs), 30, 91,
         )
-        success = [r.termination != "max_iter" for r in records]
-        good = np.array([r.estimate for r, s in zip(records, success) if s])
-        rrmse = float(np.sqrt(np.mean((good - PF_OSCILLATOR) ** 2)) / PF_OSCILLATOR)
-        return rrmse, float(np.mean(success))
+        return result.rel_rmse, result.success_rate
 
     rrmse_tight, success_tight = cell(1.0, 2)
     rrmse_loose, _ = cell(8.0, 2)

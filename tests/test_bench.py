@@ -58,16 +58,17 @@ class TestRunMc:
 class TestRunBenchmark:
     def test_deterministic(self):
         cfg = CbreeConfig(n_particles=400)
-        r1, rows1 = run_benchmark("cbree", "linear", cfg, reps=4, master_seed=7)
-        r2, rows2 = run_benchmark("cbree", "linear", cfg, reps=4, master_seed=7)
-        assert rows1 == rows2
+        r1 = run_benchmark("cbree", "linear", cfg, reps=4, master_seed=7)
+        r2 = run_benchmark("cbree", "linear", cfg, reps=4, master_seed=7)
+        # to_json_dict writes NaN as null, so equal traces compare equal
+        assert [r.to_json_dict() for r in r1.records] == [r.to_json_dict() for r in r2.records]
         assert r1.mse == r2.mse
 
     def test_parallel_matches_serial(self):
         cfg = CbreeConfig(n_particles=400)
-        serial, rows_s = run_benchmark("cbree", "linear", cfg, reps=4, master_seed=8, jobs=1)
-        parallel, rows_p = run_benchmark("cbree", "linear", cfg, reps=4, master_seed=8, jobs=2)
-        assert rows_s == rows_p
+        serial = run_benchmark("cbree", "linear", cfg, reps=4, master_seed=8, jobs=1)
+        parallel = run_benchmark("cbree", "linear", cfg, reps=4, master_seed=8, jobs=2)
+        assert [r.to_json_dict() for r in serial.records] == [r.to_json_dict() for r in parallel.records]
         assert serial.mse == parallel.mse
 
     def test_pool_sized_by_reps(self, monkeypatch):
@@ -100,11 +101,16 @@ class TestRunBenchmark:
 
     def test_aggregates_recomputable_from_rows(self):
         cfg = CbreeConfig(n_particles=500)
-        result, rows = run_benchmark("cbree", "linear", cfg, reps=6, master_seed=9)
-        good = [r for r in rows if r["termination"] != "max_iter"]
+        result = run_benchmark("cbree", "linear", cfg, reps=6, master_seed=9)
+        assert len(result.records) == 6
+        assert [r.seed for r in result.records] == [rep_seed(9, rep) for rep in range(6)]
+        assert all(r.final_ensemble is None for r in result.records)
+        good = [r for r in result.records if r.termination != "max_iter"]
+        assert result.estimates == [r.estimate for r in good]
+        assert result.success_rate == len(good) / 6
         pf = get_problem("linear").pf_ref
-        mse = float(np.mean([(r["estimate"] - pf) ** 2 for r in good]))
-        cost = float(np.mean([r["cost"] for r in good]))
+        mse = float(np.mean([(r.estimate - pf) ** 2 for r in good]))
+        cost = float(np.mean([r.cost for r in good]))
         assert result.mse == pytest.approx(mse, rel=1e-15)
         assert result.mean_cost == pytest.approx(cost, rel=1e-15)
         assert result.rel_eff == pytest.approx(pf * (1 - pf) / (mse * cost), rel=1e-12)
@@ -113,14 +119,26 @@ class TestRunBenchmark:
     def test_max_iter_runs_excluded_unless_flagged(self):
         # a zero iteration budget ends every run at the cap
         cfg = CbreeConfig(n_particles=300, max_iter=0)
-        result, rows = run_benchmark("cbree", "linear", cfg, reps=3, master_seed=10)
-        assert all(r["termination"] == "max_iter" for r in rows)
-        assert result.n_success == 0
+        result = run_benchmark("cbree", "linear", cfg, reps=3, master_seed=10)
+        assert all(r.termination == "max_iter" for r in result.records)
+        assert result.estimates == []
+        assert result.success_rate == 0.0
         assert result.mse is None
+        assert result.mean_cost is None
 
     def test_negative_master_seed_rejected(self):
         with pytest.raises(ValueError, match="master_seed must be non-negative, got -3"):
             run_benchmark("mc", "linear", McConfig(n_particles=100), reps=1, master_seed=-3)
+
+    @pytest.mark.parametrize(
+        "reps, jobs, message",
+        [(0, 1, "reps must be at least 1, got 0"), (1, 0, "jobs must be at least 1, got 0"),
+         (1, -1, "jobs must be at least 1, got -1")],
+        ids=["reps-zero", "jobs-zero", "jobs-negative"],
+    )
+    def test_reps_and_jobs_below_one_rejected(self, reps, jobs, message):
+        with pytest.raises(ValueError, match=message):
+            run_benchmark("mc", "linear", McConfig(n_particles=1000), reps=reps, jobs=jobs)
 
     def test_unknown_method_or_problem(self):
         with pytest.raises(KeyError):
@@ -131,11 +149,11 @@ class TestRunBenchmark:
     def test_monotone_rrmse_in_sample_size(self):
         # convergence sanity on the hyperplane problem: quadrupling J should
         # not worsen the relative error, up to benchmark noise
-        small, _ = run_benchmark("cbree", "linear", CbreeConfig(n_particles=1000), reps=50, master_seed=11)
-        large, _ = run_benchmark("cbree", "linear", CbreeConfig(n_particles=4000), reps=50, master_seed=11)
+        small = run_benchmark("cbree", "linear", CbreeConfig(n_particles=1000), reps=50, master_seed=11)
+        large = run_benchmark("cbree", "linear", CbreeConfig(n_particles=4000), reps=50, master_seed=11)
         assert large.rel_rmse <= small.rel_rmse
 
     def test_mc_method_dispatch(self):
-        result, rows = run_benchmark("mc", "linear", McConfig(n_particles=50_000), reps=3, master_seed=12)
-        assert result.n_success == 3
-        assert all(r["cost"] == 50_000 for r in rows)
+        result = run_benchmark("mc", "linear", McConfig(n_particles=50_000), reps=3, master_seed=12)
+        assert result.success_rate == 1.0
+        assert all(r.cost == 50_000 for r in result.records)

@@ -1,6 +1,5 @@
 import csv
 import json
-import math
 import re
 import subprocess
 import sys
@@ -169,16 +168,20 @@ class TestCommands:
         [("cbree", "delta_target"), ("cbree", "eps_target"), ("enkf", "delta_target"), ("enkf", "h")],
     )
     def test_nan_tolerance_is_config_error(self, tmp_path, capsys, method, key):
-        # NaN compares false with everything, so it must not pass as positive
-        config = METHODS[method][0]()
-        setattr(config, key, math.nan)
-        with pytest.raises(ValueError, match=key):
-            config.validate()
-        cfg = tmp_path / "nan.cfg"
-        cfg.write_text(f"n_particles = 200\nmax_iter = 5\n{key} = nan\n")
-        code = main(["run", "--problem", "linear", "--method", method, "--config", str(cfg)])
-        assert code == EXIT_CONFIG
-        assert key in capsys.readouterr().err
+        # NaN compares false with everything, so it must not pass as
+        # positive; an infinite delta_target (1e400 parses to inf) would end
+        # a run as converged at iteration 0 with estimate 0, and an infinite
+        # eps_target would let h only grow
+        for value in ("nan", "inf", "1e400"):
+            config = METHODS[method][0]()
+            setattr(config, key, float(value))
+            with pytest.raises(ValueError, match=f"{key}.* must be positive and finite"):
+                config.validate()
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"n_particles = 200\nmax_iter = 5\n{key} = {value}\n")
+            code = main(["run", "--problem", "linear", "--method", method, "--config", str(cfg)])
+            assert code == EXIT_CONFIG, value
+            assert key in capsys.readouterr().err
 
     def test_run_uses_the_config_file_seed(self, tmp_path, capsys):
         cfg = tmp_path / "seeded.cfg"
@@ -352,13 +355,16 @@ class TestOutputs:
         cfg = tmp_path / "bench.cfg"
         cfg.write_text("method = cbree\nproblem = linear\nreps = 3\nseed = 13\nn_particles = 300\n")
         assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_OK
-        _, rows = run_benchmark("cbree", "linear", CbreeConfig(n_particles=300), reps=3, master_seed=13)
+        result = run_benchmark("cbree", "linear", CbreeConfig(n_particles=300), reps=3, master_seed=13)
         lines = (tmp_path / "cbree_linear_runs.csv").read_text().strip().splitlines()
         assert lines[0] == "rep,seed,estimate,cost,iterations,termination"
         assert len(lines) == 4
         # estimates round-trip exactly through the float's repr
-        for line, row in zip(lines[1:], rows):
-            assert float(line.split(",")[2]) == row["estimate"]
+        for rep, (line, record) in enumerate(zip(lines[1:], result.records)):
+            fields = line.split(",")
+            assert fields[:2] == [str(rep), str(record.seed)]
+            assert float(fields[2]) == record.estimate
+            assert fields[3:] == [str(record.cost), str(record.iterations), record.termination]
 
     def test_bench_aggregate_json_and_csv(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"
