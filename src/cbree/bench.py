@@ -33,14 +33,14 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class McConfig:
     """Crude Monte Carlo baseline: sample size and seed only."""
 
     n_particles: int = 100000
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_particles < 1:
             raise ValueError("n_particles must be positive")
         if self.seed < 0:
@@ -108,7 +108,6 @@ def run_mc(problem, config: McConfig) -> RunRecord:
     Evaluates in batches of :data:`MC_BATCH` points; the estimate is the
     failure fraction and the cost equals the sample size.
     """
-    config.validate()
     stream = RandomStream(config.seed, (0,))
     n = config.n_particles
     fails = 0

@@ -44,8 +44,8 @@ def parse_kv_file(path) -> dict[str, str]:
     """Parse flat ``key = value`` lines; '#' starts a comment."""
     entries: dict[str, str] = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -74,20 +74,19 @@ def build_config(method: str, entries: dict[str, str], seed: int | None = None):
     a ``seed`` given here overrides theirs."""
     if method not in METHODS:
         raise ConfigError(f"unknown method: {method!r}")
-    config = METHODS[method][0]()
-    fields = {f.name for f in dataclasses.fields(config)}
+    config_class = METHODS[method][0]
+    types = {f.name: type(f.default) for f in dataclasses.fields(config_class)}
+    kwargs = {}
     for key, value in entries.items():
-        if key not in fields:
+        if key not in types:
             raise ConfigError(f"unknown config key for method {method!r}: {key!r}")
-        current = getattr(config, key)
-        setattr(config, key, _coerce(value, type(current), key))
+        kwargs[key] = _coerce(value, types[key], key)
     if seed is not None:
-        config.seed = int(seed)
+        kwargs["seed"] = int(seed)
     try:
-        config.validate()
+        return config_class(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return config
 
 
 def _write_csv(path, header, rows) -> None:

@@ -46,9 +46,10 @@ __all__ = [
     "run_cbree_vmfn",
 ]
 
-@dataclass
+@dataclass(frozen=True)
 class CbreeConfig:
-    """All tunables of one run.
+    """All tunables of one run, checked when the config is built; use
+    :func:`dataclasses.replace` to vary one.
 
     ``n_obs = 0`` disables the divergence check; when active it must be at
     least 2 so a slope can be fitted.
@@ -61,7 +62,7 @@ class CbreeConfig:
     max_iter: int = 100
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_particles < 3:
             # the ESS target J/2 must lie strictly between 1 and J
             raise ValueError("n_particles must be at least 3")
@@ -157,18 +158,13 @@ def is_estimate(
     return float(weights.mean()), weights
 
 
-def divergence_check(cv_history, n_obs: int) -> bool:
-    """Positive least-squares slope of the CV over the last ``n_obs`` values.
+def divergence_check(window) -> bool:
+    """Positive least-squares slope of the CV over ``window``, the latest
+    ``n_obs`` values.
 
     Infinite CV entries carry no information (no or one-point failure mass),
     so a window holding any non-finite entry never signals divergence.
     """
-    if n_obs < 2:
-        raise ValueError("n_obs must be at least 2 for the divergence check")
-    hist = np.asarray(cv_history, dtype=float)
-    if hist.size < n_obs:
-        return False
-    window = hist[-n_obs:]
     return bool(np.all(np.isfinite(window))) and ls_slope(window) > 0.0
 
 
@@ -214,10 +210,7 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
     evaluations to the cost: the initial ensemble, each fresh batch and each
     moved ensemble, except a moved one that the next fresh batch replaces.
     """
-    config.validate()
     d = problem.dim
-    if d < 1:
-        raise ValueError("problem dimension must be at least 1")
     vmfn = mover.proposal == "vmfn"
     if vmfn and d < 2:
         raise ValueError("the vMFN proposal requires dimension >= 2")
@@ -277,7 +270,7 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
             if cv <= config.delta_target:
                 termination = "converged"
             elif mover.n_obs > 0 and n >= mover.n_obs and divergence_check(
-                [r.cv for r in trace[-mover.n_obs :]], mover.n_obs
+                [r.cv for r in trace[-mover.n_obs :]]
             ):
                 termination = "diverged"
                 estimate = float(np.mean([r.pf_estimate for r in trace[-mover.n_obs :]]))

@@ -28,7 +28,7 @@ from .problems import ProblemSpec
 __all__ = ["EnkfConfig", "enkf_step", "run_enkf", "run_enkf_vmfn"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnkfConfig:
     """Tunables of one baseline run; ``h`` scales the observation noise
     variance as ``1/h``."""
@@ -39,7 +39,7 @@ class EnkfConfig:
     max_iter: int = 100
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_particles < 2:
             raise ValueError("n_particles must be at least 2")
         if not 0 < self.h < math.inf:  # NaN fails too

@@ -72,7 +72,7 @@ class CountedLsf:
             return self._count
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
     """A named limit-state evaluator plus its metadata.
 
@@ -85,6 +85,10 @@ class ProblemSpec:
     lsf: CountedLsf
     pf_ref: float | None = None
     pf_ref_source: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ValueError("problem dimension must be at least 1")
 
     @property
     def evaluations(self) -> int:

@@ -15,22 +15,12 @@ import numpy as np
 from .numkit import bisect
 
 __all__ = [
-    "smooth_indicator",
     "log_smooth_indicator",
     "empirical_cv",
     "update_smoothing",
 ]
 
 LIP_S = 1.0  # an update with stepsize h raises s by at most LIP_S * h
-
-
-def smooth_indicator(g, s):
-    """Logistic surrogate of the failure indicator, in [0, 1].
-
-    ``I(0, s) = I(g, 0) = 1/2``; monotone non-increasing in ``g``.
-    """
-    t = np.clip(np.multiply(s, np.asarray(g, dtype=float)), -1e150, 1e150)
-    return 0.5 * (1.0 - t / np.sqrt(t * t + 1.0))
 
 
 def log_smooth_indicator(g, s):

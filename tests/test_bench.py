@@ -12,7 +12,7 @@ from cbree.bench import (
     run_mc,
 )
 from cbree.driver import CbreeConfig
-from cbree.problems import get_problem
+from cbree.problems import CountedLsf, ProblemSpec, get_problem
 
 
 class TestRelEff:
@@ -53,6 +53,13 @@ class TestRunMc:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             run_mc(get_problem("linear"), McConfig(n_particles=100, seed=-1))
+
+    def test_zero_dimension_rejected(self):
+        # the spec rejects it when built, so no method runs on it, crude
+        # Monte Carlo included
+        never_fails = CountedLsf(lambda x: np.ones(len(x)))
+        with pytest.raises(ValueError, match="problem dimension must be at least 1"):
+            run_mc(ProblemSpec(name="z", dim=0, lsf=never_fails), McConfig(n_particles=1000))
 
 
 class TestRunBenchmark:

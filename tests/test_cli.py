@@ -142,6 +142,13 @@ class TestCommands:
         code = main(["run", "--problem", "linear", "--method", "cbree", "--config", str(bad)])
         assert code == EXIT_CONFIG
 
+    def test_run_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"n_particles = 300\xff\n")
+        code = main(["run", "--problem", "linear", "--method", "cbree", "--config", str(bad)])
+        assert code == EXIT_CONFIG
+        assert f"cannot read config file {bad}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "method, stale",
         [
@@ -173,10 +180,8 @@ class TestCommands:
         # a run as converged at iteration 0 with estimate 0, and an infinite
         # eps_target would let h only grow
         for value in ("nan", "inf", "1e400"):
-            config = METHODS[method][0]()
-            setattr(config, key, float(value))
             with pytest.raises(ValueError, match=f"{key}.* must be positive and finite"):
-                config.validate()
+                METHODS[method][0](**{key: float(value)})
             cfg = tmp_path / "bad.cfg"
             cfg.write_text(f"n_particles = 200\nmax_iter = 5\n{key} = {value}\n")
             code = main(["run", "--problem", "linear", "--method", method, "--config", str(cfg)])

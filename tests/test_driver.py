@@ -1,13 +1,14 @@
 import math
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
 import cbree.densities
 import cbree.driver
+from cbree.bench import McConfig
 from cbree.cbs import Ensemble
 from cbree.densities import gaussian_fit, gaussian_sample, make_gaussian
 from cbree.driver import (
@@ -97,32 +98,29 @@ class TestChecks:
         assert not empirical_cv(w) <= 1.0
 
     def test_divergence_up_window(self):
-        assert divergence_check([1.0, 2.0], 2)
+        assert divergence_check([1.0, 2.0])
 
     def test_divergence_constant_window_strict(self):
-        assert not divergence_check([2.0, 2.0], 2)
+        assert not divergence_check([2.0, 2.0])
 
     def test_divergence_three_point_slope(self):
-        assert not divergence_check([3.0, 1.0, 2.0], 3)  # slope -0.5
-        assert divergence_check([1.0, 2.0, 3.5], 3)
-
-    def test_divergence_short_history(self):
-        assert not divergence_check([1.0], 2)
+        assert not divergence_check([3.0, 1.0, 2.0])  # slope -0.5
+        assert divergence_check([1.0, 2.0, 3.5])
 
     def test_divergence_suppressed_without_finite(self):
-        assert not divergence_check([math.inf, math.inf, math.inf], 2)
+        assert not divergence_check([math.inf, math.inf])
 
     def test_divergence_suppressed_on_infinite_newest(self):
-        assert not divergence_check([1.0, math.inf], 2)
+        assert not divergence_check([1.0, math.inf])
 
     def test_divergence_sentinel_on_older_entries(self):
         # a window holding an infinite older entry never signals divergence
-        assert not divergence_check([math.inf, 5.0], 2)
-        assert not divergence_check([1.0, math.inf, 20.0], 3)
+        assert not divergence_check([math.inf, 5.0])
+        assert not divergence_check([1.0, math.inf, 20.0])
 
     def test_divergence_needs_two(self):
         with pytest.raises(ValueError):
-            divergence_check([1.0, 2.0], 1)
+            divergence_check([2.0])
 
 
 class TestRunCbree:
@@ -210,9 +208,26 @@ class TestRunCbree:
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
-            CbreeConfig(n_obs=1).validate()
+            CbreeConfig(n_obs=1)
         with pytest.raises(ValueError):
-            CbreeConfig(delta_target=0.0).validate()
+            CbreeConfig(delta_target=0.0)
+
+    @pytest.mark.parametrize(
+        "config_class, n_particles", [(CbreeConfig, 1), (EnkfConfig, 1), (McConfig, 0)]
+    )
+    def test_replace_checks_the_new_config(self, config_class, n_particles):
+        with pytest.raises(ValueError, match="n_particles must be"):
+            replace(config_class(), n_particles=n_particles)
+
+    @pytest.mark.parametrize(
+        "value",
+        [CbreeConfig(), EnkfConfig(), McConfig(), get_problem("linear")],
+        ids=["CbreeConfig", "EnkfConfig", "McConfig", "ProblemSpec"],
+    )
+    def test_run_inputs_are_frozen(self, value):
+        for f in fields(value):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
 
     def test_negative_seed_rejected_before_the_run(self):
         # numpy's SeedSequence would fail later with a bare message

@@ -156,9 +156,9 @@ class TestRunEnkf:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            EnkfConfig(h=0.0).validate()
+            EnkfConfig(h=0.0)
         with pytest.raises(ValueError):
-            EnkfConfig(n_particles=1).validate()
+            EnkfConfig(n_particles=1)
         with pytest.raises(ValueError, match="seed must be non-negative, got -2"):
             run_enkf(get_problem("linear"), EnkfConfig(n_particles=50, seed=-2))
         with pytest.raises(ValueError):

@@ -54,6 +54,7 @@ CELLS = (
         dict(n_particles=4000, delta_target=4.0, eps_target=0.5, n_obs=0, max_iter=12),
     ),
     ("enkf-linear", "enkf", "linear", 16, dict(n_particles=500, max_iter=30)),
+    ("enkf-vmfn-linear", "enkf-vmfn", "linear-4", 19, dict(n_particles=500, max_iter=6)),
     ("mc-linear", "mc", "linear", 17, dict(n_particles=50_000)),
 )
 
