@@ -25,6 +25,7 @@ __all__ = [
     "CbsCoefficients",
     "coefficients_from_log_weights",
     "cbs_step",
+    "step_is_exact",
     "ess_from_log_weights",
     "solve_beta",
 ]
@@ -87,6 +88,14 @@ def coefficients_from_log_weights(
     return CbsCoefficients(m_beta=mean, c_beta_sq=c_sq, c_beta_factor=factor)
 
 
+def step_is_exact(h: float) -> bool:
+    """Whether a step of size ``h`` forgets the positions it starts from:
+    once ``alpha = exp(-h)`` underflows to 0 (h above about 745) the new
+    points are exact draws from ``N(m_beta, L L^T)``.  :func:`cbs_step` and
+    the proposal built from that law decide by this one test."""
+    return bool(np.exp(-h) == 0.0)
+
+
 def cbs_step(
     ens: Ensemble,
     coeffs: CbsCoefficients,
@@ -124,12 +133,12 @@ def cbs_step(
         raise ValueError("out must not share memory with the points or the noise")
     if scratch is not None and any(np.shares_memory(scratch, a) for a in (ens.points, noise, out)):
         raise ValueError("scratch must not share memory with the points, the noise or out")
-    alpha = np.exp(-h)
     factor = coeffs.c_beta_factor
-    if alpha == 0.0:
+    if step_is_exact(h):
         new_pts = np.matmul(noise, factor.T, out=out)
         new_pts += coeffs.m_beta
     else:
+        alpha = np.exp(-h)
         diffusion = np.matmul(noise, (np.sqrt(1.0 - alpha * alpha) * factor).T, out=scratch)
         new_pts = np.multiply(alpha, ens.points, out=out)
         new_pts += (1.0 - alpha) * coeffs.m_beta

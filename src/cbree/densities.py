@@ -21,6 +21,7 @@ __all__ = [
     "VmfnModel",
     "std_normal_logpdf",
     "gaussian_fit",
+    "gaussian_from_factor",
     "gaussian_logpdf",
     "gaussian_sample",
     "make_gaussian",
@@ -79,12 +80,21 @@ def make_gaussian(mean, covariance, jitter: float = 0.0) -> GaussianModel:
     factor = factor_spd(cov, jitter)
     if not np.all(np.isfinite(factor)):
         raise ValueError("covariance must be finite")
+    return gaussian_from_factor(mean, cov, factor)
+
+
+def gaussian_from_factor(mean, covariance, factor) -> GaussianModel:
+    """The Gaussian with the given moments whose points are
+    ``mean + factor @ xi`` for standard normal ``xi``: the factor is taken
+    as it is, not recomputed from ``covariance``."""
     # LU with partial pivoting never swaps rows of the upper triangular
     # factor.T, so this is back substitution and the inverse is exactly upper
     # triangular; a singular factor raises LinAlgError
     whiten = np.linalg.inv(factor.T)
     log_det = 2.0 * float(np.sum(np.log(np.diag(factor))))
-    return GaussianModel(mean=mean, covariance=cov, factor=factor, log_det=log_det, whiten=whiten)
+    return GaussianModel(
+        mean=mean, covariance=covariance, factor=factor, log_det=log_det, whiten=whiten
+    )
 
 
 def gaussian_fit(sample, scratch=None) -> GaussianModel:

@@ -1,13 +1,14 @@
 """The adaptive importance-sampling loop shared by CBREE and the EnKF baseline.
 
-Each iteration fits a proposal density to the current particle ensemble,
-forms the importance-sampling estimate of the failure probability, and stops
-when the empirical CV of the weights meets the target (converged) or starts
-rising before ever meeting it (diverged).  Otherwise a method-specific mover
-advances the ensemble.  CBREE's mover updates the smoothing level, inverse
-temperature and stepsize and takes one consensus step; its high-dimensional
-variant resamples every ensemble through a fitted vMFN model before
-estimating.
+Each iteration fits a proposal density to the current particle ensemble (or,
+when a Gaussian particle step drew the ensemble exactly from a known law,
+takes that law), forms the importance-sampling estimate of the failure
+probability, and stops when the empirical CV of the weights meets the target
+(converged) or starts rising before ever meeting it (diverged).  Otherwise a
+method-specific mover advances the ensemble.  CBREE's mover updates the
+smoothing level, inverse temperature and stepsize and takes one consensus
+step; its high-dimensional variant resamples every ensemble through a fitted
+vMFN model before estimating.
 """
 
 from __future__ import annotations
@@ -24,8 +25,16 @@ from .cbs import (
     coefficients_from_log_weights,
     ess_from_log_weights,
     solve_beta,
+    step_is_exact,
 )
-from .densities import gaussian_fit, gaussian_sample, vmfn_fit, vmfn_sample
+from .densities import (
+    gaussian_fit,
+    gaussian_from_factor,
+    gaussian_sample,
+    std_normal_logpdf,
+    vmfn_fit,
+    vmfn_sample,
+)
 from .numkit import RandomStream, ls_slope
 from .problems import ProblemSpec
 from .smoothing import empirical_cv, update_smoothing
@@ -100,7 +109,12 @@ TRACE_COLUMNS = tuple(f.name for f in fields(IterationRecord))
 @dataclass
 class RunRecord:
     """Everything one run produced: the estimate, why it stopped, the cost in
-    limit-state evaluations and the per-iteration trace."""
+    limit-state evaluations and the per-iteration trace.
+
+    ``exact_from`` is the first iteration whose proposal is the exact law of
+    its points rather than a fit (see :func:`run_loop`), ``None`` when no
+    iteration's is.
+    """
 
     estimate: float
     termination: str  # "converged" | "diverged" | "max_iter"
@@ -109,6 +123,7 @@ class RunRecord:
     trace: list[IterationRecord]
     proposal: dict | None = None
     seed: int | None = None
+    exact_from: int | None = None
     final_ensemble: Ensemble | None = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
@@ -123,6 +138,7 @@ class RunRecord:
             "estimate": clean(self.estimate),
             "termination": self.termination,
             "iterations": self.iterations,
+            "exact_from": self.exact_from,
             "cost": self.cost,
             "seed": self.seed,
             "proposal": self.proposal,
@@ -133,9 +149,9 @@ class RunRecord:
 
 
 def is_estimate(
-    ens: Ensemble, proposal, work=(None, None), centered: bool = False
+    ens: Ensemble, proposal, work=(None, None), centered: bool = False, log_mu=None
 ) -> tuple[float, np.ndarray]:
-    """Importance-sampling estimate with the fitted proposal as sampler.
+    """Importance-sampling estimate with ``proposal`` as sampler.
 
     Weights are ``exp(log phi(x) - log mu(x))`` on failure particles and zero
     elsewhere; with no failure particles the estimate is zero and the CV
@@ -145,13 +161,17 @@ def is_estimate(
     ``centered=True`` says that ``work[0]`` holds the points minus the mean
     of the Gaussian ``proposal``, as :func:`gaussian_fit` leaves them when
     it fits that very ensemble; ``log mu`` then whitens them as they are.
+    ``log_mu`` passes the proposal's log-density at the points when it is
+    already known in closed form, as for the exact law of a particle step,
+    ``-(d log 2 pi + log det + |xi_j|^2) / 2`` at the point
+    ``m_beta + L xi_j``; neither the proposal nor ``work`` is then read.
     """
     fail = ens.g_values <= 0.0
     weights = np.zeros(ens.size)
     if np.any(fail):
-        if centered:
+        if log_mu is None and centered:
             log_mu = proposal.logpdf(work[0], work, centered=True)
-        else:
+        elif log_mu is None:
             log_mu = proposal.logpdf(ens.points, work)
         log_ratio = ens.log_phi() - log_mu
         weights[fail] = np.exp(log_ratio[fail])
@@ -181,30 +201,47 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
     - ``n_obs``: the divergence window, 0 to disable it;
     - ``start(ens, root)``: set-up on the initial ensemble;
     - ``noise_shape(J, d)``: the shape of one step's standard-normal noise;
-    - ``move(ens, model, n, noise, row, out, scratch)``: the next
-      positions, with the step's parameters written into ``row``; ``noise``
-      is a future whose ``result()`` is the step's draw from
-      ``substream(3, n)``, which must not be kept past the call, since its
-      buffer is refilled for the next step; ``out`` is a ``(J, d)`` array
+    - ``move(ens, model, n, noise, row, out, scratch)``: the pair
+      ``(positions, law)``, with the step's parameters written into ``row``;
+      ``noise`` is a future whose ``result()`` is the step's draw from
+      ``substream(3, n)``, which must not be read after the call, since its
+      buffer is refilled for a later step; ``out`` is a ``(J, d)`` array
       the mover may write the new positions into, and ``scratch`` a
-      ``(J, d)`` array for its temporaries.
+      ``(J, d)`` array for its temporaries.  ``law`` is ``None``, or, when
+      the new positions are exact draws from a known Gaussian, the pair
+      ``(model, log_mu)`` of that Gaussian and its log-density at them.
 
-    While the main thread works through iteration ``n`` up to the particle
-    step, one worker thread draws the noise of that step into a buffer
-    allocated once per run.  With a fresh batch, the same worker also draws
-    the batch's ``(J, d)`` standard normals, the first draws of
-    ``substream(2, n)``, into a second buffer: batch ``n + 1``'s once
-    iteration ``n`` has passed its stopping checks, so the draw runs during
-    the move and the next fit.  It hands back that stream, advanced past the
-    normals, and the sampler takes its remaining draws from it.  The worker
-    only calls the random generator, and the draws depend on nothing the
-    iteration computes, so the records are the same as with draws made in
-    line.  The run also owns its other large arrays: two position arrays,
-    one holding the ensemble and one spare that a fresh batch or the
-    particle step is written into (the two swap roles when the ensemble is
-    replaced), and a pair of scratch arrays for the ``(J, d)`` temporaries
-    of the fit and the estimate, the first of which the move reuses.
-    Nothing is shared between runs.
+    An ensemble with a known law is not fitted: the next iteration takes
+    that law as its proposal and its ``log mu`` as given (see
+    :func:`is_estimate`).  Every other ensemble is fitted, and a Gaussian
+    fitted to the very points it weighs leaves them centred for the
+    estimate.  The record's ``exact_from`` is the first iteration that
+    takes a known law.
+
+    One worker thread draws the step noise one step ahead, into two buffers
+    allocated once per run and filled in turn: step ``n``'s draw goes into
+    buffer ``n % 2``.  Step 0's draw is submitted before the initial ensemble
+    is drawn, and step ``n + 1``'s once iteration ``n`` has passed its
+    stopping checks, when step ``n - 1`` has consumed that buffer, so the
+    worker draws it while step ``n`` runs and the next iteration fits and
+    estimates.  Steps are taken at iterations ``0 .. max_iter - 1``, and no
+    noise is drawn for a later one, nor for a step after the one at which
+    the run stops; a run that stops cancels that step's draw if it is still
+    queued, and waits for it otherwise.  With a fresh batch, the same worker
+    also draws the batch's ``(J, d)`` standard normals, the first draws of
+    ``substream(2, n)``, into a buffer of their own: batch ``n + 1``'s once
+    iteration ``n`` has passed its stopping checks, queued before step
+    ``n + 1``'s noise because the next iteration needs it first, so the
+    draw runs during the move and the next fit.  It hands back that stream,
+    advanced past the normals, and the sampler takes its remaining draws
+    from it.  The worker only calls the random generator, and the draws
+    depend on nothing the iteration computes, so the records are the same
+    as with draws made in line.  The run also owns its other large arrays:
+    two position arrays, one holding the ensemble and one spare that a fresh
+    batch or the particle step is written into (the two swap roles when the
+    ensemble is replaced), and a pair of scratch arrays for the ``(J, d)``
+    temporaries of the fit and the estimate, the first of which the move
+    reuses.  Nothing is shared between runs.
 
     Only this loop calls the limit state, and each call adds its J
     evaluations to the cost: the initial ensemble, each fresh batch and each
@@ -218,11 +255,11 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
     J = config.n_particles
     cost = 0
     root = RandomStream(config.seed)
-    noise = np.empty(mover.noise_shape(J, d))
+    noise = np.empty((2, *mover.noise_shape(J, d)))
     normals = None if mover.batch is None else np.empty((J, d))
 
     def draw_noise(n: int) -> np.ndarray:
-        return root.substream(3, n).standard_normal(noise.shape, out=noise)
+        return root.substream(3, n).standard_normal(noise.shape[1:], out=noise[n % 2])
 
     def draw_normals(n: int) -> tuple[RandomStream, np.ndarray]:
         stream = root.substream(2, n)
@@ -236,7 +273,7 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
 
     # leaving the block joins the worker on every exit path, errors included
     with ThreadPoolExecutor(max_workers=1) as worker:
-        # no noise is drawn for the step at max_iter, which is never taken
+        # no noise is drawn for a step at or past max_iter, never taken
         pending = worker.submit(draw_noise, 0) if config.max_iter > 0 else None
         # iteration 0 always runs, so its batch is always drawn
         batch = None if normals is None else worker.submit(draw_normals, 0)
@@ -246,13 +283,20 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
         spare = np.empty((J, d))
         work = np.empty((2, J, d))
         # a Gaussian fitted to the very points it weighs leaves them centred
-        # in work[0] (see gaussian_fit), and the estimate whitens them there
+        # in work[0] (see gaussian_fit), and the estimate whitens them there;
+        # a known law comes with its log mu instead
         centered = mover.batch is None and not vmfn
+        law, exact_from = None, None
         trace: list[IterationRecord] = []
 
         n = 0
         while True:
-            model = vmfn_fit(ens.points) if vmfn else gaussian_fit(ens.points, work[0])
+            if law is None:
+                model = vmfn_fit(ens.points) if vmfn else gaussian_fit(ens.points, work[0])
+                log_mu = None
+            else:
+                model, log_mu = law
+                exact_from = n if exact_from is None else exact_from
             sample = ens
             if batch is not None:
                 stream, xi = batch.result()
@@ -261,7 +305,7 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
                 if mover.batch == "replace":
                     spare, ens = ens.points, sample
 
-            pf, weights = is_estimate(sample, model, work, centered)
+            pf, weights = is_estimate(sample, model, work, centered, log_mu)
             cv = empirical_cv(weights)
             row = IterationRecord(iter=n, cv=cv, pf_estimate=pf, cost_cum=cost)
             trace.append(row)
@@ -277,7 +321,7 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
             elif n >= config.max_iter:
                 termination = "max_iter"
             if termination is not None:
-                if pending is not None:
+                if pending is not None and not pending.cancel():
                     pending.result()  # a failed draw is not lost
                 return RunRecord(
                     estimate=float(estimate),
@@ -287,21 +331,24 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
                     trace=trace,
                     proposal=model.to_json(),
                     seed=config.seed,
+                    exact_from=exact_from,
                     final_ensemble=ens,
                 )
 
             # the sampler has consumed the normals, so they may be redrawn
             if batch is not None:
                 batch = worker.submit(draw_normals, n + 1)
-            moved = mover.move(ens, model, n, pending, row, spare, work[0])
+            # step n - 1 has consumed the other buffer, so step n + 1's draw
+            # may fill it while step n runs; it queues behind the next batch,
+            # which the next iteration needs first
+            ahead = worker.submit(draw_noise, n + 1) if n + 1 < config.max_iter else None
+            moved, law = mover.move(ens, model, n, pending, row, spare, work[0])
+            pending = ahead
             if moved is spare:
                 spare = ens.points
             # the next fit reads only the positions of an ensemble that the
             # next fresh batch replaces, so its limit state is not evaluated
             ens = Ensemble(moved, None) if mover.batch == "replace" else evaluated(moved)
-            # the move has consumed the buffer, so it may be refilled
-            if n + 1 < config.max_iter:
-                pending = worker.submit(draw_noise, n + 1)
             row.cost_cum = cost
             n += 1
 
@@ -310,10 +357,18 @@ class CbreeMover:
     """One consensus step per iteration, with adaptive smoothing, inverse
     temperature and stepsize.
 
+    With the Gaussian proposal, a step whose ``exp(-h)`` underflows to 0
+    (:func:`~cbree.cbs.step_is_exact`) draws the new points exactly from
+    ``N(m_beta, L L^T)``, and the move hands that law to the run loop as
+    the next proposal: the mean ``m_beta``, the covariance ``c_beta^2`` and
+    the factor ``L`` that drew the points, with ``log mu`` at each point in
+    closed form from its noise row, read before the noise buffer is
+    released.  The step controller reads the proposal's moments either way.
     With the vMFN proposal every ensemble is resampled through the fitted
     model, which doubles as the importance-sampling proposal; the run loop
     then evaluates the resampled ensemble instead of the moved one (one
-    sweep of J evaluations per iteration either way).
+    sweep of J evaluations per iteration either way), and no law is handed
+    on.
     """
 
     def __init__(self, config: CbreeConfig, proposal: str):
@@ -335,11 +390,11 @@ class CbreeMover:
     def noise_shape(self, J: int, d: int) -> tuple[int, ...]:
         return (J, d)
 
-    def move(self, ens: Ensemble, model, n: int, noise: Future, row, out, scratch) -> np.ndarray:
+    def move(self, ens: Ensemble, model, n: int, noise: Future, row, out, scratch):
         cfg = self.config
-        # the Gaussian proposal was fitted to this very ensemble, so its
-        # moments are the ensemble's; a vMFN ensemble was resampled after
-        # its fit
+        # the Gaussian proposal is fitted to this very ensemble or is the
+        # law it was drawn from, so its moments stand for the ensemble's; a
+        # vMFN ensemble was resampled after its fit
         if self.proposal == "vmfn":
             moments = moments_of_ensemble(ens, scratch)
         else:
@@ -361,8 +416,16 @@ class CbreeMover:
         row.err = err
         row.ess = ess
         self.s = s_next
+        xi = noise.result()
         # the moments are taken, so scratch is free for the step's product
-        return cbs_step(ens, coeffs, h_next, noise.result(), out, scratch)
+        moved = cbs_step(ens, coeffs, h_next, xi, out, scratch)
+        if self.proposal == "vmfn" or not step_is_exact(h_next):
+            return moved, None
+        # the points are m_beta + L xi, so their log-density is that of xi
+        # less log det L; the buffer is refilled for a later step, so xi is
+        # read now
+        law = gaussian_from_factor(coeffs.m_beta, coeffs.c_beta_sq, coeffs.c_beta_factor)
+        return moved, (law, std_normal_logpdf(xi) - 0.5 * law.log_det)
 
 
 def run_cbree(problem: ProblemSpec, config: CbreeConfig) -> RunRecord:

@@ -94,9 +94,9 @@ class EnkfMover:
     def noise_shape(self, J: int, d: int) -> tuple[int, ...]:
         return (J,)
 
-    def move(self, ens, model, n, noise, row, out, scratch) -> np.ndarray:
+    def move(self, ens, model, n, noise, row, out, scratch):
         row.h = self.h
-        return enkf_step(ens, self.h, noise.result())
+        return enkf_step(ens, self.h, noise.result()), None
 
 
 def run_enkf(problem: ProblemSpec, config: EnkfConfig) -> RunRecord:

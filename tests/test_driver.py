@@ -9,10 +9,12 @@ import pytest
 import cbree.densities
 import cbree.driver
 from cbree.bench import McConfig
-from cbree.cbs import Ensemble
-from cbree.densities import gaussian_fit, gaussian_sample, make_gaussian
+from cbree.cbs import Ensemble, step_is_exact
+from cbree.densities import gaussian_fit, gaussian_logpdf, gaussian_sample, make_gaussian
 from cbree.driver import (
     CbreeConfig,
+    CbreeMover,
+    IterationRecord,
     divergence_check,
     is_estimate,
     run_cbree,
@@ -81,6 +83,59 @@ class TestIsEstimate:
         monkeypatch.setattr(cbree.densities, "gaussian_logpdf", counted)
         run_cbree(get_problem("linear"), CbreeConfig(n_particles=400, seed=31))
         assert calls and all(calls)
+
+
+class TestExactLaw:
+    # once exp(-h) underflows to 0 a Gaussian step draws its points from
+    # N(m_beta, L L^T) and hands that law on as the next proposal
+    @staticmethod
+    def step(proposal, d, h):
+        J = 800
+        pts = RandomStream(d).standard_normal((J, d)) * 1.3 + 0.4
+        ens = Ensemble(pts, 2.0 - pts[:, 0])
+        mover = CbreeMover(CbreeConfig(n_particles=J), proposal)
+        mover.start(ens, RandomStream(d + 1))
+        mover.ctrl.h_current = h  # kept at the odd iteration 1
+        xi = RandomStream(d + 2).standard_normal((J, d))
+        noise = Future()
+        noise.set_result(xi)
+        row = IterationRecord(iter=1, cv=math.nan, pf_estimate=0.0, cost_cum=0)
+        out, scratch = np.empty((J, d)), np.empty((J, d))
+        moved, law = mover.move(ens, gaussian_fit(pts), 1, noise, row, out, scratch)
+        assert row.h == h
+        return xi, moved, law
+
+    @pytest.mark.parametrize("d", [6, 50])
+    def test_closed_form_log_mu_is_the_density_of_the_law(self, d):
+        xi, moved, (model, log_mu) = self.step("gaussian", d, 800.0)
+        # the law's factor is the one that drew the points, bit for bit
+        assert np.array_equal(gaussian_sample(model, None, len(xi), normals=xi), moved)
+        np.testing.assert_allclose(log_mu, gaussian_logpdf(model, moved), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("proposal, h", [("gaussian", 1.0), ("gaussian", 745.0), ("vmfn", 800.0)])
+    def test_no_law_unless_a_gaussian_step_is_exact(self, proposal, h):
+        assert step_is_exact(h) == (h == 800.0)
+        _, _, law = self.step(proposal, 6, h)
+        assert law is None
+
+    def test_exact_from_is_the_iteration_after_the_first_exact_step(self):
+        config = CbreeConfig(n_particles=1000, n_obs=0, max_iter=20, seed=20)
+        record = run_cbree(get_problem("linear-50"), config)
+        first = next(row.iter for row in record.trace if step_is_exact(row.h))
+        assert record.exact_from == first + 1 < record.iterations
+        assert record.to_json_dict()["exact_from"] == record.exact_from
+
+    @pytest.mark.parametrize(
+        "runner, config",
+        [
+            (run_cbree_vmfn, CbreeConfig(n_particles=1000, n_obs=0, max_iter=20, seed=20)),
+            (run_enkf, EnkfConfig(n_particles=500, max_iter=5, seed=20)),
+        ],
+    )
+    def test_exact_from_is_null_without_the_gaussian_step(self, runner, config):
+        record = runner(get_problem("linear-50"), config)
+        assert record.exact_from is None
+        assert record.to_json_dict()["exact_from"] is None
 
 
 class TestChecks:
@@ -348,6 +403,8 @@ class TestNoiseWorker:
         [
             (run_cbree_vmfn, CbreeConfig(n_particles=300, delta_target=2.0, seed=28)),
             (run_enkf, EnkfConfig(n_particles=300, seed=29)),
+            # takes exact steps, so the closed-form log mu reads both buffers
+            (run_cbree, CbreeConfig(n_particles=300, n_obs=0, max_iter=15, seed=30)),
         ],
     )
     def test_draws_on_the_worker_match_draws_in_line(self, monkeypatch, runner, config):
@@ -373,6 +430,35 @@ class TestNoiseWorker:
         assert inline.iterations >= 2
         assert inline.to_json_dict() == threaded.to_json_dict()
         assert np.array_equal(inline.final_ensemble.points, threaded.final_ensemble.points)
+
+    @pytest.mark.parametrize(
+        "runner, config",
+        [
+            (run_cbree, CbreeConfig(n_particles=300, seed=25)),
+            (run_cbree_vmfn, CbreeConfig(n_particles=300, delta_target=2.0, seed=24)),
+            (run_enkf, EnkfConfig(n_particles=300, delta_target=2.0, seed=23)),
+        ],
+    )
+    def test_a_converged_run_draws_no_noise_past_its_last_iteration(
+        self, monkeypatch, runner, config
+    ):
+        # the noise of steps 0 .. n - 1 is consumed, and step n's is drawn
+        # ahead (or cancelled while still queued); none is drawn for a later
+        # step, although max_iter would allow it
+        draws = []
+
+        class CountingStream(RandomStream):
+            def substream(self, *index):
+                if index[0] == 3:
+                    draws.append(index[1])
+                return super().substream(*index)
+
+        monkeypatch.setattr(cbree.driver, "RandomStream", CountingStream)
+        record = runner(get_problem("linear-4"), config)
+        n = record.iterations
+        assert record.termination == "converged" and n + 1 < config.max_iter
+        assert set(range(n)) <= set(draws) <= set(range(n + 1))
+        assert len(draws) == len(set(draws))
 
     def test_runs_in_a_thread_pool_match_serial_runs(self):
         cells = [("linear", seed) for seed in (31, 32, 33)] + [("linear-4", 34), ("oscillator", 35)]
