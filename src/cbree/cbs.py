@@ -40,8 +40,8 @@ class Ensemble:
     """Particle positions with cached limit-state values.
 
     ``g_values[j]`` equals the limit state evaluated at ``points[j]``, or is
-    ``None`` where nothing reads it: the start-up probe's ensemble and a
-    moved ensemble that the next fresh batch replaces.  The input
+    ``None`` where nothing reads it: the start-up probe's ensemble, and an
+    initial or moved ensemble that the next fresh batch replaces.  The input
     log-density of the points is computed on first use and kept as well
     (see :meth:`log_phi`); the points are never changed in place.
     """

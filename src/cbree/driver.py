@@ -244,8 +244,11 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
     reuses.  Nothing is shared between runs.
 
     Only this loop calls the limit state, and each call adds its J
-    evaluations to the cost: the initial ensemble, each fresh batch and each
-    moved ensemble, except a moved one that the next fresh batch replaces.
+    evaluations to the cost.  One rule decides what it evaluates: every
+    fresh batch, and every ensemble, the initial one and each moved one,
+    unless the next fresh batch replaces it.  A CBREE run of n iterations
+    therefore costs J (n + 1) with either proposal (the initial ensemble and
+    n moved ones, or n + 1 fresh batches), and an EnKF run J (2 n + 2).
     """
     d = problem.dim
     vmfn = mover.proposal == "vmfn"
@@ -271,13 +274,19 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
         cost += J
         return Ensemble(points=points, g_values=problem.lsf(points))
 
+    def settled(points: np.ndarray) -> Ensemble:
+        # the start-up probe and the next fit read only the positions and
+        # log phi of an ensemble that the next fresh batch replaces, so its
+        # limit state is not evaluated
+        return Ensemble(points, None) if mover.batch == "replace" else evaluated(points)
+
     # leaving the block joins the worker on every exit path, errors included
     with ThreadPoolExecutor(max_workers=1) as worker:
         # no noise is drawn for a step at or past max_iter, never taken
         pending = worker.submit(draw_noise, 0) if config.max_iter > 0 else None
         # iteration 0 always runs, so its batch is always drawn
         batch = None if normals is None else worker.submit(draw_normals, 0)
-        ens = evaluated(root.substream(0).standard_normal((J, d)))
+        ens = settled(root.substream(0).standard_normal((J, d)))
         mover.start(ens, root)
         # allocated after the start-up probe has freed its temporaries
         spare = np.empty((J, d))
@@ -346,9 +355,7 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
             pending = ahead
             if moved is spare:
                 spare = ens.points
-            # the next fit reads only the positions of an ensemble that the
-            # next fresh batch replaces, so its limit state is not evaluated
-            ens = Ensemble(moved, None) if mover.batch == "replace" else evaluated(moved)
+            ens = settled(moved)
             row.cost_cum = cost
             n += 1
 
@@ -366,9 +373,9 @@ class CbreeMover:
     released.  The step controller reads the proposal's moments either way.
     With the vMFN proposal every ensemble is resampled through the fitted
     model, which doubles as the importance-sampling proposal; the run loop
-    then evaluates the resampled ensemble instead of the moved one (one
-    sweep of J evaluations per iteration either way), and no law is handed
-    on.
+    then evaluates the resampled ensembles and neither the initial nor a
+    moved one, and no law is handed on.  A run of n iterations costs
+    J (n + 1) evaluations with either proposal.
     """
 
     def __init__(self, config: CbreeConfig, proposal: str):

@@ -194,13 +194,14 @@ class TestRunCbree:
     @pytest.mark.parametrize(
         "runner, config, sweeps",
         [
-            # the initial ensemble and one moved ensemble per step
+            # one sweep per iteration row with either proposal: the initial
+            # ensemble and one moved ensemble per step ...
             (run_cbree, CbreeConfig(n_particles=300, delta_target=0.01, n_obs=0, seed=5),
-             lambda n: 1 + n),
-            # the initial ensemble and one fresh batch per iteration row; a
-            # moved ensemble is replaced by the next batch unevaluated
+             lambda n: n + 1),
+            # ... or one fresh batch per iteration row, which replaces the
+            # initial or moved ensemble before its limit state is read
             (run_cbree_vmfn, CbreeConfig(n_particles=300, delta_target=0.01, n_obs=0, seed=6),
-             lambda n: 1 + (n + 1)),
+             lambda n: n + 1),
             # the initial ensemble, one fresh batch per iteration row and one
             # moved ensemble per step
             (run_enkf, EnkfConfig(n_particles=300, delta_target=0.01, seed=7),
@@ -350,9 +351,9 @@ class TestNoiseWorker:
 
     def test_worker_joined_when_the_limit_state_fails(self):
         # sweeps with the Gaussian proposal: initial ensemble, first particle
-        # step, second particle step; with the vMFN proposal: initial
-        # ensemble (the first batch's normals are drawn meanwhile), first
-        # batch, second batch
+        # step, second particle step; with the vMFN proposal: first, second
+        # and third fresh batch (step 0's noise may still be drawn during
+        # the first)
         for runner, bad_sweep in ((run_cbree, 3), (run_cbree_vmfn, 1), (run_cbree_vmfn, 3)):
             calls = []
 

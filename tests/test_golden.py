@@ -11,8 +11,9 @@ regenerates the cells it moves with
 
 which reruns only the named cells and merges them into the stored file, so
 that no other cell picks up rounding-level differences of the host; with
-no names it rewrites every cell.  The change names the records that moved
-and why.
+no names it rewrites every cell.  For each cell it reruns it prints how
+many fields moved against the stored record and the first few of them, so
+the change can name the records that moved and why.
 """
 
 import json
@@ -135,9 +136,17 @@ if __name__ == "__main__":
     unknown = names - {name for name, *_ in CELLS}
     if unknown:
         sys.exit(f"unknown cells: {' '.join(sorted(unknown))}")
-    records = json.loads(GOLDEN.read_text()) if names else {}
+    stored = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    records = dict(stored) if names else {}
     for name, *cell in CELLS:
         if not names or name in names:
-            records[name] = run_cell(*cell)
+            records[name] = json.loads(json.dumps(run_cell(*cell)))
+            if name not in stored:
+                print(f"{name}: new record")
+                continue
+            moved = mismatches(stored[name], records[name])
+            print(f"{name}: {len(moved)} fields moved")
+            for line in moved[:5]:
+                print(f"  {line}")
     GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(names) or len(records)} of {len(records)} records to {GOLDEN}")
