@@ -6,6 +6,8 @@ One discrete particle step of the interacting system
 
 where ``m`` is the softmax-weighted ensemble mean, ``L L^T`` the
 ``(1 + beta)``-scaled weighted covariance and ``xi`` standard normal noise.
+These coefficients are one :class:`~cbree.densities.GaussianModel`, the law
+``N(m, L L^T)`` that a step draws from exactly once ``alpha`` underflows to 0.
 Also: effective sample size of the weighted ensemble and the inverse
 temperature solve that pins it at a target.
 """
@@ -17,12 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import std_normal_logpdf
+from .densities import GaussianModel, gaussian_sample, std_normal_logpdf
 from .numkit import factor_spd, spd_jitter, weighted_moments
 
 __all__ = [
     "Ensemble",
-    "CbsCoefficients",
     "coefficients_from_log_weights",
     "cbs_step",
     "step_is_exact",
@@ -70,35 +71,31 @@ class Ensemble:
         return self._log_phi
 
 
-@dataclass
-class CbsCoefficients:
-    """Weighted mean, scaled weighted covariance and its Cholesky factor."""
-
-    m_beta: np.ndarray        # (d,)
-    c_beta_sq: np.ndarray     # (d, d), symmetric
-    c_beta_factor: np.ndarray # lower triangular
-
-
 def coefficients_from_log_weights(
     points, log_weights, beta: float, scratch=None
-) -> CbsCoefficients:
+) -> GaussianModel:
+    """The step's coefficients: the weighted mean ``m_beta``, the
+    ``(1 + beta)``-scaled weighted covariance ``c_beta^2`` and its factor
+    ``L``, as the law ``N(m_beta, L L^T)`` of an exact step.  ``scratch`` is
+    as in :func:`~cbree.numkit.weighted_moments`.  A factor with a zero
+    pivot is kept; only the law's ``log_det`` and ``whiten`` reject it."""
     mean, scm = weighted_moments(points, log_weights, scratch)
     c_sq = (1.0 + beta) * scm
     factor = factor_spd(c_sq, spd_jitter(c_sq))
-    return CbsCoefficients(m_beta=mean, c_beta_sq=c_sq, c_beta_factor=factor)
+    return GaussianModel(mean=mean, covariance=c_sq, factor=factor)
 
 
 def step_is_exact(h: float) -> bool:
     """Whether a step of size ``h`` forgets the positions it starts from:
     once ``alpha = exp(-h)`` underflows to 0 (h above about 745) the new
-    points are exact draws from ``N(m_beta, L L^T)``.  :func:`cbs_step` and
-    the proposal built from that law decide by this one test."""
+    points are exact draws from the coefficients' law ``N(m_beta, L L^T)``.
+    :func:`cbs_step` and the mover that hands that law on decide by this."""
     return bool(np.exp(-h) == 0.0)
 
 
 def cbs_step(
     ens: Ensemble,
-    coeffs: CbsCoefficients,
+    coeffs: GaussianModel,
     h: float,
     noise: np.ndarray,
     out: np.ndarray | None = None,
@@ -107,19 +104,19 @@ def cbs_step(
     """Advance every particle by one exponential Euler--Maruyama step and
     return the new positions; the limit state is not evaluated here.
 
-    ``coeffs`` are the weighted moments the step relaxes toward; ``noise``
-    holds the step's standard-normal draws, one row per particle; it is read,
-    never kept.
+    ``coeffs`` are the law the step relaxes toward (see
+    :func:`coefficients_from_log_weights`); ``noise`` holds the step's
+    standard-normal draws, one row per particle; it is read, never kept.
 
     The new positions are written into ``out`` when it is given (an array
     shaped like the points); a ``None`` allocates one.  The diffusion
     ``noise @ (sqrt(1 - alpha^2) L).T`` is one matrix product.  Once
-    ``alpha = exp(-h)`` underflows to 0 the step is exactly
-    ``m + noise @ L.T``: the product goes straight into ``out`` and the mean
-    is added to it, which gives the general formula's bits with two passes
-    fewer.  Otherwise the drift ``alpha x + (1 - alpha) m`` is formed in
-    ``out``, the product goes into ``scratch`` (an array like ``out``; a
-    ``None`` allocates one) and is added to the drift, so with both given no
+    ``alpha = exp(-h)`` underflows to 0 the step is exactly a draw from the
+    law, ``m + noise @ L.T``, made by :func:`~cbree.densities.gaussian_sample`
+    in ``out``; this gives the general formula's bits with two passes fewer.
+    Otherwise the drift ``alpha x + (1 - alpha) m`` is formed in ``out``, the
+    product goes into ``scratch`` (an array like ``out``; a ``None``
+    allocates one) and is added to the drift, so with both given no
     ``(J, d)`` temporary is made.  ``out`` and ``scratch`` must share no
     memory with each other, the points or ``noise``.
     """
@@ -133,16 +130,13 @@ def cbs_step(
         raise ValueError("out must not share memory with the points or the noise")
     if scratch is not None and any(np.shares_memory(scratch, a) for a in (ens.points, noise, out)):
         raise ValueError("scratch must not share memory with the points, the noise or out")
-    factor = coeffs.c_beta_factor
     if step_is_exact(h):
-        new_pts = np.matmul(noise, factor.T, out=out)
-        new_pts += coeffs.m_beta
-    else:
-        alpha = np.exp(-h)
-        diffusion = np.matmul(noise, (np.sqrt(1.0 - alpha * alpha) * factor).T, out=scratch)
-        new_pts = np.multiply(alpha, ens.points, out=out)
-        new_pts += (1.0 - alpha) * coeffs.m_beta
-        new_pts += diffusion
+        return gaussian_sample(coeffs, noise, out)
+    alpha = np.exp(-h)
+    diffusion = np.matmul(noise, (np.sqrt(1.0 - alpha * alpha) * coeffs.factor).T, out=scratch)
+    new_pts = np.multiply(alpha, ens.points, out=out)
+    new_pts += (1.0 - alpha) * coeffs.mean
+    new_pts += diffusion
     return new_pts
 
 

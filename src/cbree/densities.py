@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,6 @@ __all__ = [
     "VmfnModel",
     "std_normal_logpdf",
     "gaussian_fit",
-    "gaussian_from_factor",
     "gaussian_logpdf",
     "gaussian_sample",
     "make_gaussian",
@@ -51,19 +51,35 @@ def std_normal_logpdf(x):
 
 @dataclass(frozen=True)
 class GaussianModel:
-    """Gaussian with a cached Cholesky factor of the (regularized) covariance
-    and the whitening map ``whiten = (factor^-1)^T``, so that
-    ``(x - mean) @ whiten`` is standard normal."""
+    """Gaussian whose points are ``mean + factor @ xi`` for standard normal
+    ``xi``; ``covariance`` holds the moments the factor was taken from.
+    ``log_det`` and ``whiten`` (``(x - mean) @ whiten`` is standard normal)
+    are computed on first use, so a law with a closed-form ``log mu`` never
+    inverts its factor; a zero pivot in the factor makes both raise
+    ``LinAlgError``."""
 
     mean: np.ndarray
     covariance: np.ndarray
     factor: np.ndarray  # lower triangular, factor @ factor.T = clip(cov) + jitter I
-    log_det: float      # log-determinant of the effective covariance
-    whiten: np.ndarray  # upper triangular, (factor^-1)^T
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+    @cached_property
+    def log_det(self) -> float:
+        """Log-determinant of the effective covariance ``factor @ factor.T``."""
+        diag = np.diag(self.factor)
+        if np.any(diag == 0.0):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return 2.0 * float(np.sum(np.log(diag)))
+
+    @cached_property
+    def whiten(self) -> np.ndarray:
+        """Upper triangular ``(factor^-1)^T``."""
+        # partial pivoting never swaps rows of the upper triangular factor.T,
+        # so this is back substitution and the inverse is exactly triangular
+        return np.linalg.inv(self.factor.T)
 
     def logpdf(self, x, work=(None, None), centered: bool = False):
         return gaussian_logpdf(self, x, work, centered)
@@ -74,27 +90,18 @@ class GaussianModel:
 
 
 def make_gaussian(mean, covariance, jitter: float = 0.0) -> GaussianModel:
+    """The Gaussian of the symmetrized covariance plus ``jitter I``; a
+    covariance that is not finite raises ``ValueError``, and one whose
+    factor has a zero pivot ``LinAlgError``."""
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(covariance, dtype=float)
     cov = 0.5 * (cov + cov.T)
     factor = factor_spd(cov, jitter)
     if not np.all(np.isfinite(factor)):
         raise ValueError("covariance must be finite")
-    return gaussian_from_factor(mean, cov, factor)
-
-
-def gaussian_from_factor(mean, covariance, factor) -> GaussianModel:
-    """The Gaussian with the given moments whose points are
-    ``mean + factor @ xi`` for standard normal ``xi``: the factor is taken
-    as it is, not recomputed from ``covariance``."""
-    # LU with partial pivoting never swaps rows of the upper triangular
-    # factor.T, so this is back substitution and the inverse is exactly upper
-    # triangular; a singular factor raises LinAlgError
-    whiten = np.linalg.inv(factor.T)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(factor))))
-    return GaussianModel(
-        mean=mean, covariance=covariance, factor=factor, log_det=log_det, whiten=whiten
-    )
+    model = GaussianModel(mean=mean, covariance=cov, factor=factor)
+    model.log_det  # rejects a zero pivot here rather than at first use
+    return model
 
 
 def gaussian_fit(sample, scratch=None) -> GaussianModel:
@@ -131,16 +138,12 @@ def gaussian_logpdf(
     return -0.5 * (model.dim * _LOG_2PI + model.log_det + quad)
 
 
-def gaussian_sample(
-    model: GaussianModel, stream: RandomStream, n: int, out=None, normals=None
-) -> np.ndarray:
-    """Draw ``n`` points into ``out``; a ``None`` makes numpy allocate.  The
-    product ``normals @ factor.T`` goes into ``out`` and the mean is added in
-    place, as in the particle step once ``exp(-h)`` is 0.  The ``(n, d)``
-    standard normals are the stream's only draws; ``normals`` passes them in
-    already drawn, and is only read."""
-    if normals is None:
-        normals = stream.standard_normal((n, model.dim))
+def gaussian_sample(model: GaussianModel, normals, out=None) -> np.ndarray:
+    """The points ``mean + factor @ xi`` for the rows ``xi`` of the standard
+    normals ``normals`` ``(n, d)``, which are only read.  The product
+    ``normals @ factor.T`` goes into ``out`` (a ``None`` makes numpy
+    allocate) and the mean is added in place, as in the particle step once
+    ``exp(-h)`` is 0."""
     pts = np.matmul(normals, model.factor.T, out=out)
     pts += model.mean
     return pts

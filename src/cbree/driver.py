@@ -29,7 +29,6 @@ from .cbs import (
 )
 from .densities import (
     gaussian_fit,
-    gaussian_from_factor,
     gaussian_sample,
     std_normal_logpdf,
     vmfn_fit,
@@ -233,10 +232,10 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
     iteration ``n`` has passed its stopping checks, queued before step
     ``n + 1``'s noise because the next iteration needs it first, so the
     draw runs during the move and the next fit.  It hands back that stream,
-    advanced past the normals, and the sampler takes its remaining draws
-    from it.  The worker only calls the random generator, and the draws
-    depend on nothing the iteration computes, so the records are the same
-    as with draws made in line.  The run also owns its other large arrays:
+    advanced past the normals, and the vMFN sampler takes its remaining
+    draws from it.  The worker only calls the random generator, and the
+    draws depend on nothing the iteration computes, so the records are the
+    same as with draws made in line.  The run also owns its other large arrays:
     two position arrays, one holding the ensemble and one spare that a fresh
     batch or the particle step is written into (the two swap roles when the
     ensemble is replaced), and a pair of scratch arrays for the ``(J, d)``
@@ -309,8 +308,10 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
             sample = ens
             if batch is not None:
                 stream, xi = batch.result()
-                sampler = vmfn_sample if vmfn else gaussian_sample
-                sample = evaluated(sampler(model, stream, J, spare, normals=xi))
+                if vmfn:
+                    sample = evaluated(vmfn_sample(model, stream, J, spare, normals=xi))
+                else:
+                    sample = evaluated(gaussian_sample(model, xi, spare))
                 if mover.batch == "replace":
                     spare, ens = ens.points, sample
 
@@ -366,11 +367,11 @@ class CbreeMover:
 
     With the Gaussian proposal, a step whose ``exp(-h)`` underflows to 0
     (:func:`~cbree.cbs.step_is_exact`) draws the new points exactly from
-    ``N(m_beta, L L^T)``, and the move hands that law to the run loop as
-    the next proposal: the mean ``m_beta``, the covariance ``c_beta^2`` and
-    the factor ``L`` that drew the points, with ``log mu`` at each point in
-    closed form from its noise row, read before the noise buffer is
-    released.  The step controller reads the proposal's moments either way.
+    ``N(m_beta, L L^T)``, and the move hands the step's coefficients, which
+    are that law, to the run loop as the next proposal, with ``log mu`` at
+    each point in closed form from its noise row, read before the noise
+    buffer is released, so the law's whitening is never computed.  The step
+    controller reads the proposal's moments either way.
     With the vMFN proposal every ensemble is resampled through the fitted
     model, which doubles as the importance-sampling proposal; the run loop
     then evaluates the resampled ensembles and neither the initial nor a
@@ -431,8 +432,7 @@ class CbreeMover:
         # the points are m_beta + L xi, so their log-density is that of xi
         # less log det L; the buffer is refilled for a later step, so xi is
         # read now
-        law = gaussian_from_factor(coeffs.m_beta, coeffs.c_beta_sq, coeffs.c_beta_factor)
-        return moved, (law, std_normal_logpdf(xi) - 0.5 * law.log_det)
+        return moved, (coeffs, std_normal_logpdf(xi) - 0.5 * coeffs.log_det)
 
 
 def run_cbree(problem: ProblemSpec, config: CbreeConfig) -> RunRecord:

@@ -2,10 +2,10 @@
 
 Stabilized log-domain weight arithmetic, the particle mean as one BLAS
 product, robust SPD factorization, bisection (:func:`bisect`, used by the
-smoothing and KL frequency solves; the beta solve has its own safeguarded
-Newton iteration) and the seeded random-stream contract.  All functions are pure;
-:class:`RandomStream` is the only stateful object and is single-owner by
-convention.
+smoothing and KL frequency solves; the beta solve has its own safeguarded Newton
+iteration) and the seeded random-stream contract.  No function keeps state or
+writes its inputs except :func:`weighted_moments`, which fills its ``scratch``;
+:class:`RandomStream` is the only stateful object, single-owner by convention.
 """
 
 from __future__ import annotations

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cbs import CbsCoefficients, Ensemble, cbs_step, coefficients_from_log_weights
+from .cbs import Ensemble, cbs_step, coefficients_from_log_weights
+from .densities import GaussianModel
 from .numkit import RandomStream, sample_mean
 
 __all__ = [
@@ -43,7 +44,7 @@ STEP_FACTOR_MAX = 5.0
 _RATES = (1.0, 2.0)  # decay rates of the mean and the covariance block
 
 
-def ensemble_coefficients(ens: Ensemble, beta: float) -> CbsCoefficients:
+def ensemble_coefficients(ens: Ensemble, beta: float) -> GaussianModel:
     """Softmax-weighted mean and (1+beta)-scaled covariance of the ensemble
     at the start level ``s = 0``, where ``I(g, 0) = 1/2`` for every finite
     ``g``: the log-weights ``beta (log phi - log 2)`` involve no limit-state
@@ -67,11 +68,11 @@ def moments_of_ensemble(ens: Ensemble, scratch=None) -> tuple[np.ndarray, np.nda
     return mean, centered.T @ centered / pts.shape[0]
 
 
-def moments_rhs(moments, coeffs: CbsCoefficients) -> tuple[np.ndarray, np.ndarray]:
+def moments_rhs(moments, coeffs: GaussianModel) -> tuple[np.ndarray, np.ndarray]:
     """Full right-hand side ``(m_beta - E, 2 c_beta^2 - 2 C)`` of the moment
     ODE at the moments ``(E, C)`` of an ensemble with coefficients ``coeffs``."""
     mean, cov = moments
-    return coeffs.m_beta - mean, 2.0 * coeffs.c_beta_sq - 2.0 * cov
+    return coeffs.mean - mean, 2.0 * coeffs.covariance - 2.0 * cov
 
 
 def phi_scalar(z: float) -> float:
@@ -220,9 +221,9 @@ class StepControllerState:
             return next_stepsize(err, self.h_current), err
         return self.h_current, np.nan
 
-    def record(self, moments_now, coeffs: CbsCoefficients, h_next: float) -> None:
+    def record(self, moments_now, coeffs: GaussianModel, h_next: float) -> None:
         """Keep the moments and the coefficients' stage, the nonlinear part
         ``(m_beta, 2 c_beta^2)`` of the moment ODE, of the step just taken."""
         self.moments.append(moments_now)
-        self.stages.append((coeffs.m_beta, 2.0 * coeffs.c_beta_sq))
+        self.stages.append((coeffs.mean, 2.0 * coeffs.covariance))
         self.h_current = h_next

@@ -177,8 +177,8 @@ def test_c7_gaussian_target_equilibrium():
             noise = root.substream(1, n).standard_normal((n_particles, 2))
             pts = (
                 alpha * pts
-                + (1.0 - alpha) * coeffs.m_beta
-                + math.sqrt(1.0 - alpha**2) * noise @ coeffs.c_beta_factor.T
+                + (1.0 - alpha) * coeffs.mean
+                + math.sqrt(1.0 - alpha**2) * noise @ coeffs.factor.T
             )
         means.append(pts.mean(axis=0))
         centered = pts - pts.mean(axis=0)
@@ -222,7 +222,7 @@ def test_c8_invariant_suite():
     # importance identity
     p = make_gaussian([0.0, 0.0], np.eye(2))
     q = make_gaussian([0.4, -0.3], 1.4 * np.eye(2))
-    draws = gaussian_sample(q, RandomStream(1), 200_000)
+    draws = gaussian_sample(q, RandomStream(1).standard_normal((200_000, 2)))
     ratio = np.exp(gaussian_logpdf(p, draws) - gaussian_logpdf(q, draws))
     se = ratio.std() / math.sqrt(draws.shape[0])
     checks.append(("importance identity", abs(float(ratio.mean()) - 1.0) < 3.0 * se))

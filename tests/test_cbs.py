@@ -48,9 +48,9 @@ class TestCoefficients:
     def test_beta_zero_gives_sample_moments(self):
         ens = make_ensemble()
         coeffs = coefficients_at(ens, s=1.0, beta=0.0)
-        assert np.allclose(coeffs.m_beta, ens.points.mean(axis=0))
+        assert np.allclose(coeffs.mean, ens.points.mean(axis=0))
         centered = ens.points - ens.points.mean(axis=0)
-        assert np.allclose(coeffs.c_beta_sq, centered.T @ centered / ens.size)
+        assert np.allclose(coeffs.covariance, centered.T @ centered / ens.size)
 
     def test_equal_energy_cancels_weights(self):
         # same radius and same g value -> identical log-weights for any beta
@@ -60,20 +60,20 @@ class TestCoefficients:
         for beta in (0.5, 1.0, 7.0):
             coeffs = coefficients_at(ens, s=2.0, beta=beta)
             centered = pts - pts.mean(axis=0)
-            assert np.allclose(coeffs.m_beta, pts.mean(axis=0), atol=1e-12)
-            assert np.allclose(coeffs.c_beta_sq, (1.0 + beta) * centered.T @ centered / 8, atol=1e-12)
+            assert np.allclose(coeffs.mean, pts.mean(axis=0), atol=1e-12)
+            assert np.allclose(coeffs.covariance, (1.0 + beta) * centered.T @ centered / 8, atol=1e-12)
 
     def test_1d_hand_case(self):
         # points {0, 2}, equal weights, beta = 1: m = 1, c^2 = (1+1) * 1 = 2
         coeffs = coefficients_from_log_weights(np.array([[0.0], [2.0]]), np.zeros(2), beta=1.0)
-        assert coeffs.m_beta[0] == pytest.approx(1.0)
-        assert coeffs.c_beta_sq[0, 0] == pytest.approx(2.0)
+        assert coeffs.mean[0] == pytest.approx(1.0)
+        assert coeffs.covariance[0, 0] == pytest.approx(2.0)
 
     def test_factor_reconstructs(self):
         ens = make_ensemble(1, 120, 4)
         coeffs = coefficients_at(ens, s=0.7, beta=3.0)
-        rebuilt = coeffs.c_beta_factor @ coeffs.c_beta_factor.T
-        assert np.max(np.abs(rebuilt - coeffs.c_beta_sq)) < 1e-8
+        rebuilt = coeffs.factor @ coeffs.factor.T
+        assert np.max(np.abs(rebuilt - coeffs.covariance)) < 1e-8
 
     def test_start_level_weights_match_log_target_bitwise(self):
         # I(g, 0) = 1/2 for every finite g, so the limit state drops out
@@ -81,8 +81,8 @@ class TestCoefficients:
         for beta in (0.0, 0.6, 2.5):
             got = ensemble_coefficients(ens, beta)
             want = coefficients_at(ens, 0.0, beta)
-            assert np.array_equal(got.m_beta, want.m_beta)
-            assert np.array_equal(got.c_beta_sq, want.c_beta_sq)
+            assert np.array_equal(got.mean, want.mean)
+            assert np.array_equal(got.covariance, want.covariance)
         # the start-up temperature solve takes log phi - log 2 as its
         # log-target; it has the same bits at the extremes of g
         g = np.concatenate([ens.g_values[:-6], [0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324]])
@@ -99,7 +99,7 @@ class TestCoefficients:
             pts = rng.normal(size=(30, 1))
             lw = rng.normal(size=30)
             coeffs = coefficients_from_log_weights(pts, lw, beta=1.0)
-            assert pts.min() <= coeffs.m_beta[0] <= pts.max()
+            assert pts.min() <= coeffs.mean[0] <= pts.max()
 
     def test_laplace_principle(self):
         # unique maximal weight pulls the weighted mean onto that particle
@@ -107,7 +107,7 @@ class TestCoefficients:
         lw = log_smooth_indicator(ens.g_values, 1.0) + ens.log_phi()
         k = int(np.argmax(lw))
         coeffs = coefficients_from_log_weights(ens.points, 1e8 * lw, beta=1.0)
-        assert np.max(np.abs(coeffs.m_beta - ens.points[k])) < 1e-8
+        assert np.max(np.abs(coeffs.mean - ens.points[k])) < 1e-8
 
 
 class TestCbsStep:
@@ -123,10 +123,10 @@ class TestCbsStep:
         ens = make_ensemble(6, 100_000, 2)
         coeffs = coefficients_at(ens, 0.5, 2.0)
         stepped = cbs_step(ens, coeffs, 1e3, noise_for(ens, 7))
-        assert np.max(np.abs(stepped.mean(axis=0) - coeffs.m_beta)) < 0.02
+        assert np.max(np.abs(stepped.mean(axis=0) - coeffs.mean)) < 0.02
         centered = stepped - stepped.mean(axis=0)
         cov = centered.T @ centered / ens.size
-        assert np.max(np.abs(cov - coeffs.c_beta_sq)) < 0.05
+        assert np.max(np.abs(cov - coeffs.covariance)) < 0.05
 
     def test_affine_mean_statistics(self):
         # frozen coefficients: E[x'] = alpha x-bar + (1 - alpha) m within 3 SE
@@ -135,8 +135,8 @@ class TestCbsStep:
         alpha = math.exp(-h)
         coeffs = coefficients_at(ens, 1.0, 1.5)
         stepped = cbs_step(ens, coeffs, h, noise_for(ens, 9))
-        expected = alpha * ens.points.mean(axis=0) + (1.0 - alpha) * coeffs.m_beta
-        noise_cov = (1.0 - alpha**2) * coeffs.c_beta_sq
+        expected = alpha * ens.points.mean(axis=0) + (1.0 - alpha) * coeffs.mean
+        noise_cov = (1.0 - alpha**2) * coeffs.covariance
         se = np.sqrt(np.diag(noise_cov) / ens.size)
         assert np.all(np.abs(stepped.mean(axis=0) - expected) < 3.0 * se)
 
@@ -174,13 +174,13 @@ class TestCbsStep:
             h = 0.4
             alpha = np.exp(-h)
             scale = math.sqrt(1.0 - alpha * alpha)
-            factor = coeffs.c_beta_factor
+            factor = coeffs.factor
             expected = (
-                alpha * ens.points + (1.0 - alpha) * coeffs.m_beta + scale * (noise @ factor.T)
+                alpha * ens.points + (1.0 - alpha) * coeffs.mean + scale * (noise @ factor.T)
             )
             magnitude = (
                 np.abs(alpha * ens.points)
-                + np.abs((1.0 - alpha) * coeffs.m_beta)
+                + np.abs((1.0 - alpha) * coeffs.mean)
                 + scale * (np.abs(noise) @ np.abs(factor.T))
             )
             out = np.empty_like(ens.points)
@@ -199,7 +199,7 @@ class TestCbsStep:
         ens = make_ensemble(41, 300, d)
         coeffs = coefficients_at(ens, 0.9, 2.0)
         noise = noise_for(ens, 42)
-        expected = np.matmul(noise, coeffs.c_beta_factor.T) + coeffs.m_beta
+        expected = np.matmul(noise, coeffs.factor.T) + coeffs.mean
         assert np.array_equal(cbs_step(ens, coeffs, 800.0, noise), expected)
 
     @pytest.mark.parametrize("h", [0.4, 800.0])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from cbree.cbs import coefficients_from_log_weights
 from cbree.densities import (
     GaussianModel,
     VmfnModel,
@@ -103,18 +104,18 @@ class TestGaussian:
 
     def test_sample_fit_round_trip(self):
         truth = make_gaussian([0.5, -1.0], [[1.5, 0.4], [0.4, 0.8]])
-        sample = gaussian_sample(truth, RandomStream(5), 100_000)
+        sample = gaussian_sample(truth, RandomStream(5).standard_normal((100_000, 2)))
         refit = gaussian_fit(sample)
         assert np.max(np.abs(refit.mean - truth.mean)) < 0.02
         assert np.max(np.abs(refit.covariance - truth.covariance)) < 0.05
 
     def test_predrawn_normals_reproduce_the_stream_draw(self):
         truth = make_gaussian(np.arange(6.0), np.eye(6) + 0.3)
-        inline = gaussian_sample(truth, RandomStream(6), 500)
+        inline = gaussian_sample(truth, RandomStream(6).standard_normal((500, 6)))
         normals = RandomStream(6).standard_normal((500, 6))
         kept = normals.copy()
         out = np.empty((500, 6))
-        ahead = gaussian_sample(truth, None, 500, out, normals=normals)
+        ahead = gaussian_sample(truth, normals, out)
         assert ahead is out
         assert np.array_equal(ahead, inline)
         assert np.array_equal(normals, kept)
@@ -126,7 +127,7 @@ class TestGaussian:
         truth = make_gaussian([0.0, 0.0], np.eye(2))
 
         def err(n, seed):
-            refit = gaussian_fit(gaussian_sample(truth, RandomStream(seed), n))
+            refit = gaussian_fit(gaussian_sample(truth, RandomStream(seed).standard_normal((n, 2))))
             return np.max(np.abs(refit.covariance - np.eye(2)))
 
         small = np.median([err(2_000, s) for s in range(8)])
@@ -172,6 +173,22 @@ class TestGaussian:
             cov[-1, :] = cov[:, -1] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
             make_gaussian(np.zeros(d), cov, jitter=0.0)
+
+    def test_zero_pivot_model_builds_and_fails_on_first_use(self):
+        factor = np.diag([1.0, 0.0, 2.0])
+        model = GaussianModel(mean=np.zeros(3), covariance=factor @ factor.T, factor=factor)
+        with pytest.raises(np.linalg.LinAlgError):
+            model.log_det
+        with pytest.raises(np.linalg.LinAlgError):
+            model.whiten
+
+    def test_collapsed_ensemble_coefficients_build_without_a_log_det(self):
+        # all points at 0: the scaled covariance, its jitter and so its
+        # factor are exactly 0, which only the law's log_det rejects
+        coeffs = coefficients_from_log_weights(np.zeros((20, 4)), np.zeros(20), beta=1.0)
+        assert not np.any(coeffs.factor)
+        with pytest.raises(np.linalg.LinAlgError):
+            coeffs.log_det
 
     def test_fit_needs_two_points(self):
         with pytest.raises(ValueError):
@@ -399,7 +416,7 @@ class TestModelContracts:
         # mean of exp(logp - logq) under q equals 1 for common support
         p = make_gaussian([0.0, 0.0, 0.0], np.eye(3))
         q = make_gaussian([0.3, -0.2, 0.1], 1.5 * np.eye(3))
-        x = gaussian_sample(q, RandomStream(12), 100_000)
+        x = gaussian_sample(q, RandomStream(12).standard_normal((100_000, 3)))
         ratio = np.exp(gaussian_logpdf(p, x) - gaussian_logpdf(q, x))
         se = ratio.std() / np.sqrt(len(ratio))
         assert abs(ratio.mean() - 1.0) < 3.0 * se

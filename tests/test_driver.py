@@ -44,7 +44,7 @@ class TestIsEstimate:
     def test_shifted_proposal_recovers_tail_mass(self):
         # G(x) = 2 - x with proposal N(2, 1): estimate -> Phi(-2)
         proposal = make_gaussian([2.0], [[1.0]])
-        pts = gaussian_sample(proposal, RandomStream(1), 100_000)
+        pts = gaussian_sample(proposal, RandomStream(1).standard_normal((100_000, 1)))
         ens = Ensemble(pts, 2.0 - pts[:, 0])
         pf, weights = is_estimate(ens, proposal)
         p_ref = 0.5 * math.erfc(2.0 / math.sqrt(2.0))
@@ -109,8 +109,13 @@ class TestExactLaw:
     def test_closed_form_log_mu_is_the_density_of_the_law(self, d):
         xi, moved, (model, log_mu) = self.step("gaussian", d, 800.0)
         # the law's factor is the one that drew the points, bit for bit
-        assert np.array_equal(gaussian_sample(model, None, len(xi), normals=xi), moved)
+        assert np.array_equal(gaussian_sample(model, xi), moved)
         np.testing.assert_allclose(log_mu, gaussian_logpdf(model, moved), rtol=1e-12, atol=0.0)
+
+    def test_the_law_does_not_invert_its_factor(self):
+        # its log mu is given in closed form, so nothing reads its whitening
+        _, _, (model, _) = self.step("gaussian", 50, 800.0)
+        assert "whiten" not in vars(model)
 
     @pytest.mark.parametrize("proposal, h", [("gaussian", 1.0), ("gaussian", 745.0), ("vmfn", 800.0)])
     def test_no_law_unless_a_gaussian_step_is_exact(self, proposal, h):
@@ -305,7 +310,7 @@ class TestRunCbree:
         predicted = record.trace[-1].cv / math.sqrt(2000)
         estimates = []
         for k in range(10):
-            pts = gaussian_sample(model, RandomStream(1000 + k), 2000)
+            pts = gaussian_sample(model, RandomStream(1000 + k).standard_normal((2000, model.dim)))
             ens = Ensemble(pts, np.asarray(problem.lsf(pts)))
             pf, _ = is_estimate(ens, model)
             estimates.append(pf)

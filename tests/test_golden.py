@@ -11,9 +11,11 @@ regenerates the cells it moves with
 
 which reruns only the named cells and merges them into the stored file, so
 that no other cell picks up rounding-level differences of the host; with
-no names it rewrites every cell.  For each cell it reruns it prints how
-many fields moved against the stored record and the first few of them, so
-the change can name the records that moved and why.
+no names it reruns every cell.  A rerun cell keeps the stored value of
+every field that did not move under these rules (see :func:`merged`), so
+its diff shows only the fields that moved.  For each cell it reruns it
+prints how many fields moved against the stored record and the first few
+of them, so the change can name the records that moved and why.
 """
 
 import json
@@ -104,6 +106,17 @@ def mismatches(expected, actual, path="") -> list[str]:
     return []
 
 
+def merged(stored, fresh):
+    """``fresh`` with the ``stored`` value kept wherever :func:`mismatches`
+    finds no move; a field that moved, a dict whose keys changed and a list
+    whose length changed take the fresh value."""
+    if isinstance(stored, dict) and isinstance(fresh, dict) and stored.keys() == fresh.keys():
+        return {k: merged(stored[k], fresh[k]) for k in fresh}
+    if isinstance(stored, list) and isinstance(fresh, list) and len(stored) == len(fresh):
+        return [merged(e, a) for e, a in zip(stored, fresh)]
+    return fresh if mismatches(stored, fresh) else stored
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text())
@@ -131,6 +144,29 @@ def test_mismatches_rules():
     assert mismatches([1.0, 2.0], [1.0]) != []
 
 
+def test_merged_keeps_every_unmoved_stored_value():
+    stored = {"a": 1.0, "b": [2.0, 3.0], "c": {"n": 1}, "d": [1.0], "e": {"x": 1.0}, "f": None}
+    fresh = {
+        "a": 1.0 + 1e-15,
+        "b": [2.0 + 1e-15, 3.5],
+        "c": {"n": 2},
+        "d": [1.0 + 1e-15, 2.0],
+        "e": {"y": 1.0},
+        "f": 0.0,
+    }
+    out = merged(stored, fresh)
+    assert out == {
+        "a": 1.0,
+        "b": [2.0, 3.5],
+        "c": {"n": 2},
+        "d": [1.0 + 1e-15, 2.0],
+        "e": {"y": 1.0},
+        "f": 0.0,
+    }
+    assert mismatches(fresh, out) == []
+    assert merged(stored, stored) == stored
+
+
 if __name__ == "__main__":
     names = set(sys.argv[1:])
     unknown = names - {name for name, *_ in CELLS}
@@ -140,11 +176,13 @@ if __name__ == "__main__":
     records = dict(stored) if names else {}
     for name, *cell in CELLS:
         if not names or name in names:
-            records[name] = json.loads(json.dumps(run_cell(*cell)))
+            fresh = json.loads(json.dumps(run_cell(*cell)))
             if name not in stored:
+                records[name] = fresh
                 print(f"{name}: new record")
                 continue
-            moved = mismatches(stored[name], records[name])
+            records[name] = merged(stored[name], fresh)
+            moved = mismatches(stored[name], fresh)
             print(f"{name}: {len(moved)} fields moved")
             for line in moved[:5]:
                 print(f"  {line}")

@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cbree.cbs import CbsCoefficients, Ensemble, coefficients_from_log_weights
-from cbree.densities import gaussian_fit
+from cbree.cbs import Ensemble, coefficients_from_log_weights
+from cbree.densities import GaussianModel, gaussian_fit
 from cbree.numkit import RandomStream
 from cbree.smoothing import log_smooth_indicator
 from cbree.stepctl import (
@@ -107,8 +107,8 @@ class TestMomentsRhs:
         ctrl = StepControllerState(h_current=0.5, eps_target=1.0)
         ctrl.record(moments_of_ensemble(ens), coeffs, 0.5)
         mean, cov2 = ctrl.stages[-1]
-        assert np.allclose(mean, coeffs.m_beta)
-        assert np.allclose(cov2, 2.0 * coeffs.c_beta_sq)
+        assert np.allclose(mean, coeffs.mean)
+        assert np.allclose(cov2, 2.0 * coeffs.covariance)
 
 
 class TestScalarFunctions:
@@ -325,10 +325,10 @@ class TestExpEulerIdentity:
         coeffs = coefficients_at(ens, 1.2, 2.5)
         mean, cov = moments_of_ensemble(ens)
         recursion = (
-            alpha * mean + (1.0 - alpha) * coeffs.m_beta,
-            alpha**2 * cov + (1.0 - alpha**2) * coeffs.c_beta_sq,
+            alpha * mean + (1.0 - alpha) * coeffs.mean,
+            alpha**2 * cov + (1.0 - alpha**2) * coeffs.covariance,
         )
-        stage = (coeffs.m_beta, 2.0 * coeffs.c_beta_sq)
+        stage = (coeffs.mean, 2.0 * coeffs.covariance)
         euler = [
             math.exp(-h * rate) * block + h * phi_scalar(h * rate) * s
             for rate, block, s in zip((1.0, 2.0), (mean, cov), stage)
@@ -409,9 +409,7 @@ class TestInitialStepsize:
 
 def random_coeffs(rng):
     """d = 1 coefficients with random entries; the controller reads no factor."""
-    return CbsCoefficients(
-        m_beta=rng.normal(size=1), c_beta_sq=rng.normal(size=(1, 1)), c_beta_factor=None
-    )
+    return GaussianModel(mean=rng.normal(size=1), covariance=rng.normal(size=(1, 1)), factor=None)
 
 
 class TestControllerState:
