@@ -81,8 +81,8 @@ class GaussianModel:
         # so this is back substitution and the inverse is exactly triangular
         return np.linalg.inv(self.factor.T)
 
-    def logpdf(self, x, work=(None, None), centered: bool = False):
-        return gaussian_logpdf(self, x, work, centered)
+    def logpdf(self, x, work=(None, None)):
+        return gaussian_logpdf(self, x, work)
 
     def to_json(self) -> dict:
         """Serialize for run-record export."""
@@ -108,8 +108,9 @@ def gaussian_fit(sample, scratch=None) -> GaussianModel:
     """Fit mean and population covariance (divisor J) to a sample.
 
     Degenerate spreads are handled by the factorization: a fully collapsed
-    sample yields the effective covariance ``FIT_JITTER * I``.  The centered
-    sample goes into ``scratch``, and a ``None`` makes numpy allocate.
+    sample yields the effective covariance ``FIT_JITTER * I``.  ``scratch``
+    takes the centered sample as a temporary, and a ``None`` makes numpy
+    allocate.
     """
     x = np.asarray(sample, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -120,19 +121,13 @@ def gaussian_fit(sample, scratch=None) -> GaussianModel:
     return make_gaussian(mean, cov, FIT_JITTER)
 
 
-def gaussian_logpdf(
-    model: GaussianModel, x, work=(None, None), centered: bool = False
-) -> np.ndarray:
+def gaussian_logpdf(model: GaussianModel, x, work=(None, None)) -> np.ndarray:
     """Log-density at the rows of ``x`` ``(n, d)``; returns ``(n,)``.
 
     The rows are whitened by one product with the cached ``whiten``; the
     centered rows go into ``work[0]`` and the whitened ones into ``work[1]``.
-    ``centered=True`` says that ``x`` already holds the rows minus
-    ``model.mean``, as :func:`gaussian_fit` leaves its sample in its
-    scratch; they are then whitened as they are.
     """
-    if not centered:
-        x = np.subtract(x, model.mean, out=work[0])
+    x = np.subtract(x, model.mean, out=work[0])
     z = np.matmul(x, model.whiten, out=work[1])
     quad = np.einsum("ij,ij->i", z, z)
     return -0.5 * (model.dim * _LOG_2PI + model.log_det + quad)

@@ -148,7 +148,7 @@ class RunRecord:
 
 
 def is_estimate(
-    ens: Ensemble, proposal, work=(None, None), centered: bool = False, log_mu=None
+    ens: Ensemble, proposal, work=(None, None), log_mu=None
 ) -> tuple[float, np.ndarray]:
     """Importance-sampling estimate with ``proposal`` as sampler.
 
@@ -157,9 +157,6 @@ def is_estimate(
     downstream becomes infinite.  ``log phi`` is the ensemble's shared one;
     ``log mu`` is evaluated on every particle, with ``work`` (a pair of
     arrays shaped like the points) as scratch, so that no subset is copied.
-    ``centered=True`` says that ``work[0]`` holds the points minus the mean
-    of the Gaussian ``proposal``, as :func:`gaussian_fit` leaves them when
-    it fits that very ensemble; ``log mu`` then whitens them as they are.
     ``log_mu`` passes the proposal's log-density at the points when it is
     already known in closed form, as for the exact law of a particle step,
     ``-(d log 2 pi + log det + |xi_j|^2) / 2`` at the point
@@ -168,9 +165,7 @@ def is_estimate(
     fail = ens.g_values <= 0.0
     weights = np.zeros(ens.size)
     if np.any(fail):
-        if log_mu is None and centered:
-            log_mu = proposal.logpdf(work[0], work, centered=True)
-        elif log_mu is None:
+        if log_mu is None:
             log_mu = proposal.logpdf(ens.points, work)
         log_ratio = ens.log_phi() - log_mu
         weights[fail] = np.exp(log_ratio[fail])
@@ -212,10 +207,8 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
 
     An ensemble with a known law is not fitted: the next iteration takes
     that law as its proposal and its ``log mu`` as given (see
-    :func:`is_estimate`).  Every other ensemble is fitted, and a Gaussian
-    fitted to the very points it weighs leaves them centred for the
-    estimate.  The record's ``exact_from`` is the first iteration that
-    takes a known law.
+    :func:`is_estimate`).  Every other ensemble is fitted.  The record's
+    ``exact_from`` is the first iteration that takes a known law.
 
     One worker thread draws the step noise one step ahead, into two buffers
     allocated once per run and filled in turn: step ``n``'s draw goes into
@@ -290,10 +283,6 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
         # allocated after the start-up probe has freed its temporaries
         spare = np.empty((J, d))
         work = np.empty((2, J, d))
-        # a Gaussian fitted to the very points it weighs leaves them centred
-        # in work[0] (see gaussian_fit), and the estimate whitens them there;
-        # a known law comes with its log mu instead
-        centered = mover.batch is None and not vmfn
         law, exact_from = None, None
         trace: list[IterationRecord] = []
 
@@ -315,7 +304,7 @@ def run_loop(problem: ProblemSpec, config, mover) -> RunRecord:
                 if mover.batch == "replace":
                     spare, ens = ens.points, sample
 
-            pf, weights = is_estimate(sample, model, work, centered, log_mu)
+            pf, weights = is_estimate(sample, model, work, log_mu)
             cv = empirical_cv(weights)
             row = IterationRecord(iter=n, cv=cv, pf_estimate=pf, cost_cum=cost)
             trace.append(row)

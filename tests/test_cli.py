@@ -142,6 +142,15 @@ class TestCommands:
         code = main(["run", "--problem", "linear", "--method", "cbree", "--config", str(bad)])
         assert code == EXIT_CONFIG
 
+    def test_run_config_with_utf8_byte_order_mark(self, tmp_path, capsys):
+        # editors that save UTF-8 with a BOM must not turn the first key
+        # into '\ufeffn_particles'
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfn_particles = 300\nmax_iter = 2\n")
+        argv = ["run", "--problem", "linear", "--method", "cbree", "--config", str(cfg)]
+        assert main(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["cost"] <= 300 * 3
+
     def test_run_non_utf8_config_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_bytes(b"n_particles = 300\xff\n")

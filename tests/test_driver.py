@@ -61,28 +61,30 @@ class TestIsEstimate:
         assert pf == pytest.approx(0.5)
 
     @pytest.mark.parametrize("d", [6, 50])
-    def test_estimate_on_the_fit_centred_sample_is_bitwise_the_same(self, d):
+    def test_estimate_reads_nothing_the_fit_left_in_scratch(self, d):
         pts = RandomStream(d).standard_normal((800, d)) * 1.3 + 0.4
         ens = Ensemble(pts, 1.0 - pts[:, 0])
         work = np.empty((2, 800, d))
         model = gaussian_fit(pts, work[0])
-        pf, weights = is_estimate(ens, model, work, centered=True)
+        work.fill(np.nan)
+        pf, weights = is_estimate(ens, model, work)
         fresh_pf, fresh_weights = is_estimate(ens, model)
         assert 0.0 < pf == fresh_pf
         assert np.array_equal(weights, fresh_weights)
 
     def test_gaussian_run_takes_log_mu_through_the_densities_module(self, monkeypatch):
         # the benchmark's tracer times log mu by wrapping this module name
-        calls = []
+        calls = 0
         inner = cbree.densities.gaussian_logpdf
 
-        def counted(model, x, work=(None, None), centered=False):
-            calls.append(centered)
-            return inner(model, x, work, centered)
+        def counted(model, x, work=(None, None)):
+            nonlocal calls
+            calls += 1
+            return inner(model, x, work)
 
         monkeypatch.setattr(cbree.densities, "gaussian_logpdf", counted)
         run_cbree(get_problem("linear"), CbreeConfig(n_particles=400, seed=31))
-        assert calls and all(calls)
+        assert calls > 0
 
 
 class TestExactLaw:
