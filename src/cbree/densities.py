@@ -3,8 +3,8 @@
 Standard normal input density, Gaussian proposals fitted by empirical
 moments, and a von Mises--Fisher / Nakagami (vMFN) model whose radial
 component has heavier tails than a Gaussian shell, which keeps importance
-weights usable in high dimensions.  The vMFN functions import scipy on
-first use; everything else here needs numpy alone.
+weights usable in high dimensions.  Everything here runs on numpy and the
+standard library's ``math``.
 """
 
 from __future__ import annotations
@@ -222,28 +222,74 @@ def vmfn_fit(sample) -> VmfnModel:
     )
 
 
-def _log_vmf_normalizer(d: int, kappa: float) -> float:
-    """log C_d(kappa) with C_d(k) = k^(d/2-1) / ((2 pi)^(d/2) I_(d/2-1)(k))."""
-    from scipy.special import gammaln, ive
+def _log_bessel_i(nu: float, x: float) -> float:
+    """``log I_nu(x)`` for ``nu >= 0`` and ``x > 0``, summed in the log domain,
+    so that it neither overflows nor underflows at any order or argument.
 
+    Once ``x >= max(nu^2, 25)`` it is Hankel's expansion (DLMF 10.40.1),
+    ``e^x / sqrt(2 pi x) sum_k (-1)^k a_k(nu) / x^k``, whose terms shrink
+    below rounding before they start to grow and which ends after
+    ``nu + 1/2`` terms at a half-integer order.  Below that it is the power
+    series (DLMF 10.25.2), ``sum_k (x/2)^(2k+nu) / (k! Gamma(k+nu+1))``,
+    summed outward from its largest term, so every term added is at most 1
+    relative to the first.
+    """
+    if x >= max(nu * nu, 25.0):
+        mu = 4.0 * nu * nu
+        term = total = 1.0
+        k = 0
+        while abs(term) > 1e-17 * total:
+            k += 1
+            term *= -(mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
+            total += term
+        return x - 0.5 * (_LOG_2PI + math.log(x)) + math.log(total)
+    q = 0.25 * x * x
+    # term k+1 over term k is q / ((k+1)(k+1+nu)), at least 1 up to the top
+    top = int(0.5 * (math.sqrt(nu * nu + x * x) - nu))
+    total = term = 1.0
+    k = top
+    while term > 1e-17 * total:
+        k += 1
+        term *= q / (k * (k + nu))
+        total += term
+    term, k = 1.0, top
+    while k > 0 and term > 1e-17 * total:
+        term *= k * (k + nu) / q
+        k -= 1
+        total += term
+    return (
+        (2.0 * top + nu) * math.log(0.5 * x)
+        - math.lgamma(top + 1.0)
+        - math.lgamma(top + nu + 1.0)
+        + math.log(total)
+    )
+
+
+def _log_vmf_normalizer(d: int, kappa: float) -> float:
+    """log C_d(kappa) with C_d(k) = k^(d/2-1) / ((2 pi)^(d/2) I_(d/2-1)(k)).
+
+    Below ``kappa = 1e-6``, ``kappa = 0`` included, it is the series limit.
+    Above, ``log I`` comes from :func:`_log_bessel_i`: Hankel's expansion
+    once ``kappa >= max(nu^2, 25)``, the power series below, finite at every
+    order and concentration.  Against 40-digit values its error is at most
+    about 6e-14 of ``max(1, |log I|)`` up to d = 400, and 5e-13 at d = 1000
+    where ``log I`` crosses 0 as a difference of terms of size ``nu log nu``.
+    """
     nu = 0.5 * d - 1.0
     if kappa < 1e-6:
         # series limit: k^nu / I_nu(k) -> 2^nu Gamma(nu+1) (1 + k^2/(4(nu+1)))^-1
         return (
             nu * math.log(2.0)
-            + gammaln(nu + 1.0)
+            + math.lgamma(nu + 1.0)
             - 0.5 * d * _LOG_2PI
             - math.log1p(kappa * kappa / (4.0 * (nu + 1.0)))
         )
-    log_iv = math.log(float(ive(nu, kappa))) + kappa
-    return nu * math.log(kappa) - 0.5 * d * _LOG_2PI - log_iv
+    return nu * math.log(kappa) - 0.5 * d * _LOG_2PI - _log_bessel_i(nu, kappa)
 
 
 def vmfn_logpdf(model: VmfnModel, x) -> np.ndarray:
     """Log-density on R^d at the rows of ``x`` ``(n, d)``; returns ``(n,)``.
     Undefined at the origin."""
-    from scipy.special import gammaln
-
     pts = np.asarray(x, dtype=float)
     d = model.dim
     r = _row_norms(pts)
@@ -252,15 +298,16 @@ def vmfn_logpdf(model: VmfnModel, x) -> np.ndarray:
     cos_angle = (pts @ model.mean_direction) / r
     log_dir = _log_vmf_normalizer(d, model.kappa) + model.kappa * cos_angle
     m, om = model.nakagami_shape, model.nakagami_spread
+    log_r = np.log(r)
     log_rad = (
         math.log(2.0)
         + m * math.log(m)
-        - gammaln(m)
+        - math.lgamma(m)
         - m * math.log(om)
-        + (2.0 * m - 1.0) * np.log(r)
+        + (2.0 * m - 1.0) * log_r
         - m * r * r / om
     )
-    return log_dir + log_rad - (d - 1.0) * np.log(r)
+    return log_dir + log_rad - (d - 1.0) * log_r
 
 
 def _row_norms(x) -> np.ndarray:
@@ -297,35 +344,32 @@ def vmfn_sample(
     model: VmfnModel, stream: RandomStream, n: int, out=None, normals=None
 ) -> np.ndarray:
     """Draw ``n`` points, a vMF direction times a Nakagami radius, into
-    ``out``; a ``None`` makes numpy allocate.  No ``(n, d)`` temporary is
-    formed.
+    ``out``; a ``None`` makes numpy allocate.
 
     Point ``j`` is ``r_j (sqrt(1 - w_j^2) t_j / |t_j| + w_j mu)``, with the
     vMF cosine ``w_j``, the Nakagami radius ``r_j`` and the tangent
-    ``t_j = xi_j - (xi_j . mu) mu`` of a standard normal ``xi_j``.  It is
-    assembled in place as ``a_j t_j + b_j mu``: one rank-1 BLAS update
-    (``dger``) forms the tangents, one row scale applies ``a_j`` and a
-    second ``dger`` adds ``b_j mu``.  The stream gives the ``(n, d)``
-    normals first, then the cosines' betas and uniforms, then the radii's
-    gammas.  ``normals`` passes the first of these in already drawn, with
-    ``stream`` advanced past them; they are copied into ``out``, never
-    written.
+    ``t_j = xi_j - (xi_j . mu) mu`` of a standard normal ``xi_j``.  The
+    outer product ``(xi_j . mu) mu`` is written into ``out`` and the tangents
+    are the normals minus it, written over it; one row scale applies
+    ``r_j sqrt(1 - w_j^2) / |t_j|`` and the outer product ``(r_j w_j) mu``,
+    the one ``(n, d)`` temporary, is added in place.  The stream gives the
+    ``(n, d)`` normals first, then the cosines' betas and uniforms, then the
+    radii's gammas.  ``normals`` passes the first of these in already drawn,
+    with ``stream`` advanced past them; they are only read, must not share
+    memory with ``out``, and without them the normals are a second ``(n, d)``
+    array.
     """
-    from scipy.linalg.blas import dger
-
     mu = model.mean_direction
     d = mu.shape[0]
-    xi = np.empty((n, d)) if out is None else out
     if normals is None:
-        stream.standard_normal((n, d), out=xi)
-    else:
-        np.copyto(xi, normals)
+        normals = stream.standard_normal((n, d))
+    elif out is not None and np.shares_memory(out, normals):
+        raise ValueError("out must not share memory with the normals")
+    pts = np.einsum("i,j->ij", normals @ mu, mu, out=out)
+    np.subtract(normals, pts, out=pts)
     w = _sample_vmf_cosines(d, model.kappa, stream, n)
     m, om = model.nakagami_shape, model.nakagami_spread
     r = np.sqrt(stream.gamma(m, om / m, size=n))
-    # xi is C-contiguous, so xi.T is F-contiguous and dger updates it in place
-    dger(-1.0, mu, xi @ mu, a=xi.T, overwrite_a=True)
-    xi *= (r * np.sqrt(np.clip(1.0 - w * w, 0.0, None)) / _row_norms(xi))[:, None]
-    dger(1.0, mu, r * w, a=xi.T, overwrite_a=True)
-    return xi
-
+    pts *= (r * np.sqrt(np.clip(1.0 - w * w, 0.0, None)) / _row_norms(pts))[:, None]
+    pts += np.einsum("i,j->ij", r * w, mu)
+    return pts

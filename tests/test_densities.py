@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ive
 
 from cbree.cbs import coefficients_from_log_weights
 from cbree.densities import (
     GaussianModel,
     VmfnModel,
+    _log_bessel_i,
+    _log_vmf_normalizer,
     gaussian_fit,
     gaussian_logpdf,
     gaussian_sample,
@@ -403,12 +406,65 @@ class TestVmfnDensity:
             assert np.array_equal(normals, kept)
             assert ahead_stream.random() == next_draw
 
+    def test_out_sharing_the_normals_rejected(self):
+        # the tangents' outer product is written into out before the
+        # normals are read again
+        model = VmfnModel(np.eye(3)[0], 2.0, 2.5, 3.0)
+        normals = RandomStream(22).standard_normal((10, 3))
+        with pytest.raises(ValueError, match="share memory"):
+            vmfn_sample(model, RandomStream(23), 10, normals, normals=normals)
+
     def test_high_kappa_concentrates(self):
         mu = np.array([1.0, 0.0, 0.0])
         model = VmfnModel(mu, 1e6, 5.0, 10.0)
         pts = vmfn_sample(model, RandomStream(10), 500)
         cosines = (pts / np.linalg.norm(pts, axis=1, keepdims=True)) @ mu
         assert cosines.min() > 0.99
+
+
+class TestVmfNormalizer:
+    @staticmethod
+    def log_bessel_from_normalizer(d, kappa):
+        # log C_d = nu log kappa - (d/2) log 2 pi - log I_nu(kappa), nu = d/2 - 1
+        return (
+            (0.5 * d - 1.0) * math.log(kappa)
+            - 0.5 * d * math.log(2.0 * math.pi)
+            - _log_vmf_normalizer(d, kappa)
+        )
+
+    @pytest.mark.parametrize("d,kappa", [(200, 0.01), (400, 1.0), (1000, 16.0)])
+    def test_high_order_normalizer_is_finite_and_meets_the_recurrence(self, d, kappa):
+        # scipy's ive(d/2 - 1, kappa) underflows to 0 at all three; the
+        # three-term recurrence I_(nu-1) - I_(nu+1) = (2 nu / kappa) I_nu
+        # checks the normalizer at d - 2, d and d + 2 against each other
+        assert math.isfinite(_log_vmf_normalizer(d, kappa))
+        log_i = {dd: self.log_bessel_from_normalizer(dd, kappa) for dd in (d - 2, d, d + 2)}
+        ratio = math.exp(log_i[d - 2] - log_i[d]) - math.exp(log_i[d + 2] - log_i[d])
+        assert ratio == pytest.approx((d - 2.0) / kappa, rel=1e-12, abs=0.0)
+
+    def test_high_order_logpdf_is_finite(self):
+        d = 1000
+        model = VmfnModel(np.eye(d)[0], 16.0, d / 2.0, float(d))
+        x = RandomStream(21).standard_normal((20, d))
+        assert np.all(np.isfinite(vmfn_logpdf(model, x)))
+
+    def test_log_bessel_matches_scipy_wherever_ive_is_normal(self):
+        # near I_nu(x) = 1 the power series' log is a difference of terms of
+        # size about nu log nu: at d = 1000 it is off by up to 5e-13 there
+        # (ive by 7e-14) against 40-digit values, so the error is measured
+        # in units of max(1, |log I|, nu)
+        x = np.geomspace(1e-6, 1e8, 281)
+        checked = 0
+        for d in (2, 3, 4, 5, 7, 10, 20, 49, 50, 51, 100, 101, 200, 201, 400, 1000, 1001):
+            nu = 0.5 * d - 1.0
+            scaled = ive(nu, x)
+            normal = scaled >= 1e-290
+            for xk, sk in zip(x[normal], scaled[normal]):
+                want = math.log(sk) + xk
+                got = _log_bessel_i(nu, float(xk))
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want), nu), (d, xk)
+                checked += 1
+        assert checked > 3000
 
 
 class TestModelContracts:
