@@ -12,7 +12,6 @@ as a serial run.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -199,6 +198,9 @@ def run_benchmark(
     work = [(method, problem_name, config, master_seed, rep) for rep in range(reps)]
     workers = min(jobs, reps)  # the pool starts every worker up front
     if workers > 1:
+        # imported here: it loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_one_rep, work))
     else:

@@ -25,20 +25,22 @@ __all__ = [
 
 
 class RandomStream(np.random.Generator):
-    """Counter-based random stream keyed by a 64-bit seed and a derivation path.
+    """Random stream keyed by a 64-bit seed and a derivation path.
 
-    A Philox ``numpy.random.Generator``: two streams built from the same
+    An SFC64 ``numpy.random.Generator`` seeded by
+    ``SeedSequence(seed, spawn_key=path)``: two streams built from the same
     ``(seed, path)`` produce identical draw sequences.  Sub-streams derived
-    via :meth:`substream` are independent by construction (distinct
-    ``spawn_key`` paths), so work can be split deterministically across
-    repetitions, iterations or threads without any shared state.
+    via :meth:`substream` are independent because ``SeedSequence`` hashes
+    each distinct ``spawn_key`` path into its own initial state, so work can
+    be split deterministically across repetitions, iterations or threads
+    without any shared state.
     """
 
     def __init__(self, seed: int, path: tuple = ()):
         self.seed = int(seed)
         self.path = tuple(int(i) for i in path)
         seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
-        super().__init__(np.random.Philox(seq))
+        super().__init__(np.random.SFC64(seq))
 
     def substream(self, *index: int) -> "RandomStream":
         """Derive an independent stream addressed by ``path + index``."""

@@ -1,4 +1,7 @@
+import concurrent.futures
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -96,10 +99,23 @@ class TestRunBenchmark:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cbree.bench, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         run_benchmark("mc", "linear", McConfig(n_particles=1000), reps=2, jobs=64)
         run_benchmark("mc", "linear", McConfig(n_particles=1000), reps=1, jobs=64)
         assert sizes == [2]
+
+    def test_serial_run_loads_no_process_pool(self):
+        # a fresh interpreter, since pytest itself has loaded multiprocessing
+        script = (
+            "import sys\n"
+            "import cbree\n"
+            "from cbree.bench import run_benchmark\n"
+            "run_benchmark('cbree', 'linear', cbree.CbreeConfig(n_particles=200, max_iter=3), reps=2, jobs=1)\n"
+            "print('multiprocessing' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_per_rep_seeds_differ(self):
         seeds = [rep_seed(3, rep) for rep in range(10)]

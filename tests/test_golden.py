@@ -36,6 +36,16 @@ CELLS = (
     ("cbree-linear", "cbree", "linear", 11, dict(n_particles=500, max_iter=30)),
     ("cbree-convex", "cbree", "convex", 12, dict(n_particles=500, max_iter=30)),
     ("cbree-oscillator", "cbree", "oscillator", 13, dict(n_particles=1000, max_iter=30)),
+    # the cell above stops at the divergence check before any step with
+    # exp(-h) == 0; with the check off this one converges, and its proposals
+    # from iteration 9 on are the exact laws of their points
+    (
+        "cbree-oscillator-exact",
+        "cbree",
+        "oscillator",
+        13,
+        dict(n_particles=1000, n_obs=0, max_iter=30),
+    ),
     (
         "cbree-linear50",
         "cbree",
@@ -61,8 +71,8 @@ CELLS = (
         dict(n_particles=400, delta_target=4.0, eps_target=0.5, n_obs=0, max_iter=12),
     ),
     # the cell above sees at most one failing point per batch, so it pins
-    # the steps but hardly the weights; with J=4000, 12 of this cell's 13
-    # batches have a finite CV and a nonzero estimate
+    # the steps but hardly the weights; with J=4000, 11 of this cell's 13
+    # batches have a finite CV, and all 13 a nonzero estimate
     (
         "cbree-vmfn-linear50-weights",
         "cbree-vmfn",

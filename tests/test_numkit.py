@@ -201,6 +201,14 @@ class TestRandomStream:
         b = RandomStream(123).standard_normal(1_000_000)
         assert np.array_equal(a, b)
 
+    def test_stream_contract_sfc64_first_normals(self):
+        # every stored record depends on these draws: a change of bit
+        # generator, or of numpy's normal algorithm, fails here by name
+        stream = RandomStream(7, (3, 1))
+        assert isinstance(stream.bit_generator, np.random.SFC64)
+        expected = [0.5119835873334279, 1.2046170383224049, -1.8965986123485334, 0.9550004282945003]
+        assert stream.standard_normal(4).tolist() == expected
+
     def test_different_seeds_differ(self):
         a = RandomStream(1).standard_normal(8)
         b = RandomStream(2).standard_normal(8)

@@ -108,7 +108,12 @@ class TestOscillator:
         u[9, :2] = -25.0  # both
         expected = rowwise_oscillator(u)
         assert np.array_equal(oscillator_lsf(u), expected)
-        assert np.count_nonzero(expected == GUARD_VALUE) == 3
+        # the draw holds impossible rows of its own: count them from the
+        # mapped inputs rather than pin a number that depends on the draw
+        x = OSCILLATOR_MEAN + OSCILLATOR_STD * u
+        impossible = (x[:, 0] <= 0.0) | (x[:, 1] + x[:, 2] <= 0.0)
+        assert np.all(expected[7:10] == GUARD_VALUE)
+        assert np.count_nonzero(expected == GUARD_VALUE) == np.count_nonzero(impossible)
         assert np.array_equal(oscillator_lsf(u[10]), expected[10:11])
 
 
