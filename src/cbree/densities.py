@@ -152,6 +152,14 @@ class VmfnModel:
     ``vmf(x/|x|) * nakagami(|x|) / |x|^(d-1)`` which integrates to one.  With
     ``kappa = 0``, ``shape = d/2`` and ``spread = d`` the model coincides with
     the standard normal distribution.
+
+    ``mean`` and ``covariance`` are the model's first two moments in closed
+    form, computed on first use from the vMF moments (Mardia & Jupp,
+    *Directional Statistics*, 2000) and the Nakagami radius (Papaioannou,
+    Geyer & Straub, *RESS* 191, 2019).  With ``A = I_{d/2}(kappa) /
+    I_{d/2-1}(kappa)`` and ``E[R] = Gamma(m + 1/2) / Gamma(m) sqrt(Omega / m)``
+    the mean is ``E[R] A mu`` and the covariance
+    ``Omega ((A / kappa) I + (1 - d A / kappa) mu mu^T) - mean mean^T``.
     """
 
     mean_direction: np.ndarray
@@ -163,6 +171,23 @@ class VmfnModel:
     @property
     def dim(self) -> int:
         return self.mean_direction.shape[0]
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        """``E[R] A mu``."""
+        m, om = self.nakagami_shape, self.nakagami_spread
+        mean_radius = math.exp(math.lgamma(m + 0.5) - math.lgamma(m)) * math.sqrt(om / m)
+        a, _ = _vmf_resultant(self.dim, self.kappa)
+        return (mean_radius * a) * self.mean_direction
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """``Omega E[u u^T] - mean mean^T`` with the vMF second moment
+        ``E[u u^T] = (A / kappa) I + (1 - d A / kappa) mu mu^T``."""
+        d, mu = self.dim, self.mean_direction
+        _, a_over_kappa = _vmf_resultant(d, self.kappa)
+        second = a_over_kappa * np.eye(d) + (1.0 - d * a_over_kappa) * np.outer(mu, mu)
+        return self.nakagami_spread * second - np.outer(self.mean, self.mean)
 
     def logpdf(self, x, work=(None, None)):
         # the density forms no (n, d) temporary: ``work`` is only taken so
@@ -285,6 +310,19 @@ def _log_vmf_normalizer(d: int, kappa: float) -> float:
             - math.log1p(kappa * kappa / (4.0 * (nu + 1.0)))
         )
     return nu * math.log(kappa) - 0.5 * d * _LOG_2PI - _log_bessel_i(nu, kappa)
+
+
+def _vmf_resultant(d: int, kappa: float) -> tuple[float, float]:
+    """The vMF mean resultant length ``A = I_{d/2}(kappa) / I_{d/2-1}(kappa)``
+    and ``A / kappa``.  Below ``kappa = 1e-6``, where
+    :func:`_log_vmf_normalizer` takes its series limit, ``A / kappa`` is its
+    limit ``1 / d``, whose relative correction ``-kappa^2 / (d (d + 2))`` is
+    at most 1.3e-13 there."""
+    if kappa < 1e-6:
+        return kappa / d, 1.0 / d
+    nu = 0.5 * d - 1.0
+    a = math.exp(_log_bessel_i(nu + 1.0, kappa) - _log_bessel_i(nu, kappa))
+    return a, a / kappa
 
 
 def vmfn_logpdf(model: VmfnModel, x) -> np.ndarray:

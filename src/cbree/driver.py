@@ -37,11 +37,9 @@ from .densities import (
 from .numkit import RandomStream, ls_slope
 from .problems import ProblemSpec
 from .smoothing import empirical_cv, update_smoothing
-from .stepctl import (
-    StepControllerState,
-    initial_stepsize,
-    moments_of_ensemble,
-)
+from .stepctl import StepControllerState, initial_stepsize
+# no call here: perfbench's tracer wraps this name until ROADMAP item 4 drops it
+from .stepctl import moments_of_ensemble  # noqa: F401
 
 __all__ = [
     "CbreeConfig",
@@ -359,13 +357,16 @@ class CbreeMover:
     ``N(m_beta, L L^T)``, and the move hands the step's coefficients, which
     are that law, to the run loop as the next proposal, with ``log mu`` at
     each point in closed form from its noise row, read before the noise
-    buffer is released, so the law's whitening is never computed.  The step
-    controller reads the proposal's moments either way.
+    buffer is released, so the law's whitening is never computed.
     With the vMFN proposal every ensemble is resampled through the fitted
     model, which doubles as the importance-sampling proposal; the run loop
     then evaluates the resampled ensembles and neither the initial nor a
     moved one, and no law is handed on.  A run of n iterations costs
     J (n + 1) evaluations with either proposal.
+    The step controller reads the proposal's moments with either proposal,
+    the Gaussian's fitted or exact ones, or the vMFN model's in closed form
+    (:attr:`~cbree.densities.VmfnModel.mean` and ``covariance``), which are
+    the law of the fresh batch it moves; it measures no ensemble.
     """
 
     def __init__(self, config: CbreeConfig, proposal: str):
@@ -389,13 +390,10 @@ class CbreeMover:
 
     def move(self, ens: Ensemble, model, n: int, noise: Future, row, out, scratch):
         cfg = self.config
-        # the Gaussian proposal is fitted to this very ensemble or is the
-        # law it was drawn from, so its moments stand for the ensemble's; a
-        # vMFN ensemble was resampled after its fit
-        if self.proposal == "vmfn":
-            moments = moments_of_ensemble(ens, scratch)
-        else:
-            moments = model.mean, model.covariance
+        # the proposal is fitted to this very ensemble or is the law it was
+        # drawn from, a Gaussian step's or the vMFN model of a fresh batch,
+        # so its closed-form moments stand for the ensemble's
+        moments = model.mean, model.covariance
         h_next, err = self.ctrl.propose(moments, n)
         s_next, log_w = update_smoothing(ens.g_values, self.s, h_next, cfg.delta_target)
         # the log-target log I(g, s_next) + log phi
@@ -414,7 +412,7 @@ class CbreeMover:
         row.ess = ess
         self.s = s_next
         xi = noise.result()
-        # the moments are taken, so scratch is free for the step's product
+        # the coefficients are taken, so scratch is free for the step's product
         moved = cbs_step(ens, coeffs, h_next, xi, out, scratch)
         if self.proposal == "vmfn" or not step_is_exact(h_next):
             return moved, None

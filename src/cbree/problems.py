@@ -39,9 +39,9 @@ class CountedLsf:
     The counter increments once per evaluated point (batch calls add the
     batch size) under a lock, so repetitions may share a wrapper across
     threads; benchmark runs use one wrapper each for exact per-run cost.
-    The wrapped function must return one finite value per point; anything
-    else raises ``ValueError``, since a NaN would silently count as safe
-    under ``g <= 0``.
+    The wrapped function must return one finite real value per point;
+    anything else, a complex value included, raises ``ValueError``, since a
+    NaN would silently count as safe under ``g <= 0``.
     """
 
     def __init__(self, fn):
@@ -55,7 +55,11 @@ class CountedLsf:
         pts = np.atleast_2d(x)
         with self._lock:
             self._count += pts.shape[0]
-        out = np.asarray(self._fn(pts), dtype=float)
+        out = np.asarray(self._fn(pts))
+        if np.iscomplexobj(out):
+            # casting would drop the imaginary part with only a warning
+            raise ValueError("limit-state function returned complex values; expected real ones")
+        out = np.asarray(out, dtype=float)
         if out.shape != (pts.shape[0],):
             raise ValueError(
                 f"limit-state function returned shape {out.shape} for "

@@ -56,15 +56,16 @@ def ensemble_coefficients(ens: Ensemble, beta: float) -> GaussianModel:
     return coefficients_from_log_weights(ens.points, beta * (ens.log_phi() - np.log(2.0)), beta)
 
 
-def moments_of_ensemble(ens: Ensemble, scratch=None) -> tuple[np.ndarray, np.ndarray]:
+def moments_of_ensemble(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     """Sample mean and population covariance of the particle positions, the
-    ``(mean, cov)`` pair every function here takes as moments; the centered
-    points go into ``scratch``, or a new array when it is ``None``."""
+    ``(mean, cov)`` pair every function here takes as moments.  Only the
+    start-up probe measures an ensemble: the run's step controller reads its
+    proposal's moments."""
     pts = ens.points
     if pts.shape[0] < 2:
         raise ValueError("moments need at least two particles")
     mean = sample_mean(pts)
-    centered = np.subtract(pts, mean, out=scratch)
+    centered = pts - mean
     return mean, centered.T @ centered / pts.shape[0]
 
 
@@ -176,9 +177,10 @@ def initial_stepsize(ens0: Ensemble, beta1: float, eps_target: float, stream: Ra
     At ``s = 0`` an ``N(0, I)`` ensemble is, in expectation, at the
     equilibrium of the tempered dynamics, so the right-hand side measured
     here is the sample's deviation from it, sampling noise that shrinks as
-    ``1/sqrt(J)``, and the returned stepsize grows about as ``sqrt(J)``: its
-    median over seeds 0-9 on the linear problem in d = 2 is 5.7, 11.4 and
-    28.7 at J = 500, 2000 and 8000.
+    ``1/sqrt(J)``, and the returned stepsize grows about as ``sqrt(J)``.
+    Its median depends on the seed set: on the linear problem in d = 2 it is
+    5.7, 11.4 and 28.7 at J = 500, 2000 and 8000 over seeds 0-9, and 31.6
+    and 24.3 at J = 8000 over seeds 10-19 and 20-29.
     """
     theta0 = moments_of_ensemble(ens0)
     coeffs0 = ensemble_coefficients(ens0, beta1)

@@ -8,6 +8,9 @@ from scipy.special import ive
 
 from cbree.cbs import coefficients_from_log_weights
 from cbree.densities import (
+    KAPPA_CAP,
+    NAKAGAMI_SHAPE_MAX,
+    NAKAGAMI_SHAPE_MIN,
     GaussianModel,
     VmfnModel,
     _log_bessel_i,
@@ -420,6 +423,55 @@ class TestVmfnDensity:
         pts = vmfn_sample(model, RandomStream(10), 500)
         cosines = (pts / np.linalg.norm(pts, axis=1, keepdims=True)) @ mu
         assert cosines.min() > 0.99
+
+
+class TestVmfnMoments:
+    @pytest.mark.parametrize("d", [2, 5, 50])
+    def test_standard_normal_case(self, d):
+        # kappa = 0, shape = d/2 and spread = d is N(0, I)
+        model = VmfnModel(np.eye(d)[1], 0.0, d / 2.0, float(d))
+        assert np.array_equal(model.mean, np.zeros(d))
+        np.testing.assert_allclose(model.covariance, np.eye(d), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("kappa", [0.0, 2.0, 27.0, KAPPA_CAP])
+    @pytest.mark.parametrize("d", [2, 3, 50])
+    def test_moments_match_a_large_sample(self, d, kappa):
+        # 4e5 points in 40 independent batches; every entry of the sample
+        # mean and covariance lies within 6 standard errors, taken from the
+        # spread of the batch estimates, of the closed form
+        mu = RandomStream(24).standard_normal(d)
+        model = VmfnModel(mu / np.linalg.norm(mu), kappa, 1.3, 0.9 * d)
+        means, covs = [], []
+        for k in range(40):
+            pts = vmfn_sample(model, RandomStream(25, (d, k)), 10_000)
+            mean = pts.mean(axis=0)
+            centred = pts - mean
+            means.append(mean)
+            covs.append(centred.T @ centred / pts.shape[0])
+        for batches, want in ((means, model.mean), (covs, model.covariance)):
+            batches = np.array(batches)
+            se = batches.std(axis=0, ddof=1) / math.sqrt(len(batches))
+            assert np.all(np.abs(batches.mean(axis=0) - want) <= 6.0 * se + 1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 50])
+    def test_continuous_across_the_small_kappa_branch(self, d):
+        # below kappa = 1e-6 A / kappa is its limit 1 / d; the mean is
+        # proportional to kappa, so it is compared per unit kappa
+        above, below = 1e-6, math.nextafter(1e-6, 0.0)
+        mu = np.eye(d)[0]
+        hi, lo = (VmfnModel(mu, kappa, 2.5, float(d)) for kappa in (above, below))
+        np.testing.assert_allclose(hi.mean / above, lo.mean / below, rtol=1e-12)
+        np.testing.assert_allclose(hi.covariance, lo.covariance, rtol=0.0, atol=1e-11)
+
+    @pytest.mark.parametrize("shape", [NAKAGAMI_SHAPE_MIN, NAKAGAMI_SHAPE_MAX])
+    @pytest.mark.parametrize("kappa", [0.0, KAPPA_CAP])
+    @pytest.mark.parametrize("d", [2, 50])
+    def test_finite_at_the_caps(self, d, kappa, shape):
+        mu = np.ones(d) / math.sqrt(d)
+        model = VmfnModel(mu, kappa, shape, float(d))
+        assert np.all(np.isfinite(model.mean)) and np.all(np.isfinite(model.covariance))
+        assert np.array_equal(model.covariance, model.covariance.T)
+        assert np.linalg.eigvalsh(model.covariance).min() > 0.0
 
 
 class TestVmfNormalizer:

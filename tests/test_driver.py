@@ -8,6 +8,7 @@ import pytest
 
 import cbree.densities
 import cbree.driver
+import cbree.stepctl
 from cbree.bench import McConfig
 from cbree.cbs import Ensemble, step_is_exact
 from cbree.densities import gaussian_fit, gaussian_logpdf, gaussian_sample, make_gaussian
@@ -340,6 +341,38 @@ class TestRunCbree:
         assert solved.iterations >= 3
         assert evaluated.to_json_dict() == solved.to_json_dict()
 
+    def test_vmfn_controller_measures_no_ensemble_past_the_probe(self, monkeypatch):
+        # the step controller reads the vMFN model's closed-form moments, so
+        # only the start-up probe measures ensembles: the initial one and the
+        # probe step's
+        measured, in_probe = [], [False]
+        moments_of_ensemble = cbree.stepctl.moments_of_ensemble
+        initial_stepsize = cbree.driver.initial_stepsize
+
+        def counted(*args, **kwargs):
+            measured.append("probe" if in_probe[0] else "move")
+            return moments_of_ensemble(*args, **kwargs)
+
+        def probe(*args, **kwargs):
+            in_probe[0] = True
+            try:
+                return initial_stepsize(*args, **kwargs)
+            finally:
+                in_probe[0] = False
+
+        driver_calls = []
+        monkeypatch.setattr(cbree.stepctl, "moments_of_ensemble", counted)
+        monkeypatch.setattr(cbree.driver, "initial_stepsize", probe)
+        monkeypatch.setattr(
+            cbree.driver,
+            "moments_of_ensemble",
+            lambda *args, **kwargs: driver_calls.append(1) or moments_of_ensemble(*args, **kwargs),
+        )
+        record = run_cbree_vmfn(get_problem("linear-4"), CbreeConfig(n_particles=300, seed=24))
+        assert record.iterations >= 3
+        assert measured == ["probe", "probe"]
+        assert driver_calls == []
+
 
 class TestNoiseWorker:
     # each run draws its step noise on one worker thread of its own
@@ -443,7 +476,9 @@ class TestNoiseWorker:
         "runner, config",
         [
             (run_cbree, CbreeConfig(n_particles=300, seed=25)),
-            (run_cbree_vmfn, CbreeConfig(n_particles=300, delta_target=2.0, seed=24)),
+            # with the divergence check on, this run stops diverged at
+            # iteration 19; with it off it converges at iteration 20
+            (run_cbree_vmfn, CbreeConfig(n_particles=300, delta_target=2.0, n_obs=0, seed=24)),
             (run_enkf, EnkfConfig(n_particles=300, delta_target=2.0, seed=23)),
         ],
     )

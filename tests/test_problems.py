@@ -280,6 +280,12 @@ class TestCountedWrapper:
         with pytest.raises(ValueError, match="non-finite"):
             CountedLsf(lambda x: np.full(len(x), bad))(np.ones(2))
 
+    @pytest.mark.parametrize("imag", [1j, 0j], ids=["imaginary", "zero-imaginary"])
+    def test_complex_output_raises(self, imag):
+        # a cast to float would drop the imaginary part and return [0, 0, 0]
+        with pytest.raises(ValueError, match="complex"):
+            CountedLsf(lambda x: x[:, 0] + imag)(np.zeros((3, 2)))
+
 
 class TestRegistry:
     def test_listing(self):
